@@ -122,8 +122,11 @@ func benchShardGroup(b *testing.B, shards, parallel int) {
 	b.ReportMetric(float64(g.Handoffs())/float64(b.N), "handoffs/op")
 }
 
-// BenchmarkKernelProcessSwitch measures the slow path: a full park/resume
-// round trip through a goroutine-backed process per event.
+// BenchmarkKernelProcessSwitch measures a self-wake: the only process sleeps,
+// runs the event loop itself, pops its own resume and returns from Sleep — a
+// heap push and pop, no goroutine switch. perf's sim.switch rung is this
+// shape; despite both names, nothing switches here any more. The cross-
+// process cost is the two benchmarks below.
 func BenchmarkKernelProcessSwitch(b *testing.B) {
 	e := NewEnv(1)
 	b.ReportAllocs()
@@ -133,6 +136,53 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 			p.Sleep(time.Microsecond)
 		}
 	})
+	e.Run()
+}
+
+// BenchmarkKernelProcessHandoff measures a cross-process wake through a
+// Queue: two processes ping-pong a token, so every Pop parks, finds the other
+// process next in the heap and hands it the baton — one goroutine handoff per
+// op. perf's sim.queue_wake rung is the same path (it pushes from a callback
+// instead of from a peer).
+func BenchmarkKernelProcessHandoff(b *testing.B) {
+	e := NewEnv(1)
+	ping, pong := NewQueue[int](), NewQueue[int]()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i += 2 {
+			ping.Push(i)
+			pong.Pop(p)
+		}
+	})
+	e.Go("pong", func(p *Proc) {
+		for i := 0; i < b.N; i += 2 {
+			pong.Push(ping.Pop(p))
+		}
+	})
+	e.Run()
+}
+
+// BenchmarkKernelProcessFanIn measures timer-driven cross-process wakes:
+// eight sleepers with the same period at distinct phases, so the process
+// that parks is never the one whose timer expires next and every resume is
+// a handoff. The stream workload's publishers and pollers have this shape;
+// no perf rung isolates it (sim.switch has a single sleeper).
+func BenchmarkKernelProcessFanIn(b *testing.B) {
+	const sleepers = 8
+	e := NewEnv(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for s := 0; s < sleepers; s++ {
+		phase := Time(s) * time.Microsecond
+		n := (b.N + sleepers - 1 - s) / sleepers
+		e.Go("sleeper", func(p *Proc) {
+			p.Sleep(phase)
+			for i := 0; i < n; i++ {
+				p.Sleep(sleepers * time.Microsecond)
+			}
+		})
+	}
 	e.Run()
 }
 

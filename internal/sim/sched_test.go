@@ -1,0 +1,389 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The scheduler contract: which goroutine runs the event loop is an
+// implementation detail, the order of events is not. progRun executes a
+// seeded random program over every blocking primitive and folds what each
+// dispatch observed into one hash; the hashes below were generated with the
+// scheduler goroutine of the commit before the baton-passing kernel and must
+// never change.
+
+const us = time.Microsecond
+
+// progOp is one step of a generated process program.
+type progOp struct {
+	kind byte
+	obj  int  // queue / cond index
+	d    Time // sleep length, timeout, or callback delay
+	body []progOp
+}
+
+const (
+	opSleep = iota
+	opYield
+	opPop
+	opPopTimeout
+	opPush
+	opPushLater // Push from an inline callback
+	opWait
+	opWaitTimeout
+	opSignal
+	opSignalLater // Signal from an inline callback
+	opBroadcast
+	opUse
+	opSpawn
+	opStop
+	opStopLater // Stop from an inline callback
+	numOps
+)
+
+// genProg draws a program of n ops; depth bounds nested spawns.
+func genProg(rng *rand.Rand, n, depth int) []progOp {
+	ops := make([]progOp, n)
+	for i := range ops {
+		op := progOp{kind: byte(rng.Intn(numOps)), obj: rng.Intn(2), d: Time(rng.Intn(6)) * us}
+		switch op.kind {
+		case opStop, opStopLater:
+			// Keep stops rare: most draws become sleeps.
+			if rng.Intn(4) != 0 {
+				op.kind = opSleep
+			}
+		case opSpawn:
+			if depth == 0 {
+				op.kind = opYield
+			} else {
+				op.body = genProg(rng, 2+rng.Intn(5), depth-1)
+			}
+		case opPop, opWait:
+			// Untimed waits can strand the process; keep some, time most.
+			if rng.Intn(3) != 0 {
+				op.kind++
+			}
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// progRig is the shared state a generated program runs against.
+type progRig struct {
+	e      *Env
+	queues [2]*Queue[int]
+	conds  [2]Cond
+	res    *Resource
+	h      uint64 // FNV-1a over every observation
+	spawns int
+}
+
+// rec folds one observation — what a process saw when a blocking call
+// returned, or what a callback saw when it ran — into the hash. e.seq is the
+// insertion counter at that moment, so any reordering of pushes shows.
+func (r *progRig) rec(kind byte, name string, extra int) {
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			r.h ^= v & 0xff
+			r.h *= 1099511628211
+			v >>= 8
+		}
+	}
+	mix(uint64(r.e.now))
+	mix(r.e.seq)
+	mix(uint64(kind))
+	mix(uint64(extra))
+	for i := 0; i < len(name); i++ {
+		r.h ^= uint64(name[i])
+		r.h *= 1099511628211
+	}
+}
+
+func (r *progRig) exec(p *Proc, ops []progOp) {
+	e := r.e
+	r.rec('S', p.name, 0)
+	for _, op := range ops {
+		op := op
+		extra := 0
+		switch op.kind {
+		case opSleep:
+			p.Sleep(op.d)
+		case opYield:
+			p.Yield()
+		case opPop:
+			extra = r.queues[op.obj].Pop(p)
+		case opPopTimeout:
+			v, ok := r.queues[op.obj].PopTimeout(p, op.d)
+			if ok {
+				extra = v + 1
+			}
+		case opPush:
+			r.queues[op.obj].Push(int(e.seq))
+		case opPushLater:
+			e.After(op.d, func() {
+				r.rec('p', "", op.obj)
+				r.queues[op.obj].Push(int(e.seq))
+			})
+		case opWait:
+			r.conds[op.obj].Wait(p)
+		case opWaitTimeout:
+			if r.conds[op.obj].WaitTimeout(p, op.d) {
+				extra = 1
+			}
+		case opSignal:
+			r.conds[op.obj].Signal()
+		case opSignalLater:
+			e.After(op.d, func() {
+				r.rec('s', "", op.obj)
+				r.conds[op.obj].Signal()
+			})
+		case opBroadcast:
+			r.conds[op.obj].Broadcast()
+		case opUse:
+			r.res.Use(p, op.d)
+		case opSpawn:
+			r.spawns++
+			e.Go(fmt.Sprintf("%s.%d", p.name, r.spawns), func(c *Proc) { r.exec(c, op.body) })
+		case opStop:
+			e.Stop()
+		case opStopLater:
+			e.After(op.d, func() {
+				r.rec('x', "", 0)
+				e.Stop()
+			})
+		}
+		r.rec(op.kind, p.name, extra)
+	}
+}
+
+// progRun builds and runs the program for one seed and returns its hash.
+func progRun(seed int64) uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	r := &progRig{e: NewEnv(seed), res: NewResource(1 + rng.Intn(2)), h: 14695981039346656037}
+	for i := range r.queues {
+		r.queues[i] = NewQueue[int]()
+	}
+	for i, n := 0, 3+rng.Intn(4); i < n; i++ {
+		prog := genProg(rng, 8+rng.Intn(20), 2)
+		r.e.Go(fmt.Sprintf("p%d", i), func(p *Proc) { r.exec(p, prog) })
+	}
+	// A few deadline slices (one repeated, one that usually lands between
+	// events), then run to completion; Stop ends a Run early, so go again
+	// until nothing is left. The per-slice record pins where each Run
+	// returned: clock, dispatch count, backlog, live processes.
+	slice := func() {
+		r.rec('R', "", int(r.e.Executed()))
+		r.rec('r', "", r.e.Pending()<<8|r.e.Live())
+	}
+	for _, d := range []Time{3 * us, 7 * us, 7 * us, 7*us + 500, 20 * us} {
+		r.e.RunUntil(d)
+		slice()
+	}
+	for i := 0; i < 64 && r.e.Pending() > 0; i++ {
+		r.e.Run()
+		slice()
+	}
+	r.e.Shutdown()
+	return r.h
+}
+
+// orderHashes[i] is progRun(i+1) on the two-rendezvous scheduler-goroutine
+// kernel (commit b3b31dc). Regenerate only for a deliberate change to event
+// order, which also changes every figure table.
+var orderHashes = [64]uint64{
+	0x893c50c67dfdb9a9, 0x2f705718c4627050, 0x65d4105253d9f656, 0x52b85fd18df27834,
+	0xdc4752e2b572c47b, 0x46932c0483024acf, 0x3264658ab42525d8, 0x2a5c4f7027888bb9,
+	0x9414f29fdf30002b, 0xc484784806125c48, 0xfcb776e3eac13ef9, 0x3e9732f205580e71,
+	0x2f46f6ea245b6422, 0x132f5e47aecd94fd, 0x95b97669eb0bd40a, 0xf042eb417fe32de5,
+	0x71784770f3905251, 0x9e48703e790a92e3, 0xa742ba43dcb2d037, 0xea76b196f95871d5,
+	0xf0805f33b2f4e802, 0x2004f6e21cfeeafc, 0x2f379cb8dc562186, 0xb93cc7335c3ab165,
+	0x4d409ec32e6d6678, 0x67fa810e08851353, 0xf8d4c4930be95ffb, 0x51a042dd0a978a7b,
+	0x3586c0ef882cf7bd, 0x4bda8ca02c1c2fd6, 0x6d14ac9098970f0e, 0xb53feb7a6f667016,
+	0x18127ac1d8480c85, 0x429ddc81484f093c, 0xe5346d4d165bf211, 0x18b0a256c0c46fa6,
+	0xf92190e8ac419a68, 0x09c32f07aaeb8728, 0x0b9361b8bd86804d, 0x74dc4d9273541767,
+	0x0ff310a6a743674d, 0x25e59ac918cfc8b8, 0x165a1cbcc53ee0f0, 0x1170c5cbc4695a45,
+	0xe7d640b415857af1, 0x251a16933de5b1d5, 0x6c838a412d92ad2e, 0x9c0032318eda721c,
+	0x72d931a8bd8dd910, 0x3a8d6a6c183061a1, 0x404a6e2eb9fe0781, 0x1bd0defbfaeb349e,
+	0x647b609a4923cc89, 0x4009225c1ae4ad91, 0xf9fc0316d5be3339, 0x0ad21904c091d0f2,
+	0x7f32a447b08a3fe1, 0xa6c1d9f56ea520cf, 0xa695f615206d0015, 0xc4e5aa51ccfbdbcf,
+	0xf00171608aba7cb9, 0x3f33e191daebda31, 0xde39d3890fc54ac4, 0xa6e801f42d750823,
+}
+
+func TestEventOrderMatchesRecordedHashes(t *testing.T) {
+	var got [len(orderHashes)]uint64
+	bad := 0
+	for i := range got {
+		got[i] = progRun(int64(i + 1))
+		if got[i] != orderHashes[i] {
+			bad++
+		}
+		if again := progRun(int64(i + 1)); again != got[i] {
+			t.Fatalf("seed %d is not deterministic: %#x then %#x", i+1, got[i], again)
+		}
+	}
+	if bad == 0 {
+		return
+	}
+	var sb strings.Builder
+	for i, h := range got {
+		if i%4 == 0 {
+			sb.WriteString("\n\t")
+		}
+		fmt.Fprintf(&sb, "%#016x, ", h)
+	}
+	t.Fatalf("%d of %d seeds changed event order; observed table:%s", bad, len(got), sb.String())
+}
+
+// waitGoroutines polls until the goroutine count is back to want (exited
+// goroutines are reaped asynchronously).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		if runtime.NumGoroutine() <= want {
+			return
+		}
+		//kdlint:allow simclock waits for real goroutine reaping after Shutdown; no simulation is running here
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: want %d, have %d", want, runtime.NumGoroutine())
+}
+
+func TestShutdownReturnsEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv(1)
+	q := NewQueue[int]()
+	var c Cond
+	e.Go("exited", func(p *Proc) { p.Sleep(us) })
+	e.Go("exited-at-once", func(p *Proc) {})
+	e.Go("parked-queue", func(p *Proc) { q.Pop(p) })
+	e.Go("parked-cond", func(p *Proc) { c.Wait(p) })
+	e.Go("parked-timed", func(p *Proc) { c.WaitTimeout(p, time.Hour) })
+	e.Go("sleeping", func(p *Proc) { p.Sleep(time.Hour) })
+	e.Go("spawner", func(p *Proc) {
+		p.Sleep(5 * us)
+		e.Go("never-started-child", func(p *Proc) { t.Error("never-started child ran") })
+		e.Stop()
+	})
+	e.Run()
+	e.Go("never-started", func(p *Proc) { t.Error("never-started process ran") })
+	if e.Live() != 6 {
+		t.Fatalf("live = %d before Shutdown, want 6", e.Live())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Fatalf("live = %d after Shutdown", e.Live())
+	}
+	waitGoroutines(t, before)
+}
+
+// TestFailNowInsideProcessEndsRun: t.FailNow is runtime.Goexit on the calling
+// goroutine. Inside a process that goroutine holds the baton, so the exit
+// path must pass it on or Run never returns.
+func TestFailNowInsideProcessEndsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv(1)
+	ticks := 0
+	e.Go("ticker", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Sleep(us)
+			ticks++
+		}
+	})
+	inner := &testing.T{}
+	e.Go("failing", func(p *Proc) {
+		p.Sleep(3 * us)
+		inner.FailNow()
+	})
+	// Goexit from an inline callback unwinds whichever process ran the loop
+	// (here the ticker or the failing one's exit path); the run must survive
+	// that too.
+	e.At(5*us+500, runtime.Goexit)
+	e.Run() // a lost baton shows as the test binary's timeout
+	if !inner.Failed() {
+		t.Fatal("inner FailNow did not register")
+	}
+	if e.Now() < 5*us+500 {
+		t.Fatalf("run ended at %v, before the events behind the failed process ran", e.Now())
+	}
+	e.Shutdown()
+	if e.Live() != 0 {
+		t.Fatalf("live = %d after Shutdown", e.Live())
+	}
+	waitGoroutines(t, before)
+}
+
+// catchPanic runs fn and returns what it panicked with (nil if it returned).
+func catchPanic(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
+
+// TestPanicSurfacesOnRunCaller: a panic raised while a process goroutine
+// holds the baton — in the process body, or in an inline callback that
+// goroutine happened to run — must unwind the caller of Run, not kill the
+// program from a foreign goroutine, and must leave the environment in a state
+// Shutdown can still unwind.
+func TestPanicSurfacesOnRunCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(e *Env)
+		from  string // process whose goroutine the panic unwinds ("" = Run's caller)
+	}{
+		{"process body", func(e *Env) {
+			e.Go("bad", func(p *Proc) { p.Sleep(2 * us); panic("boom") })
+		}, "bad"},
+		{"callback on the Run caller", func(e *Env) {
+			e.At(0, func() { panic("boom") }) // runs before any process has the baton
+		}, ""},
+		{"callback on a parked process", func(e *Env) {
+			e.At(2*us, func() { panic("boom") }) // the last process to park runs it
+		}, "sleeper"},
+		{"callback on an exiting process", func(e *Env) {
+			e.Go("short", func(p *Proc) { p.Sleep(90 * us) })
+			e.At(95*us, func() { panic("boom") })
+		}, "short"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEnv(1)
+			q := NewQueue[int]()
+			cleaned := 0
+			tc.build(e)
+			e.Go("waiter", func(p *Proc) { defer func() { cleaned++ }(); q.Pop(p) })
+			e.Go("sleeper", func(p *Proc) { defer func() { cleaned++ }(); p.Sleep(50 * us); q.Pop(p) })
+			r := catchPanic(e.Run)
+			if r == nil {
+				t.Fatal("Run returned normally")
+			}
+			if tc.from == "" {
+				if r != "boom" {
+					t.Fatalf("panic on the caller's own stack arrived as %v, want it untouched", r)
+				}
+			} else {
+				rp, ok := r.(*relayedPanic)
+				if !ok || rp.val != "boom" || rp.proc != tc.from {
+					t.Fatalf("Run panicked with %v, want boom relayed from process %q", r, tc.from)
+				}
+				if !strings.Contains(rp.Error(), "boom") || !strings.Contains(rp.Error(), "sched_test.go") {
+					t.Fatalf("relayed panic lost its message or origin stack:\n%v", rp)
+				}
+			}
+			e.Shutdown()
+			if e.Live() != 0 {
+				t.Fatalf("live = %d after Shutdown", e.Live())
+			}
+			// On the caller's stack the panic precedes every process start,
+			// and a process killed before it ran has nothing to clean up.
+			if want := map[bool]int{true: 0, false: 2}[tc.from == ""]; cleaned != want {
+				t.Fatalf("deferred cleanups ran %d times, want %d", cleaned, want)
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}

@@ -7,16 +7,34 @@
 // "takes" 400 simulated seconds completes in milliseconds of wall time and is
 // bit-for-bit reproducible for a given seed.
 //
-// Concurrency model: exactly one process runs at a time. A process runs until
-// it blocks (Sleep, Queue.Recv, Cond.Wait, Resource.Acquire, ...) or returns.
-// The scheduler then pops the next event from a time-ordered heap and resumes
-// its process. Events with equal timestamps are ordered by insertion sequence,
-// which makes the simulation fully deterministic.
+// Concurrency model: exactly one goroutine runs simulation code at a time —
+// the one holding the baton. A process runs until it blocks (Sleep,
+// Queue.Pop, Cond.Wait, Resource.Acquire, ...) or returns; it then runs the
+// event loop itself (Env.dispatch), on its own stack: it pops events from a
+// time-ordered heap and invokes inline callbacks in place until an event
+// resumes a process. If that process is the one running the loop, it simply
+// returns from its blocking call — a self-wake costs no goroutine switch. If
+// it is another process, the loop hands it the baton with one channel send
+// and its goroutine blocks until somebody hands the baton back. There is no
+// scheduler goroutine: Run enters the same loop from its caller, hands off to
+// the first process the loop reaches, and waits until whichever goroutine
+// sees the run end (no events, Stop, deadline) returns the baton.
+//
+// Events with equal timestamps are ordered by insertion sequence, and every
+// baton holder executes the same loop over the same heap, so the order of
+// events — and with it the whole simulation — is fully deterministic and
+// independent of which goroutine happens to run the loop.
+//
+// Inline callbacks therefore run on whatever stack holds the baton. A panic
+// in one (or in a process body) is recovered on that goroutine and re-raised
+// from Run on the caller's.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -34,8 +52,19 @@ type Env struct {
 	// resumptions); the benchmark harness reads it to report events/sec.
 	executed uint64
 
-	yield   chan struct{} // running process -> scheduler: "I blocked or exited"
+	// yield returns the baton to the goroutine blocked in Run/RunUntil (or
+	// Shutdown) when the run ends on a process goroutine.
+	yield   chan struct{}
 	stopped bool
+	// horizon is the last virtual time the current run may execute
+	// (inclusive), set by RunUntil/runBefore before they enter dispatch.
+	horizon Time
+	// shutting makes exiting processes return the baton to Shutdown instead
+	// of dispatching further events.
+	shutting bool
+	// relayed holds a panic recovered on a process goroutine until the Run
+	// caller re-raises it.
+	relayed *relayedPanic
 	live    int // processes spawned and not yet exited
 
 	rng *rand.Rand
@@ -69,7 +98,7 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // event is a scheduled occurrence: either resume a parked process or invoke
 // an inline callback (which must not block). Inline callbacks are the fast
-// path: the scheduler invokes them directly, with no goroutine handoff.
+// path: the event loop invokes them in place, with no goroutine handoff.
 // An event carries either fn (a plain closure) or fnArg+arg (a shared
 // function applied to a caller-pooled argument, see AtArg) — the latter lets
 // hot paths schedule work without allocating a closure per event.
@@ -98,6 +127,7 @@ type eventHeap struct {
 	a []event
 }
 
+//kdlint:hotpath
 func (h *eventHeap) len() int { return len(h.a) }
 
 //kdlint:hotpath amortized growth of the caller-owned heap slice
@@ -116,6 +146,7 @@ func (h *eventHeap) push(ev event) {
 	a[i] = ev
 }
 
+//kdlint:hotpath
 func (h *eventHeap) pop() event {
 	a := h.a
 	root := a[0]
@@ -130,6 +161,8 @@ func (h *eventHeap) pop() event {
 }
 
 // siftDown places ev, displaced from the tail, into the root's subtree.
+//
+//kdlint:hotpath
 func (h *eventHeap) siftDown(ev event) {
 	a := h.a
 	n := len(a)
@@ -164,8 +197,9 @@ func (e *Env) push(at Time, p *Proc, fn func()) {
 	e.events.push(event{at: at, seq: e.seq, proc: p, fn: fn})
 }
 
-// At schedules fn to run inline (in scheduler context, without a process) at
-// absolute virtual time t. fn must not block; it may wake processes.
+// At schedules fn to run inline (inside the event loop, on whichever
+// goroutine runs it at the time) at absolute virtual time t. fn must not
+// block; it may wake processes.
 //
 //kdlint:hotpath
 func (e *Env) At(t Time, fn func()) {
@@ -202,29 +236,38 @@ func (e *Env) AfterArg(d Time, fn func(any), arg any) { e.AtArg(e.now+d, fn, arg
 // Proc is a simulation process. All blocking operations take the process as
 // receiver so that misuse (blocking outside a process) is impossible to write.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan wakeup
+	env  *Env
+	name string
+	// resume hands this process the baton; true instead unwinds it (Shutdown).
+	resume chan bool
 	parked bool
 	dead   bool
+	// gone is set once exit has given the baton away.
+	gone bool
 	// waitToken guards against stale timeout events waking a process that
 	// has already been woken for another reason and moved on.
 	waitToken uint64
-	// timedOut stages the timeout flag between the timer event firing and the
-	// scheduler resuming the process.
+	// timedOut stages the timeout flag between the timer event firing and
+	// the process resuming.
 	timedOut bool
-}
-
-type wakeup struct {
-	timedOut bool
-	token    uint64
-	// kill unwinds the process: park panics with a sentinel the process
-	// wrapper recovers, releasing the goroutine and everything it pins.
-	kill bool
 }
 
 // killSentinel is the panic value used to unwind processes on Shutdown.
 type killSentinel struct{}
+
+// relayedPanic carries a panic that unwound a process goroutine — raised by
+// the process body or by an inline callback the process ran while it held
+// the baton — to the caller of Run, with the stack it was raised on (the
+// re-raise alone would show only Run's caller).
+type relayedPanic struct {
+	val   any
+	proc  string
+	stack []byte
+}
+
+func (rp *relayedPanic) Error() string {
+	return fmt.Sprintf("%v [recovered on sim process %q, re-raised from Run]\n%s", rp.val, rp.proc, rp.stack)
+}
 
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
@@ -238,59 +281,89 @@ func (p *Proc) Now() Time { return p.env.now }
 // Go spawns a new process running fn, scheduled to start at the current
 // virtual time. It is safe to call before Run and from within processes.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan wakeup)}
+	p := &Proc{env: e, name: name, resume: make(chan bool)}
 	e.live++
 	e.procs = append(e.procs, p)
 	go func() {
-		if w := <-p.resume; w.kill {
-			// Shut down before ever running.
+		if kill := <-p.resume; kill {
+			// Shut down before ever running: Shutdown holds the baton.
 			p.dead = true
 			e.live--
 			e.yield <- struct{}{}
 			return
 		}
-		// The deferred handshake also runs if fn aborts via runtime.Goexit
-		// (e.g. t.Fatal inside a simulation process) or via the Shutdown
-		// sentinel, so the scheduler never deadlocks on a vanished process
-		// and finished simulations release their goroutines.
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					panic(r)
-				}
-			}
-			p.dead = true
-			e.live--
-			e.yield <- struct{}{}
-		}()
+		defer p.exit()
 		fn(p)
 	}()
 	e.push(e.now, p, nil)
 	return p
 }
 
-// park suspends the calling process until it is woken. Returns true if the
-// wakeup was a timeout (see parkTimeout).
+// exit is deferred on every started process goroutine, so it runs when the
+// body returns, when it aborts via runtime.Goexit (t.Fatal inside a
+// process), when Shutdown unwinds it, and when it — or an inline callback it
+// ran while parked — panics. In each case this goroutine holds the baton and
+// must give it to someone before it vanishes.
+func (p *Proc) exit() {
+	if p.gone {
+		return
+	}
+	e := p.env
+	if !p.dead {
+		p.dead = true
+		e.live--
+	}
+	if r := recover(); r != nil {
+		// Unwound by Shutdown, or the run ends here with a panic for the
+		// Run caller to re-raise: either way the baton goes straight back.
+		if _, kill := r.(killSentinel); !kill && e.relayed == nil {
+			e.relayed = &relayedPanic{val: r, proc: p.name, stack: debug.Stack()}
+		}
+		p.gone = true
+		e.yield <- struct{}{}
+		return
+	}
+	// The loop runs callbacks on this dying goroutine, and one of them may
+	// itself panic or Goexit: re-arm, so that pass relays it like any other.
+	defer p.exit()
+	q := e.dispatch()
+	p.gone = true
+	e.handoff(q)
+}
+
+// park suspends the calling process until it is woken, running the event
+// loop in the meantime. Returns true if the wakeup was a timeout (see
+// parkTimeout).
+//
+//kdlint:hotpath
 func (p *Proc) park() bool {
 	p.parked = true
-	p.env.yield <- struct{}{}
-	w := <-p.resume
-	p.parked = false
-	if w.kill {
-		panic(killSentinel{})
+	e := p.env
+	if q := e.dispatch(); q != p {
+		// Another process (or the Run caller) is next: one handoff, then
+		// wait for the baton to come back.
+		e.handoff(q)
+		if kill := <-p.resume; kill {
+			panic(killSentinel{})
+		}
 	}
-	return w.timedOut
+	p.parked = false
+	to := p.timedOut
+	p.timedOut = false
+	return to
 }
 
 // wake schedules a parked process to resume at the current time. It must only
 // be called while p is parked and not otherwise scheduled.
+//
+//kdlint:hotpath
 func (p *Proc) wake() {
 	p.waitToken++
 	p.env.push(p.env.now, p, nil)
 }
 
 // parkTimeout parks the process and additionally arms a timer: if nothing
-// wakes it within d, cancel (called in scheduler context, must remove p from
+// wakes it within d, cancel (called inside the event loop, must remove p from
 // whatever wait list it is on) runs and the process resumes with timedOut
 // reported true. d < 0 means no timeout.
 func (p *Proc) parkTimeout(d Time, cancel func()) (timedOut bool) {
@@ -327,18 +400,19 @@ func (p *Proc) Sleep(d Time) {
 // events run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Run executes the simulation until no events remain or Stop is called.
-func (e *Env) Run() { e.RunUntil(-1) }
-
-// RunUntil executes the simulation until no events remain, Stop is called, or
-// the clock would pass deadline (deadline < 0 means no deadline). Events at
-// exactly deadline still run.
-func (e *Env) RunUntil(deadline Time) {
-	e.stopped = false
+// dispatch is the event loop. Whichever goroutine holds the baton runs it:
+// the Run caller, a parked process, or an exiting one. It pops events in
+// (at, seq) order and runs inline callbacks in place until an event resumes
+// a live process, which it returns with the clock at that event; it returns
+// nil when the run ends (no events, Stop, or the next event lies beyond the
+// horizon). The caller decides what the result costs: nothing if it is the
+// returned process itself, one handoff otherwise.
+//
+//kdlint:hotpath
+func (e *Env) dispatch() *Proc {
 	for e.events.len() > 0 && !e.stopped {
-		if deadline >= 0 && e.events.a[0].at > deadline {
-			e.now = deadline
-			return
+		if e.events.a[0].at > e.horizon {
+			return nil
 		}
 		ev := e.events.pop()
 		if ev.at > e.now {
@@ -346,8 +420,6 @@ func (e *Env) RunUntil(deadline Time) {
 		}
 		e.executed++
 		if ev.fn != nil {
-			// Inline fast path: timer/At callbacks run in scheduler context
-			// with no goroutine handoff.
 			ev.fn()
 			continue
 		}
@@ -355,14 +427,55 @@ func (e *Env) RunUntil(deadline Time) {
 			ev.fnArg(ev.arg)
 			continue
 		}
-		p := ev.proc
-		if p.dead {
-			continue
+		if p := ev.proc; !p.dead {
+			return p
 		}
-		to := p.timedOut
-		p.timedOut = false
-		p.resume <- wakeup{timedOut: to, token: p.waitToken}
+	}
+	return nil
+}
+
+// handoff gives the baton away: to process q, or, when the run has ended
+// (q == nil), back to the goroutine waiting in run or Shutdown.
+//
+//kdlint:hotpath
+func (e *Env) handoff(q *Proc) {
+	if q != nil {
+		q.resume <- false
+	} else {
+		e.yield <- struct{}{}
+	}
+}
+
+// run executes events up to the horizon from the calling goroutine: it
+// dispatches until a process must run, hands it the baton, and waits for
+// whichever goroutine ends the run to give it back.
+func (e *Env) run() {
+	if q := e.dispatch(); q != nil {
+		q.resume <- false
 		<-e.yield
+	}
+	if rp := e.relayed; rp != nil {
+		e.relayed = nil
+		panic(rp)
+	}
+}
+
+// Run executes the simulation until no events remain or Stop is called.
+func (e *Env) Run() { e.RunUntil(-1) }
+
+// RunUntil executes the simulation until no events remain, Stop is called, or
+// the clock would pass deadline (deadline < 0 means no deadline). Events at
+// exactly deadline still run. A panic raised by a process or an inline
+// callback surfaces here, on the caller's goroutine.
+func (e *Env) RunUntil(deadline Time) {
+	e.stopped = false
+	e.horizon = deadline
+	if deadline < 0 {
+		e.horizon = math.MaxInt64
+	}
+	e.run()
+	if deadline >= 0 && !e.stopped && e.events.len() > 0 {
+		e.now = deadline // the run ended at the horizon with events beyond it
 	}
 }
 
@@ -370,36 +483,9 @@ func (e *Env) RunUntil(deadline Time) {
 // RunUntil it neither advances the clock to the bound nor treats the bound as
 // inclusive: it is the window-execution primitive of the sharded kernel
 // (shard.go), which must stop exactly at the conservative lookahead horizon.
-// The dispatch body mirrors RunUntil; keep the two in sync — the loop is the
-// hottest code in the repository and a shared helper would put a call (the
-// body contains channel operations, so it cannot inline) on every event.
 func (e *Env) runBefore(end Time) {
-	for e.events.len() > 0 && !e.stopped {
-		if e.events.a[0].at >= end {
-			return
-		}
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.executed++
-		if ev.fn != nil {
-			ev.fn()
-			continue
-		}
-		if ev.fnArg != nil {
-			ev.fnArg(ev.arg)
-			continue
-		}
-		p := ev.proc
-		if p.dead {
-			continue
-		}
-		to := p.timedOut
-		p.timedOut = false
-		p.resume <- wakeup{timedOut: to, token: p.waitToken}
-		<-e.yield
-	}
+	e.horizon = end - 1
+	e.run()
 }
 
 // advanceTo moves the clock forward to t (never backward); the sharded
@@ -420,11 +506,15 @@ func (e *Env) Stop() { e.stopped = true }
 // harnesses that build many simulations (the benchmark suite constructs one
 // per data point) depend on this to keep memory bounded.
 func (e *Env) Shutdown() {
+	// Stopped, dispatch returns nil at once: a process that blocks or
+	// returns in a deferred cleanup while it unwinds hands the baton
+	// straight back here instead of running events.
+	e.stopped = true
 	for _, p := range e.procs {
 		if p.dead {
 			continue
 		}
-		p.resume <- wakeup{kill: true}
+		p.resume <- true
 		<-e.yield
 	}
 	e.procs = nil
@@ -460,6 +550,8 @@ type Cond struct {
 }
 
 // Wait parks the calling process until Signal or Broadcast wakes it.
+//
+//kdlint:hotpath amortized growth of the cond-owned waiter list
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.park()
@@ -572,6 +664,8 @@ func (q *Queue[T]) Push(v T) {
 }
 
 // pop removes and returns the head item; the queue must be non-empty.
+//
+//kdlint:hotpath
 func (q *Queue[T]) pop() T {
 	var zero T
 	v := q.buf[q.head]
@@ -593,6 +687,8 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // signalled accounts for one signalled receiver resuming; every return from
 // a signalled (non-timed-out) wait must pass through here to keep the
 // Push-side wake accounting exact.
+//
+//kdlint:hotpath
 func (q *Queue[T]) signalled() {
 	if q.wakes > 0 {
 		q.wakes--

@@ -350,15 +350,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		e.Run()
 		e.Shutdown()
 	}
-	// Give exited goroutines a moment to be reaped.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before+5 {
-			return
-		}
-		//kdlint:allow simclock waits for real goroutine reaping after Shutdown; no simulation is running here
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	waitGoroutines(t, before+5)
 }
 
 func TestShutdownRunsDeferredCleanups(t *testing.T) {
