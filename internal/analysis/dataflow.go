@@ -411,6 +411,10 @@ func declKey(pkgPath string, fd *ast.FuncDecl) string {
 				t = v.X
 			case *ast.ParenExpr:
 				t = v.X
+			case *ast.IndexExpr: // generic receiver: Queue[T]
+				t = v.X
+			case *ast.IndexListExpr:
+				t = v.X
 			default:
 				break strip
 			}

@@ -169,3 +169,15 @@ func allowedAlloc(n int) []byte {
 	//kdlint:allow hotalloc one-time setup buffer measured off the steady-state path
 	return make([]byte, n)
 }
+
+// ring is generic: the marker on a method of ring[T] must be found from a
+// call on an instantiated receiver.
+type ring[T any] struct{ items []T }
+
+//kdlint:hotpath
+func (r *ring[T]) head() T { return r.items[0] }
+
+//kdlint:hotpath
+func genericCallee(r *ring[int]) int {
+	return r.head()
+}

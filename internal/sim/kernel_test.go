@@ -110,3 +110,47 @@ func TestExecutedCountsDispatchedEvents(t *testing.T) {
 		t.Fatalf("executed = %d, want 3", e.Executed())
 	}
 }
+
+// TestPopTimeoutDoesNotAllocate pins both outcomes of a timed wait at zero
+// allocations: the timer is an AtArg event whose record recycles through the
+// env's free list, so neither arming it nor leaving it behind stale (the
+// signalled case) costs a closure.
+func TestPopTimeoutDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		push bool // a callback pushes before every timeout expires
+	}{{"timed out", false}, {"signalled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv(1)
+			defer e.Shutdown()
+			q := NewQueue[int]()
+			got, expired := 0, 0
+			e.Go("consumer", func(p *Proc) {
+				for {
+					if _, ok := q.PopTimeout(p, 10*time.Microsecond); ok {
+						got++
+					} else {
+						expired++
+					}
+				}
+			})
+			var tick func()
+			tick = func() {
+				q.Push(1)
+				e.After(4*time.Microsecond, tick)
+			}
+			if tc.push {
+				e.After(4*time.Microsecond, tick)
+			}
+			slice := func() { e.RunUntil(e.Now() + time.Millisecond) }
+			slice() // grow heap, ring, waiter list and timer free list
+			got, expired = 0, 0
+			if avg := testing.AllocsPerRun(10, slice); avg != 0 {
+				t.Errorf("PopTimeout allocates %.1f times per 1 ms slice, want 0", avg)
+			}
+			if tc.push && (got < 2000 || expired != 0) || !tc.push && (got != 0 || expired < 1000) {
+				t.Fatalf("drove the wrong path: %d delivered, %d expired", got, expired)
+			}
+		})
+	}
+}

@@ -72,6 +72,9 @@ type Env struct {
 	// procs tracks every spawned process so Shutdown can unwind them.
 	procs []*Proc
 
+	// timeoutFree recycles WaitTimeout timer records.
+	timeoutFree []*timeout
+
 	// Trace, when non-nil, receives a line per interesting kernel event.
 	// Used by tests and the -trace flag of cmd/kdcluster.
 	Trace func(format string, args ...any)
@@ -333,7 +336,7 @@ func (p *Proc) exit() {
 
 // park suspends the calling process until it is woken, running the event
 // loop in the meantime. Returns true if the wakeup was a timeout (see
-// parkTimeout).
+// Cond.WaitTimeout).
 //
 //kdlint:hotpath
 func (p *Proc) park() bool {
@@ -360,29 +363,6 @@ func (p *Proc) park() bool {
 func (p *Proc) wake() {
 	p.waitToken++
 	p.env.push(p.env.now, p, nil)
-}
-
-// parkTimeout parks the process and additionally arms a timer: if nothing
-// wakes it within d, cancel (called inside the event loop, must remove p from
-// whatever wait list it is on) runs and the process resumes with timedOut
-// reported true. d < 0 means no timeout.
-func (p *Proc) parkTimeout(d Time, cancel func()) (timedOut bool) {
-	if d < 0 {
-		return p.park()
-	}
-	p.waitToken++
-	token := p.waitToken
-	e := p.env
-	e.push(e.now+d, nil, func() {
-		if p.waitToken != token || !p.parked {
-			return // already woken for another reason
-		}
-		cancel()
-		p.waitToken++
-		e.push(e.now, p, nil)
-		p.timedOut = true
-	})
-	return p.park()
 }
 
 // Sleep advances the process by d of virtual time.
@@ -559,11 +539,64 @@ func (c *Cond) Wait(p *Proc) {
 
 // WaitTimeout is Wait with a timeout; it reports whether the wait timed out.
 // d < 0 waits forever.
+//
+//kdlint:hotpath amortized growth of the cond-owned waiter list
 func (c *Cond) WaitTimeout(p *Proc, d Time) (timedOut bool) {
 	c.waiters = append(c.waiters, p)
-	return p.parkTimeout(d, func() { c.remove(p) })
+	if d < 0 {
+		return p.park()
+	}
+	p.waitToken++
+	e := p.env
+	t := e.getTimeout()
+	t.p, t.c, t.token = p, c, p.waitToken
+	e.AtArg(e.now+d, timeoutFire, t)
+	return p.park()
 }
 
+// timeout is the argument record of one armed WaitTimeout timer. A process
+// can have stale timers outstanding beside the live one (each wait that was
+// signalled first leaves its timer in the heap), so the token a timer was
+// armed with travels with the timer, not with the process. Records recycle
+// through a per-Env free list when their timer fires.
+type timeout struct {
+	p     *Proc
+	c     *Cond
+	token uint64
+}
+
+//kdlint:hotpath
+func (e *Env) getTimeout() *timeout {
+	if len(e.timeoutFree) == 0 {
+		return &timeout{}
+	}
+	n := len(e.timeoutFree)
+	t := e.timeoutFree[n-1]
+	e.timeoutFree[n-1] = nil
+	e.timeoutFree = e.timeoutFree[:n-1]
+	return t
+}
+
+// timeoutFire runs when a WaitTimeout timer expires: unless the process was
+// woken for another reason in the meantime, it takes the process off the
+// cond's wait list and resumes it with timedOut reported true.
+//
+//kdlint:hotpath amortized growth of the env-owned free list
+func timeoutFire(a any) {
+	t := a.(*timeout)
+	p, c, token := t.p, t.c, t.token
+	e := p.env
+	*t = timeout{}
+	e.timeoutFree = append(e.timeoutFree, t)
+	if p.waitToken != token || !p.parked {
+		return // already woken for another reason
+	}
+	c.remove(p)
+	p.wake()
+	p.timedOut = true
+}
+
+//kdlint:hotpath
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
 		if w == p {
@@ -707,6 +740,8 @@ func (q *Queue[T]) Pop(p *Proc) T {
 
 // PopTimeout is Pop with a timeout. ok is false if the timeout elapsed first.
 // d < 0 waits forever.
+//
+//kdlint:hotpath
 func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := p.env.now + d
 	for q.n == 0 {
