@@ -23,6 +23,7 @@ package klog
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"kafkadirect/internal/bufpool"
 	"kafkadirect/internal/krecord"
@@ -390,6 +391,18 @@ func (l *Log) segEndOffset(s *Segment) int64 {
 // Locate finds the segment and byte position of the batch containing offset.
 // It returns ErrOutOfRange for offsets at or beyond the log end.
 func (l *Log) Locate(offset int64) (*Segment, int, error) {
+	seg, i, err := l.locate(offset)
+	if err != nil {
+		return nil, 0, err
+	}
+	return seg, seg.index[i].startPos, nil
+}
+
+// locate finds the segment and the index entry of the batch containing
+// offset. The index is sorted by offset, so the entry is found by binary
+// search: fetch paths call this per request, and a segment holds tens of
+// thousands of small batches.
+func (l *Log) locate(offset int64) (*Segment, int, error) {
 	if offset < 0 || offset >= l.nextOffset {
 		return nil, 0, ErrOutOfRange
 	}
@@ -406,12 +419,11 @@ func (l *Log) Locate(offset int64) (*Segment, int, error) {
 	if seg == nil {
 		return nil, 0, ErrOutOfRange
 	}
-	for _, e := range seg.index {
-		if offset < e.nextOffset {
-			return seg, e.startPos, nil
-		}
+	i := sort.Search(len(seg.index), func(i int) bool { return offset < seg.index[i].nextOffset })
+	if i == len(seg.index) {
+		return nil, 0, ErrOutOfRange
 	}
-	return nil, 0, ErrOutOfRange
+	return seg, i, nil
 }
 
 // ReadCommitted returns a read-only view of up to maxBytes of committed
@@ -437,31 +449,26 @@ func (l *Log) readUpTo(offset int64, maxBytes int, limit int64) ([]byte, error) 
 		}
 		return nil, nil
 	}
-	seg, start, err := l.Locate(offset)
+	seg, first, err := l.locate(offset)
 	if err != nil {
 		return nil, err
 	}
+	// Batches are contiguous and sorted by position and offset: walk forward
+	// from the located one, only as far as maxBytes and limit allow.
+	start := seg.index[first].startPos
 	end := start
-	for _, e := range seg.index {
-		if e.startPos < start || e.nextOffset > limit {
-			continue
+	for _, e := range seg.index[first:] {
+		if e.nextOffset > limit {
+			break
 		}
+		// Even a single batch exceeding maxBytes is returned whole so that
+		// progress is always possible.
 		if e.endPos-start > maxBytes && end > start {
 			break
 		}
 		end = e.endPos
 		if end-start >= maxBytes {
 			break
-		}
-	}
-	if end == start {
-		// Even a single batch exceeding maxBytes is returned whole so that
-		// progress is always possible.
-		for _, e := range seg.index {
-			if e.startPos == start && e.nextOffset <= limit {
-				end = e.endPos
-				break
-			}
 		}
 	}
 	if end == start {
