@@ -35,8 +35,13 @@ go run ./cmd/kdlint -audit -budget scripts/kdlint_budget.txt ./...
 # race would corrupt everything downstream, so they gate the full suite.
 # The shard test matrices run parallel>1 configurations, so this is the
 # shards>1 race gate: real goroutines executing shard windows concurrently.
-echo "== go test -race (sim, fabric, chaos, core, group) =="
-go test -race ./internal/sim/ ./internal/fabric/ ./internal/chaos/ ./internal/core/ ./internal/group/
+# The kernel runs at three GOMAXPROCS settings: the event loop moves between
+# process goroutines on every cross-process wake, so baton handoffs must hold
+# both when the runtime can and when it cannot run the two sides in parallel.
+echo "== go test -race -cpu 1,2,4 (sim) =="
+go test -race -cpu 1,2,4 ./internal/sim/
+echo "== go test -race (fabric, chaos, core, group) =="
+go test -race ./internal/fabric/ ./internal/chaos/ ./internal/core/ ./internal/group/
 
 echo "== go test -race ./... =="
 go test -race ./...
@@ -51,5 +56,19 @@ echo "== figure-table drift (results_all.txt vs kdbench registry) =="
 diff <(go run ./cmd/kdbench -list | awk '{print $1}') \
      <(sed -n 's/^# \([^:]*\):.*/\1/p' results_all.txt) \
     || { echo "results_all.txt is out of sync with the experiment registry; regenerate with: go run ./cmd/kdbench -fig all > results_all.txt" >&2; exit 1; }
+
+# perf/ is a nested module (it must build from exported API only), so none of
+# the ./... stages above reach it. Its tests hold the golden-table diff, the
+# host-share accounting and the BENCHMARK.json == -spec lockstep; kdlint is
+# built here and run from inside the module; the smoke run drives the same
+# entry point the benchmark driver uses (build products land in the
+# git-ignored .bench_build/).
+echo "== perf module (vet, test, kdlint, smoke run) =="
+(cd perf && go vet . && go test .)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/kdlint" ./cmd/kdlint
+(cd perf && "$tmp/kdlint" ./...)
+bash perf/run.sh --workload produce_small --seed 1 --seconds 1 --trace 0 --short | tail -n 1
 
 echo "all checks passed"
