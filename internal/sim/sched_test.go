@@ -282,8 +282,9 @@ func TestShutdownReturnsEveryGoroutine(t *testing.T) {
 }
 
 // TestFailNowInsideProcessEndsRun: t.FailNow is runtime.Goexit on the calling
-// goroutine. Inside a process that goroutine holds the baton, so the exit
-// path must pass it on or Run never returns.
+// goroutine. Inside a process — or inside a callback a process is running —
+// that goroutine holds the baton, so the exit path must pass it on or Run
+// never returns.
 func TestFailNowInsideProcessEndsRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEnv(1)
@@ -296,19 +297,21 @@ func TestFailNowInsideProcessEndsRun(t *testing.T) {
 	})
 	inner := &testing.T{}
 	e.Go("failing", func(p *Proc) {
-		p.Sleep(3 * us)
+		p.Sleep(3*us + 250)
+		// Next in the heap once this process is gone: its own exit path runs
+		// this callback, so the Goexit lands inside the deferred dispatch.
+		e.After(0, runtime.Goexit)
 		inner.FailNow()
 	})
-	// Goexit from an inline callback unwinds whichever process ran the loop
-	// (here the ticker or the failing one's exit path); the run must survive
-	// that too.
+	// And one that lands on a bystander: the ticker, parked in Sleep, runs
+	// the loop at 5.5 us and is unwound by it.
 	e.At(5*us+500, runtime.Goexit)
 	e.Run() // a lost baton shows as the test binary's timeout
 	if !inner.Failed() {
 		t.Fatal("inner FailNow did not register")
 	}
-	if e.Now() < 5*us+500 {
-		t.Fatalf("run ended at %v, before the events behind the failed process ran", e.Now())
+	if ticks != 5 || e.Now() != 6*us || e.Pending() != 0 {
+		t.Fatalf("run ended with %d ticks at %v, %d events pending; want 5 ticks, 6us, none", ticks, e.Now(), e.Pending())
 	}
 	e.Shutdown()
 	if e.Live() != 0 {
@@ -334,20 +337,24 @@ func TestPanicSurfacesOnRunCaller(t *testing.T) {
 		name  string
 		build func(e *Env)
 		from  string // process whose goroutine the panic unwinds ("" = Run's caller)
+		// cleanups is how many of the two bystanders' deferred cleanups must
+		// have run after Shutdown: a process killed before it ever started
+		// has none to run.
+		cleanups int
 	}{
 		{"process body", func(e *Env) {
 			e.Go("bad", func(p *Proc) { p.Sleep(2 * us); panic("boom") })
-		}, "bad"},
+		}, "bad", 2},
 		{"callback on the Run caller", func(e *Env) {
 			e.At(0, func() { panic("boom") }) // runs before any process has the baton
-		}, ""},
+		}, "", 0},
 		{"callback on a parked process", func(e *Env) {
 			e.At(2*us, func() { panic("boom") }) // the last process to park runs it
-		}, "sleeper"},
+		}, "sleeper", 2},
 		{"callback on an exiting process", func(e *Env) {
 			e.Go("short", func(p *Proc) { p.Sleep(90 * us) })
 			e.At(95*us, func() { panic("boom") })
-		}, "short"},
+		}, "short", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -378,12 +385,30 @@ func TestPanicSurfacesOnRunCaller(t *testing.T) {
 			if e.Live() != 0 {
 				t.Fatalf("live = %d after Shutdown", e.Live())
 			}
-			// On the caller's stack the panic precedes every process start,
-			// and a process killed before it ran has nothing to clean up.
-			if want := map[bool]int{true: 0, false: 2}[tc.from == ""]; cleaned != want {
-				t.Fatalf("deferred cleanups ran %d times, want %d", cleaned, want)
+			if cleaned != tc.cleanups {
+				t.Fatalf("deferred cleanups ran %d times, want %d", cleaned, tc.cleanups)
 			}
 			waitGoroutines(t, before)
 		})
 	}
+}
+
+// TestShutdownReraisesCleanupPanic: a deferred cleanup that panics while
+// Shutdown unwinds its process must not vanish with the goroutine; Shutdown
+// finishes unwinding everything and then re-raises it.
+func TestShutdownReraisesCleanupPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv(1)
+	var c Cond
+	e.Go("bad-cleanup", func(p *Proc) { defer func() { panic("cleanup") }(); c.Wait(p) })
+	e.Go("bystander", func(p *Proc) { c.Wait(p) })
+	e.Run()
+	rp, ok := catchPanic(e.Shutdown).(*relayedPanic)
+	if !ok || rp.val != "cleanup" || rp.proc != "bad-cleanup" {
+		t.Fatalf("Shutdown panicked with %v, want the cleanup panic relayed", rp)
+	}
+	if e.Live() != 0 {
+		t.Fatalf("live = %d after Shutdown", e.Live())
+	}
+	waitGoroutines(t, before)
 }

@@ -59,11 +59,9 @@ type Env struct {
 	// horizon is the last virtual time the current run may execute
 	// (inclusive), set by RunUntil/runBefore before they enter dispatch.
 	horizon Time
-	// shutting makes exiting processes return the baton to Shutdown instead
-	// of dispatching further events.
-	shutting bool
-	// relayed holds a panic recovered on a process goroutine until the Run
-	// caller re-raises it.
+	// relayed holds a panic recovered on a process goroutine until the
+	// goroutine that gets the baton back (Run's or Shutdown's caller)
+	// re-raises it.
 	relayed *relayedPanic
 	live    int // processes spawned and not yet exited
 
@@ -431,9 +429,14 @@ func (e *Env) handoff(q *Proc) {
 // whichever goroutine ends the run to give it back.
 func (e *Env) run() {
 	if q := e.dispatch(); q != nil {
-		q.resume <- false
+		e.handoff(q)
 		<-e.yield
 	}
+	e.reraise()
+}
+
+// reraise panics with the panic a process goroutine relayed, if any.
+func (e *Env) reraise() {
 	if rp := e.relayed; rp != nil {
 		e.relayed = nil
 		panic(rp)
@@ -499,6 +502,7 @@ func (e *Env) Shutdown() {
 	}
 	e.procs = nil
 	e.events = eventHeap{}
+	e.reraise() // a deferred cleanup panicked while its process unwound
 }
 
 // Pending reports the number of scheduled events (diagnostic).

@@ -59,16 +59,13 @@ diff <(go run ./cmd/kdbench -list | awk '{print $1}') \
 
 # perf/ is a nested module (it must build from exported API only), so none of
 # the ./... stages above reach it. Its tests hold the golden-table diff, the
-# host-share accounting and the BENCHMARK.json == -spec lockstep; kdlint is
-# built here and run from inside the module; the smoke run drives the same
-# entry point the benchmark driver uses (build products land in the
-# git-ignored .bench_build/).
+# host-share accounting and the BENCHMARK.json == -spec lockstep; kdlint
+# runs from inside the module (which resolves kafkadirect/cmd/kdlint through
+# its replace directive); the smoke run drives the same entry point the
+# benchmark driver uses (build products land in the git-ignored
+# .bench_build/).
 echo "== perf module (vet, test, kdlint, smoke run) =="
-(cd perf && go vet . && go test .)
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/kdlint" ./cmd/kdlint
-(cd perf && "$tmp/kdlint" ./...)
+(cd perf && go vet . && go test . && go run kafkadirect/cmd/kdlint ./...)
 bash perf/run.sh --workload produce_small --seed 1 --seconds 1 --trace 0 --short | tail -n 1
 
 echo "all checks passed"
