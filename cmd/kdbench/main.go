@@ -54,12 +54,11 @@ type jsonReport struct {
 }
 
 type jsonFigure struct {
-	ID            string  `json:"id"`
-	Title         string  `json:"title"`
-	WallMS        float64 `json:"wall_ms"`
-	Events        uint64  `json:"events"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
+	ID           string  `json:"id"`
+	Title        string  `json:"title"`
+	WallMS       float64 `json:"wall_ms"`
+	Events       uint64  `json:"events"`
+	EventsPerSec float64 `json:"events_per_sec"`
 	// Allocs/AllocBytes are process-wide allocation deltas while the figure
 	// ran: exact at workers=1, an upper bound when figures run concurrently.
 	Allocs     uint64 `json:"allocs"`
@@ -182,15 +181,14 @@ func main() {
 		}
 		for _, r := range results {
 			report.Figures = append(report.Figures, jsonFigure{
-				ID:            r.ID,
-				Title:         r.Title,
-				WallMS:        float64(r.Wall) / float64(time.Millisecond),
-				Events:        r.Events,
-				EventsPerSec:  r.EventsPerSec(),
-				PeakHeapBytes: r.PeakHeap,
-				Allocs:        r.Allocs,
-				AllocBytes:    r.AllocBytes,
-				Points:        r.Points,
+				ID:           r.ID,
+				Title:        r.Title,
+				WallMS:       float64(r.Wall) / float64(time.Millisecond),
+				Events:       r.Events,
+				EventsPerSec: r.EventsPerSec(),
+				Allocs:       r.Allocs,
+				AllocBytes:   r.AllocBytes,
+				Points:       r.Points,
 			})
 		}
 		data, err := json.MarshalIndent(report, "", "  ")

@@ -399,7 +399,7 @@ func consumeGoodputRDMA(st *Stats, size, fetchSize int) float64 {
 		if fetchSize > 0 {
 			cfg := e.Config()
 			cfg.FetchSize = fetchSize
-			e = client.NewEndpointWithConfig(r.cl, "cli-fs", cfg)
+			e = client.NewEndpoint(r.cl, "cli-fs", cfg)
 		}
 		co, err := client.NewRDMAConsumer(p, e, "t", 0, 0)
 		if err != nil {
@@ -470,7 +470,7 @@ func consumeLatencyRDMAFetch(st *Stats, size, fetchSize int) time.Duration {
 		}
 		count := (rounds+4)*perRound/(size+46) + 8
 		preload(p, r, "t", count, size)
-		e := client.NewEndpointWithConfig(r.cl, "cli", cfg)
+		e := client.NewEndpoint(r.cl, "cli", cfg)
 		co, err := client.NewRDMAConsumer(p, e, "t", 0, 0)
 		if err != nil {
 			panic(err)

@@ -15,12 +15,11 @@ import (
 // byte-identical to a sequential run; only the wall clock changes.
 
 // Stats accumulates performance counters for one experiment run: simulator
-// events executed across all of its data points, and the peak process heap
-// observed while the experiment was active. A nil *Stats discards updates,
-// so rig helpers can be called without a collector.
+// events executed across all of its data points, and the allocations made
+// while it ran. A nil *Stats discards updates, so rig helpers can be called
+// without a collector.
 type Stats struct {
-	events   atomic.Uint64
-	peakHeap atomic.Uint64
+	events atomic.Uint64
 
 	// allocs/allocBytes are process-wide allocation deltas bracketing the
 	// experiment, filled in once by runExperiment. Exact with workers=1;
@@ -85,24 +84,6 @@ func (s *Stats) Events() uint64 {
 	return s.events.Load()
 }
 
-// notePeak folds one heap sample into the running maximum.
-func (s *Stats) notePeak(h uint64) {
-	for {
-		cur := s.peakHeap.Load()
-		if h <= cur || s.peakHeap.CompareAndSwap(cur, h) {
-			return
-		}
-	}
-}
-
-// PeakHeap returns the largest heap sample observed during the run.
-func (s *Stats) PeakHeap() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.peakHeap.Load()
-}
-
 // Result is one experiment's reproduced table plus its execution metrics.
 type Result struct {
 	ID         string
@@ -110,7 +91,6 @@ type Result struct {
 	Table      *Table
 	Wall       time.Duration
 	Events     uint64 // simulator events executed
-	PeakHeap   uint64 // peak heap bytes sampled while active
 	Allocs     uint64 // heap allocations during the run (see Stats)
 	AllocBytes uint64 // bytes allocated during the run (see Stats)
 	Points     []PerfPoint
@@ -222,53 +202,6 @@ func forEach(n int, fn func(i int)) {
 }
 
 // ---------------------------------------------------------------------------
-// Heap sampling
-// ---------------------------------------------------------------------------
-
-// activeStats is the set of experiments currently running; the sampler folds
-// each heap reading into every active collector.
-var (
-	activeMu    sync.Mutex
-	activeStats = map[*Stats]struct{}{}
-)
-
-func sampleHeap() {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	activeMu.Lock()
-	for st := range activeStats {
-		st.notePeak(m.HeapAlloc)
-	}
-	activeMu.Unlock()
-}
-
-// startHeapSampler samples the heap every few milliseconds until the
-// returned stop function is called.
-func startHeapSampler() (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		//kdlint:allow simclock the heap sampler runs on the host clock by design: it profiles the runner process, not the simulation
-		t := time.NewTicker(5 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				sampleHeap()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
@@ -289,8 +222,6 @@ func RunExperiments(exps []Experiment, workers int) []Result {
 	}
 	SetWorkers(workers)
 	defer SetWorkers(1)
-	stop := startHeapSampler()
-	defer stop()
 	results := make([]Result, len(exps))
 	if workers <= 1 {
 		for i, e := range exps {
@@ -321,21 +252,9 @@ func RunExperiments(exps []Experiment, workers int) []Result {
 	return results
 }
 
-// runExperiment executes one experiment with a fresh Stats collector
-// registered for heap sampling.
+// runExperiment executes one experiment with a fresh Stats collector.
 func runExperiment(e Experiment) Result {
 	st := &Stats{}
-	activeMu.Lock()
-	//kdlint:allow shardstate host-side heap-sampler registry guarded by activeMu; experiments never touch it from simulated handlers
-	activeStats[st] = struct{}{}
-	activeMu.Unlock()
-	defer func() {
-		activeMu.Lock()
-		//kdlint:allow shardstate host-side heap-sampler registry guarded by activeMu; experiments never touch it from simulated handlers
-		delete(activeStats, st)
-		activeMu.Unlock()
-	}()
-	sampleHeap() // bracket the run even if it outpaces the ticker
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	//kdlint:allow simclock measures real elapsed runner time for the perf trajectory, not simulated time
@@ -346,14 +265,12 @@ func runExperiment(e Experiment) Result {
 	runtime.ReadMemStats(&m1)
 	st.allocs = m1.Mallocs - m0.Mallocs
 	st.allocBytes = m1.TotalAlloc - m0.TotalAlloc
-	sampleHeap()
 	return Result{
 		ID:         e.ID,
 		Title:      e.Title,
 		Table:      tbl,
 		Wall:       wall,
 		Events:     st.Events(),
-		PeakHeap:   st.PeakHeap(),
 		Allocs:     st.allocs,
 		AllocBytes: st.allocBytes,
 		Points:     st.Points(),

@@ -1,15 +1,23 @@
-// Package client implements the four client stacks the paper evaluates
-// against each other (§5 "Implementation"):
+// Package client implements the client stacks the paper evaluates against
+// each other (§5 "Implementation"). Each operation is written once and the
+// stacks differ only in what carries it:
 //
-//   - the original Kafka client over TCP (produce, fetch, offsets);
-//   - OSU Kafka [33]: the same RPCs carried by two-sided RDMA Send/Recv
-//     with receive-buffer copies — faster than the kernel stack but still a
-//     copy-and-dispatch design;
-//   - the KafkaDirect RDMA producer (§4.2.2), in exclusive and shared
-//     modes, writing batches straight into broker TP files with
-//     WriteWithImm;
-//   - the KafkaDirect RDMA consumer (§4.4.2), reading files and metadata
-//     slots with one-sided RDMA Reads, never involving the broker CPU.
+//   - produce is one pipeline (batch building, the sync/async window, the
+//     ack loop, the retry loop) over a four-verb link. The RPC link sends a
+//     ProduceReq over a Transport — the kernel TCP stack for the original
+//     Kafka client, two-sided RDMA Send/Recv with receive-buffer copies for
+//     OSU Kafka [33]. The one-sided link is KafkaDirect's (§4.2.2): reserve
+//     a region of the broker's TP file (locally in exclusive mode, with a
+//     Fetch-and-Add in shared mode), WriteWithImm the batch into it, and
+//     take the ack from the receive queue;
+//   - classic fetch is RPCConsumer, again over either Transport;
+//   - one-sided fetch (§4.4.2) is a read session with one cursor per
+//     partition: one RDMA Read refreshes the metadata slots, further Reads
+//     pull file bytes, and the broker CPU is never involved. RDMAConsumer
+//     is a session with a single cursor, MultiRDMAConsumer one with many
+//     (Fig. 9);
+//   - every control-plane request/response (access grants, file releases,
+//     offset commits, the group protocol) goes through one exchange helper.
 //
 // The client-side cost model mirrors §5.1's breakdown of the 88 µs produce
 // overhead: the defensive copy of user data, the client's API↔network
@@ -23,6 +31,7 @@ import (
 
 	"kafkadirect/internal/core"
 	"kafkadirect/internal/fabric"
+	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/obs"
 	"kafkadirect/internal/rdma"
 	"kafkadirect/internal/sim"
@@ -114,12 +123,6 @@ type Endpoint struct {
 	stOSURecv  *obs.Histogram // stage/client_osu_recv: two-sided recv-side cost
 	obsRetries *obs.Counter   // client/retries
 	obsBackoff *obs.Counter   // client/backoff_ns
-}
-
-// NewEndpointWithConfig is NewEndpoint (it exists for call sites that read
-// better with the explicit name when a tweaked Config is passed).
-func NewEndpointWithConfig(cl *core.Cluster, name string, cfg Config) *Endpoint {
-	return NewEndpoint(cl, name, cfg)
 }
 
 // NewEndpoint attaches a client machine to the cluster's fabric.
@@ -219,6 +222,15 @@ func retryableErr(err error) bool {
 		errors.Is(err, errNotLeader)
 }
 
+// respErr turns a response's error code into the client's error: nil for
+// ErrNone, and for NOT_LEADER the sentinel the retry layer reconnects on.
+func respErr(code kwire.ErrCode) error {
+	if code == kwire.ErrNotLeader {
+		return errNotLeader
+	}
+	return code.Err()
+}
+
 // retrier paces the retries of one logical operation: exponential backoff
 // from RetryBackoff up to RetryBackoffMax, giving up once RetryTimeout of
 // simulated time has elapsed since the operation started.
@@ -277,24 +289,15 @@ type Transport interface {
 	Close()
 }
 
-// tcpTransport is the classical client connection.
-type tcpTransport struct {
-	conn *tcpnet.Conn
-}
-
-// NewTCPTransport dials a broker over TCP.
+// NewTCPTransport dials a broker over TCP: the classical client connection.
+// A *tcpnet.Conn is a Transport as it stands.
 func NewTCPTransport(p *sim.Proc, e *Endpoint, broker *core.Broker) (Transport, error) {
 	conn, err := e.host.Dial(p, broker.Host(), core.TCPPort)
 	if err != nil {
 		return nil, err
 	}
-	return &tcpTransport{conn: conn}, nil
+	return conn, nil
 }
-
-func (t *tcpTransport) Send(p *sim.Proc, frame []byte) error { return t.conn.Send(p, frame) }
-func (t *tcpTransport) Recv(p *sim.Proc) ([]byte, error)     { return t.conn.Recv(p) }
-func (t *tcpTransport) Recycle(buf []byte)                   { t.conn.Recycle(buf) }
-func (t *tcpTransport) Close()                               { t.conn.Close() }
 
 // osuTransport carries frames in RDMA Sends, through pre-registered receive
 // buffers on both sides [33].
@@ -366,3 +369,62 @@ func (t *osuTransport) Recv(p *sim.Proc) ([]byte, error) {
 func (t *osuTransport) Recycle(buf []byte) { t.e.node.Network().WireBufs().Put(buf) }
 
 func (t *osuTransport) Close() { t.qp.Disconnect() }
+
+// dialFunc opens a Transport to one broker: NewTCPTransport or
+// NewOSUTransport.
+type dialFunc func(p *sim.Proc, e *Endpoint, broker *core.Broker) (Transport, error)
+
+// dialLeader resolves the partition's current leader and dials it. The RPC
+// producer and consumer connect through it and, after a transport failure or
+// leader change, reconnect through it.
+func (e *Endpoint) dialLeader(p *sim.Proc, dial dialFunc, topic string, part int32) (Transport, error) {
+	broker, err := e.leader(topic, part)
+	if err != nil {
+		return nil, err
+	}
+	return dial(p, e, broker)
+}
+
+// ---------------------------------------------------------------------------
+// Control-plane request/response exchange
+// ---------------------------------------------------------------------------
+
+// rpc is the requesting side of one connection's request/response protocol:
+// the correlation counter and the frame scratch (Transport.Send consumes the
+// frame before returning, so one buffer serves every request). A pipelined
+// caller uses the two halves separately — send, and later recvInto.
+type rpc struct {
+	corr uint32
+	enc  kwire.Scratch
+}
+
+// send encodes req under the next correlation id and transmits it.
+func (c *rpc) send(p *sim.Proc, t Transport, req kwire.Message) error {
+	c.corr++
+	return t.Send(p, c.enc.Encode(c.corr, req))
+}
+
+// recvInto receives the next frame on t and decodes it into resp, which
+// names the kind the caller expects. Decoding copies every byte field, so
+// the frame goes straight back to the transport's pool.
+func recvInto(p *sim.Proc, t Transport, resp kwire.Message) error {
+	raw, err := t.Recv(p)
+	if err != nil {
+		return err
+	}
+	_, err = kwire.DecodeInto(raw, resp)
+	t.Recycle(raw)
+	if err == kwire.ErrKindMismatch {
+		return fmt.Errorf("client: unexpected response kind, want %T", resp)
+	}
+	return err
+}
+
+// call runs one complete exchange. Transport errors surface unchanged so
+// callers can classify them.
+func (c *rpc) call(p *sim.Proc, t Transport, req, resp kwire.Message) error {
+	if err := c.send(p, t, req); err != nil {
+		return err
+	}
+	return recvInto(p, t, resp)
+}

@@ -10,6 +10,7 @@ import (
 	"kafkadirect/internal/core"
 	"kafkadirect/internal/krecord"
 	"kafkadirect/internal/kwire"
+	"kafkadirect/internal/rdma"
 	"kafkadirect/internal/sim"
 )
 
@@ -64,63 +65,205 @@ func TestUnknownTopicFailsCleanly(t *testing.T) {
 	})
 }
 
-func TestMixedSyncAsyncProduceRejected(t *testing.T) {
-	r := newRig(t, 1)
-	r.cl.CreateTopic("t", 1, 1)
-	r.drive(func(p *sim.Proc) {
-		pr, err := client.NewTCPProducer(p, r.endpoint("c"), "t", 0, 1, 1)
+// TestProducerContract holds every datapath to the one producer contract —
+// they share one pipeline, so each row must pass on all four links.
+func TestProducerContract(t *testing.T) {
+	const window = 4
+	logValues := func(p *sim.Proc, r *rig) []string {
+		co, err := client.NewTCPConsumer(p, r.endpoint("verify"), "t", 0, 0, "g")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pr.ProduceAsync(p, rec("a")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pr.Produce(p, rec("b")); err == nil {
-			t.Fatal("mixing modes should fail")
-		}
-		if err := pr.Drain(p); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestAsyncWindowIsBounded(t *testing.T) {
-	r := newRig(t, 1)
-	r.cl.CreateTopic("t", 1, 1)
-	r.drive(func(p *sim.Proc) {
-		cfg := client.DefaultConfig()
-		cfg.MaxInFlight = 4
-		e := client.NewEndpointWithConfig(r.cl, "c", cfg)
-		pr, err := client.NewRDMAProducer(p, e, "t", 0, kwire.AccessExclusive, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			if err := pr.ProduceAsync(p, rec(fmt.Sprintf("m%d", i))); err != nil {
+		co.LongPoll = false
+		var vals []string
+		for {
+			recs, err := co.Poll(p)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if len(recs) == 0 {
+				return vals
+			}
+			for _, rc := range recs {
+				vals = append(vals, string(rc.Value))
+			}
 		}
-		if err := pr.Drain(p); err != nil {
-			t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		run  func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer)
+	}{
+		{"Produce after ProduceAsync is rejected", func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer) {
+			if err := pr.ProduceAsync(p, rec("a")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pr.Produce(p, rec("b")); err == nil {
+				t.Fatal("mixing modes should fail")
+			}
+			if err := pr.Drain(p); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ProduceAsync after Produce is rejected", func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer) {
+			if _, err := pr.Produce(p, rec("a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := pr.ProduceAsync(p, rec("b")); err == nil {
+				t.Fatal("mixing modes should fail")
+			}
+		}},
+		{"closed producer refuses both modes", func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer) {
+			pr.Close()
+			pr.Close() // idempotent
+			if _, err := pr.Produce(p, rec("x")); err != client.ErrProducerClosed {
+				t.Fatalf("Produce err = %v", err)
+			}
+			if err := pr.ProduceAsync(p, rec("x")); err != client.ErrProducerClosed {
+				t.Fatalf("ProduceAsync err = %v", err)
+			}
+		}},
+		{"async window is bounded", func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer) {
+			// At most `window` batches are unacknowledged when ProduceAsync
+			// returns, and a batch is acknowledged only once committed.
+			log := r.cl.LeaderOf("t", 0).Partition("t", 0).Log()
+			for i := 1; i <= 64; i++ {
+				if err := pr.ProduceAsync(p, rec(fmt.Sprintf("m%d", i))); err != nil {
+					t.Fatal(err)
+				}
+				if hw := log.HighWatermark(); hw < int64(i-window) {
+					t.Fatalf("after %d async produces only %d are committed: window of %d exceeded", i, hw, window)
+				}
+			}
+			if err := pr.Drain(p); err != nil {
+				t.Fatal(err)
+			}
+			if hw := log.HighWatermark(); hw != 64 {
+				t.Fatalf("HW %d, want 64", hw)
+			}
+		}},
+		{"Drain surfaces the first async error", func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer) {
+			for i := 0; i < 3; i++ {
+				if err := pr.ProduceAsync(p, rec("a")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			injectFault(r) // the last batch cannot have been acknowledged yet
+			first := pr.Drain(p)
+			if first == nil {
+				t.Fatal("Drain returned nil after the link died under unacknowledged batches")
+			}
+			if again := pr.Drain(p); again != first {
+				t.Fatalf("second Drain = %v, want the first error %v", again, first)
+			}
+			if err := pr.ProduceAsync(p, rec("b")); err != first {
+				t.Fatalf("ProduceAsync after failure = %v, want the first error %v", err, first)
+			}
+		}},
+		{"a retry after a QP / connection failure re-sends the same batch", func(t *testing.T, r *rig, p *sim.Proc, pr client.Producer) {
+			for _, v := range []string{"m0", "m1"} {
+				if _, err := pr.Produce(p, rec(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Lose every connection while m2 is in flight: its submission or
+			// its acknowledgement is lost, and the retry loop must send m2 —
+			// not a stale or half-rebuilt buffer — again.
+			r.env.After(5*time.Microsecond, func() { injectFault(r) })
+			start := p.Now()
+			off, err := pr.Produce(p, rec("m2"))
+			if err != nil {
+				t.Fatalf("produce across the fault: %v", err)
+			}
+			if p.Now()-start < client.DefaultConfig().RetryBackoff {
+				t.Fatal("the fault missed the produce: no backoff step was taken")
+			}
+			if _, err := pr.Produce(p, rec("m3")); err != nil {
+				t.Fatal(err)
+			}
+			vals := logValues(p, r)
+			if off < 2 || int(off) >= len(vals) || vals[off] != "m2" {
+				t.Fatalf("offset %d returned for m2, log holds %q", off, vals)
+			}
+			// At-least-once: m2 may appear twice, nothing else may.
+			want := []string{"m0", "m1", "m2", "m3"}
+			wi := 0
+			for _, v := range vals {
+				if wi < len(want) && v == want[wi] {
+					wi++
+				} else if v != "m2" || wi != 3 {
+					t.Fatalf("log holds %q", vals)
+				}
+			}
+			if wi != len(want) {
+				t.Fatalf("log holds %q", vals)
+			}
+		}},
+	}
+	for _, stack := range producerStacks {
+		for _, row := range rows {
+			stack, row := stack, row
+			t.Run(stack+"/"+row.name, func(t *testing.T) {
+				r := newRig(t, 1)
+				r.cl.CreateTopic("t", 1, 1)
+				cfg := client.DefaultConfig()
+				cfg.MaxInFlight, cfg.RPCMaxInFlight = window, window
+				r.drive(func(p *sim.Proc) {
+					pr, err := newProducer(p, client.NewEndpoint(r.cl, "c", cfg), stack)
+					if err != nil {
+						t.Fatal(err)
+					}
+					row.run(t, r, p, pr)
+				})
+			})
 		}
-		pt := r.cl.LeaderOf("t", 0).Partition("t", 0)
-		if pt.Log().HighWatermark() != 64 {
-			t.Fatalf("HW %d, want 64", pt.Log().HighWatermark())
-		}
-	})
+	}
 }
 
-func TestProducerClosedErrors(t *testing.T) {
+// liveQPs counts the device's connected queue pairs.
+func liveQPs(dev *rdma.Device) int {
+	n := 0
+	for _, qp := range dev.QPs() {
+		if qp.State() == rdma.QPReady {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRefusedAccessReleasesTheSession: a constructor whose access request is
+// refused must disconnect the QP it connected — otherwise the broker keeps
+// the session (and its slot region or grant bookkeeping) until a QP event
+// that never comes.
+func TestRefusedAccessReleasesTheSession(t *testing.T) {
 	r := newRig(t, 1)
 	r.cl.CreateTopic("t", 1, 1)
 	r.drive(func(p *sim.Proc) {
-		pr, err := client.NewTCPProducer(p, r.endpoint("c"), "t", 0, 1, 1)
+		owner, err := client.NewRDMAProducer(p, r.endpoint("owner"), "t", 0, kwire.AccessExclusive, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr.Close()
-		if _, err := pr.Produce(p, rec("x")); err != client.ErrProducerClosed {
-			t.Fatalf("err = %v", err)
+		defer owner.Close()
+		dev := r.cl.LeaderOf("t", 0).Device()
+		before := liveQPs(dev)
+
+		// "The broker never grants exclusive access to the same file to two
+		// producers" (§4.2.2).
+		e := r.endpoint("second")
+		if _, err := client.NewRDMAProducer(p, e, "t", 0, kwire.AccessExclusive, 2); err == nil {
+			t.Fatal("second exclusive producer should be refused")
+		}
+		if got := liveQPs(dev); got != before {
+			t.Fatalf("refused producer left %d live broker QPs, want %d", got, before)
+		}
+		// Nothing is stored at offset 1000.
+		if _, err := client.NewRDMAConsumer(p, e, "t", 0, 1000); err == nil {
+			t.Fatal("consumer at an out-of-range offset should be refused")
+		}
+		if got := liveQPs(dev); got != before {
+			t.Fatalf("refused consumer left %d live broker QPs, want %d", got, before)
+		}
+		if got := liveQPs(e.Device()); got != 0 {
+			t.Fatalf("refused constructors left %d live client QPs", got)
 		}
 	})
 }

@@ -1,15 +1,9 @@
 package client
 
 import (
-	"fmt"
-	"time"
-
-	"kafkadirect/internal/core"
 	"kafkadirect/internal/krecord"
 	"kafkadirect/internal/kwire"
-	"kafkadirect/internal/rdma"
 	"kafkadirect/internal/sim"
-	"kafkadirect/internal/tcpnet"
 )
 
 // Consumer is implemented by both consumer stacks.
@@ -31,10 +25,10 @@ type Consumer interface {
 type RPCConsumer struct {
 	e      *Endpoint
 	t      Transport
+	dial   dialFunc
 	topic  string
 	part   int32
 	offset int64
-	corr   uint32
 	group  string
 	// LongPoll controls whether fetches park at the broker when no data is
 	// available; benchmarks measuring empty-fetch cost disable it.
@@ -45,50 +39,30 @@ type RPCConsumer struct {
 	MaxBytesOverride int
 	closed           bool
 
-	// redial re-resolves the partition leader and dials a fresh transport;
-	// Poll retries through it after transport failures and leader changes
-	// (fetches are idempotent, so retrying is always safe). Nil disables
-	// retries.
-	redial func(p *sim.Proc) (Transport, error)
-
 	// Reusable encode/decode state for the poll loop. respMsg.Data is set to
 	// nil whenever records escape to the caller (they alias it), so only the
 	// empty-fetch steady state is fully allocation-free.
-	enc     kwire.Scratch
+	rpc     rpc
 	reqMsg  kwire.FetchReq
 	respMsg kwire.FetchResp
 }
 
 // NewTCPConsumer dials the partition leader over TCP.
 func NewTCPConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset int64, group string) (*RPCConsumer, error) {
-	redial := func(p *sim.Proc) (Transport, error) {
-		broker, err := e.leader(topic, part)
-		if err != nil {
-			return nil, err
-		}
-		return NewTCPTransport(p, e, broker)
-	}
-	t, err := redial(p)
-	if err != nil {
-		return nil, err
-	}
-	return &RPCConsumer{e: e, t: t, topic: topic, part: part, offset: offset, group: group, LongPoll: true, redial: redial}, nil
+	return newRPCConsumer(p, e, NewTCPTransport, topic, part, offset, group)
 }
 
 // NewOSUConsumer dials the partition leader over two-sided RDMA.
 func NewOSUConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset int64, group string) (*RPCConsumer, error) {
-	redial := func(p *sim.Proc) (Transport, error) {
-		broker, err := e.leader(topic, part)
-		if err != nil {
-			return nil, err
-		}
-		return NewOSUTransport(p, e, broker)
-	}
-	t, err := redial(p)
+	return newRPCConsumer(p, e, NewOSUTransport, topic, part, offset, group)
+}
+
+func newRPCConsumer(p *sim.Proc, e *Endpoint, dial dialFunc, topic string, part int32, offset int64, group string) (*RPCConsumer, error) {
+	t, err := e.dialLeader(p, dial, topic, part)
 	if err != nil {
 		return nil, err
 	}
-	return &RPCConsumer{e: e, t: t, topic: topic, part: part, offset: offset, group: group, LongPoll: true, redial: redial}, nil
+	return &RPCConsumer{e: e, t: t, dial: dial, topic: topic, part: part, offset: offset, group: group, LongPoll: true}, nil
 }
 
 // Poll issues one fetch request, redialing the (re-resolved) leader with
@@ -97,7 +71,7 @@ func NewOSUConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset i
 // retries never skip or duplicate records.
 func (c *RPCConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 	recs, err := c.pollOnce(p)
-	if err == nil || c.redial == nil || !retryableErr(err) {
+	if err == nil || !retryableErr(err) {
 		return recs, err
 	}
 	r := c.e.newRetrier(p)
@@ -106,7 +80,7 @@ func (c *RPCConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 			return nil, err
 		}
 		c.t.Close()
-		t, derr := c.redial(p)
+		t, derr := c.e.dialLeader(p, c.dial, c.topic, c.part)
 		if derr != nil {
 			continue // leaderless or unreachable; keep backing off
 		}
@@ -123,7 +97,6 @@ func (c *RPCConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
 	}
-	c.corr++
 	var wait int64
 	if c.LongPoll {
 		wait = c.e.cfg.FetchMaxWait.Microseconds()
@@ -140,38 +113,32 @@ func (c *RPCConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 		MaxWaitMicros: wait,
 		ReplicaID:     -1,
 	}
-	if err := c.t.Send(p, c.enc.Encode(c.corr, &c.reqMsg)); err != nil {
-		return nil, err
-	}
-	raw, err := c.t.Recv(p)
-	if err != nil {
-		return nil, err
-	}
-	_, err = kwire.DecodeInto(raw, &c.respMsg)
-	c.t.Recycle(raw)
-	if err == kwire.ErrKindMismatch {
-		return nil, fmt.Errorf("client: unexpected fetch response kind")
-	}
-	if err != nil {
-		return nil, err
-	}
 	resp := &c.respMsg
-	if resp.Err == kwire.ErrNotLeader {
-		return nil, errNotLeader
+	if err := c.rpc.call(p, c.t, &c.reqMsg, resp); err != nil {
+		return nil, err
 	}
-	if resp.Err != kwire.ErrNone {
-		return nil, resp.Err.Err()
+	if err := respErr(resp.Err); err != nil {
+		return nil, err
 	}
 	p.Sleep(c.e.cfg.ConsumeCPU)
 	if len(resp.Data) == 0 {
 		return nil, nil
 	}
 	p.Sleep(c.e.crcTime(len(resp.Data)))
-	var out []krecord.Record
 	// The returned records alias resp.Data; drop the buffer so the next
 	// decode allocates a fresh one instead of overwriting escaped memory.
-	defer func() { c.respMsg.Data = nil }()
-	if _, err := krecord.Scan(resp.Data, func(b krecord.Batch) error {
+	data := resp.Data
+	resp.Data = nil
+	return decodeBatches(data, &c.offset)
+}
+
+// decodeBatches validates and decodes the complete batches in data — bytes
+// a broker wrote (a fetch response) or that were read out of its files — and
+// returns their records from *offset on, advancing *offset past every batch
+// decoded. The records alias data.
+func decodeBatches(data []byte, offset *int64) ([]krecord.Record, error) {
+	var out []krecord.Record
+	_, err := krecord.Scan(data, func(b krecord.Batch) error {
 		if err := b.Validate(); err != nil {
 			return err
 		}
@@ -180,13 +147,14 @@ func (c *RPCConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 			return err
 		}
 		for _, r := range recs {
-			if r.Offset >= c.offset {
+			if r.Offset >= *offset {
 				out = append(out, r)
 			}
 		}
-		c.offset = b.NextOffset()
+		*offset = b.NextOffset()
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -197,22 +165,9 @@ func (c *RPCConsumer) Position() int64 { return c.offset }
 
 // CommitOffset records the consumer's progress at the broker (§5.4).
 func (c *RPCConsumer) CommitOffset(p *sim.Proc) error {
-	c.corr++
 	req := kwire.OffsetCommitReq{Group: c.group, Topic: c.topic, Partition: c.part, Offset: c.offset}
-	if err := c.t.Send(p, c.enc.Encode(c.corr, &req)); err != nil {
-		return err
-	}
-	raw, err := c.t.Recv(p)
-	if err != nil {
-		return err
-	}
 	var resp kwire.OffsetCommitResp
-	_, err = kwire.DecodeInto(raw, &resp)
-	c.t.Recycle(raw)
-	if err == kwire.ErrKindMismatch {
-		return fmt.Errorf("client: unexpected commit response kind")
-	}
-	if err != nil {
+	if err := c.rpc.call(p, c.t, &req, &resp); err != nil {
 		return err
 	}
 	return resp.Err.Err()
@@ -230,186 +185,36 @@ func (c *RPCConsumer) Close() {
 // KafkaDirect RDMA consumer (§4.4.2)
 // ---------------------------------------------------------------------------
 
-// consumerFile is the client's view of an RDMA-readable TP file.
-type consumerFile struct {
-	id           int32
-	addr         uint64
-	rkey         uint32
-	lastReadable int64
-	mutable      bool
-	slotAddr     uint64
-	slotRKey     uint32
-	slotIndex    int32
-}
-
 // RDMAConsumer reads records with one-sided RDMA Reads: data from the TP
-// file, availability from the metadata slot — zero broker CPU (§4.4.2).
+// file, availability from the metadata slot — zero broker CPU (§4.4.2). It is
+// a read session with a single cursor.
 type RDMAConsumer struct {
-	e      *Endpoint
-	broker *core.Broker
-	topic  string
-	part   int32
-
-	qp      *rdma.QP
-	session uint32
-	ctl     *tcpnet.Conn
-	corr    uint32
+	readSession
+	cur *cursor
 
 	// Pipeline is the number of concurrently outstanding data reads (>=1).
 	// "An RDMA consumer can have multiple outstanding read requests" (§7);
 	// deep pipelines trade a little latency for bandwidth.
 	Pipeline int
-
-	file    consumerFile
-	readPos int64
-	offset  int64 // next record offset to deliver
-	partial []byte
-	scratch []byte
-	slotBuf []byte
-
-	// Stats for the measurement harness.
-	StatDataReads int
-	StatMetaReads int
-	closed        bool
 }
 
 // NewRDMAConsumer establishes the QP and requests read access starting at
-// the given offset.
+// the given offset. On failure it leaves nothing open at the broker.
 func NewRDMAConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset int64) (*RDMAConsumer, error) {
 	broker, err := e.leader(topic, part)
 	if err != nil {
 		return nil, err
 	}
-	qp, session, err := broker.ConnectConsumer(e.dev)
-	if err != nil {
+	c := &RDMAConsumer{readSession: readSession{e: e}}
+	if err := c.open(p, broker); err != nil {
 		return nil, err
 	}
-	ctl, err := e.host.Dial(p, broker.Host(), core.TCPPort)
-	if err != nil {
+	if err := c.subscribe(p, topic, part, offset); err != nil {
+		c.close()
 		return nil, err
 	}
-	c := &RDMAConsumer{
-		e: e, broker: broker, topic: topic, part: part,
-		qp: qp, session: session, ctl: ctl, offset: offset,
-		scratch: make([]byte, e.cfg.FetchSize),
-		slotBuf: make([]byte, core.SlotSize),
-	}
-	if err := c.requestAccess(p); err != nil {
-		return nil, err
-	}
+	c.cur = c.cursors[0]
 	return c, nil
-}
-
-// requestAccess performs the TCP control exchange of §4.4.2 for the file
-// containing the consumer's current offset.
-func (c *RDMAConsumer) requestAccess(p *sim.Proc) error {
-	c.corr++
-	req := &kwire.ConsumeAccessReq{Topic: c.topic, Partition: c.part, Offset: c.offset, Session: c.session}
-	if err := c.ctl.Send(p, kwire.Encode(c.corr, req)); err != nil {
-		return err
-	}
-	raw, err := c.ctl.Recv(p)
-	if err != nil {
-		return err
-	}
-	_, msg, err := kwire.Decode(raw)
-	if err != nil {
-		return err
-	}
-	resp, ok := msg.(*kwire.ConsumeAccessResp)
-	if !ok {
-		return fmt.Errorf("client: unexpected access response %T", msg)
-	}
-	if resp.Err == kwire.ErrNotLeader {
-		return errNotLeader
-	}
-	if resp.Err != kwire.ErrNone {
-		return resp.Err.Err()
-	}
-	c.file = consumerFile{
-		id:           resp.FileID,
-		addr:         resp.Addr,
-		rkey:         resp.RKey,
-		lastReadable: resp.LastReadable,
-		mutable:      resp.Mutable,
-		slotAddr:     resp.SlotRegionAddr,
-		slotRKey:     resp.SlotRegionRKey,
-		slotIndex:    resp.SlotIndex,
-	}
-	c.readPos = resp.StartPos
-	c.partial = c.partial[:0]
-	return nil
-}
-
-// releaseFile tells the broker a fully-read file can be deregistered.
-func (c *RDMAConsumer) releaseFile(p *sim.Proc, id int32) error {
-	c.corr++
-	req := &kwire.ReleaseFileReq{Topic: c.topic, Partition: c.part, FileID: id, Session: c.session}
-	if err := c.ctl.Send(p, kwire.Encode(c.corr, req)); err != nil {
-		return err
-	}
-	raw, err := c.ctl.Recv(p)
-	if err != nil {
-		return err
-	}
-	_, msg, err := kwire.Decode(raw)
-	if err != nil {
-		return err
-	}
-	if resp, ok := msg.(*kwire.ReleaseFileResp); ok {
-		return resp.Err.Err()
-	}
-	return fmt.Errorf("client: unexpected release response %T", msg)
-}
-
-// rdmaRead issues one synchronous one-sided read.
-func (c *RDMAConsumer) rdmaRead(p *sim.Proc, dst []byte, addr uint64, rkey uint32) error {
-	err := c.qp.PostSend(rdma.SendWR{Op: rdma.OpRead, Local: dst, RemoteAddr: addr, RKey: rkey})
-	if err != nil {
-		return err
-	}
-	cqe := c.qp.SendCQ().Poll(p)
-	if cqe.Status != rdma.StatusOK {
-		return fmt.Errorf("%w: read %v", errQPFailed, cqe.Status)
-	}
-	return nil
-}
-
-// refreshMetadata reads the consumer's metadata slot with a single RDMA
-// Read (§4.4.2) — the 2.5 µs operation that replaces a 200 µs empty fetch.
-func (c *RDMAConsumer) refreshMetadata(p *sim.Proc) error {
-	addr := c.file.slotAddr + uint64(c.file.slotIndex)*core.SlotSize
-	if err := c.rdmaRead(p, c.slotBuf, addr, c.file.slotRKey); err != nil {
-		return err
-	}
-	c.StatMetaReads++
-	c.file.lastReadable, c.file.mutable = core.ReadSlot(c.slotBuf)
-	return nil
-}
-
-// recover re-establishes the consume datapath after a fault: re-resolve the
-// (possibly new) leader, rebuild the QP and control connection, and request
-// read access again at the current offset. The consumer only ever reads
-// committed bytes, so the offset is always present on the new leader.
-func (c *RDMAConsumer) recover(p *sim.Proc) error {
-	broker, err := c.e.leader(c.topic, c.part)
-	if err != nil {
-		return err
-	}
-	qp, session, err := broker.ConnectConsumer(c.e.dev)
-	if err != nil {
-		return err
-	}
-	ctl, err := c.e.host.Dial(p, broker.Host(), core.TCPPort)
-	if err != nil {
-		qp.Disconnect() // let the broker reap the half-built session
-		return err
-	}
-	c.ctl.Close()
-	c.broker, c.qp, c.session, c.ctl = broker, qp, session, ctl
-	// Connection management handshake latency.
-	p.Sleep(100 * time.Microsecond)
-	return c.requestAccess(p)
 }
 
 // Poll performs one consume round, recovering through a reconnect (with
@@ -427,7 +232,7 @@ func (c *RDMAConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 		if !r.wait(p) {
 			return nil, err
 		}
-		if rerr := c.recover(p); rerr != nil {
+		if c.recover(p, c.cur) != nil {
 			continue // leaderless or unreachable; keep backing off
 		}
 		recs, err = c.pollOnce(p)
@@ -438,139 +243,31 @@ func (c *RDMAConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 }
 
 // pollOnce runs one consume round: read data if the file has unread bytes,
-// otherwise refresh metadata (and hop to the next file when the current one
-// is sealed and fully consumed). It returns any records completed this
-// round; an empty result means "nothing new yet".
+// otherwise refresh metadata and read what that reveals in the same round —
+// the latency figures depend on a record being delivered by the poll that
+// discovers it. A sealed, fully consumed file costs a round of its own: hop
+// to the next file and return empty. An empty result means "nothing new
+// yet".
 func (c *RDMAConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
 	}
-	if c.readPos >= c.file.lastReadable {
-		if !c.file.mutable {
-			// Sealed and fully read: hand the file back so the broker can
-			// deregister it ("an RDMA consumer also notifies the broker
-			// about the files that can be unregistered from RDMA access to
-			// reduce memory usage", §4.4.2), then move to the next file.
-			if err := c.releaseFile(p, c.file.id); err != nil {
-				return nil, err
-			}
-			if err := c.requestAccess(p); err != nil {
-				return nil, err
-			}
-			return nil, nil
+	if c.cur.drained() {
+		if !c.cur.file.Mutable {
+			return nil, c.hop(p, c.cur)
 		}
-		if err := c.refreshMetadata(p); err != nil {
+		if err := c.refresh(p); err != nil {
 			return nil, err
 		}
-		if c.readPos >= c.file.lastReadable {
-			if !c.file.mutable && c.readPos >= c.file.lastReadable {
-				// The file sealed under us; next Poll hops files.
-				return nil, nil
-			}
-			return nil, nil // no new records
+		if c.cur.drained() {
+			return nil, nil // no new records, or the file sealed under us and the next Poll hops
 		}
 	}
-
-	// Issue up to Pipeline outstanding reads over consecutive chunks; the
-	// RNIC overlaps them, so bandwidth is no longer one-RTT-per-chunk.
-	depth := c.Pipeline
-	if depth < 1 {
-		depth = 1
-	}
-	fetch := int64(c.e.cfg.FetchSize)
-	avail := c.file.lastReadable - c.readPos
-	chunks := make([]int64, 0, depth)
-	for len(chunks) < depth && avail > 0 {
-		n := fetch
-		if avail < n {
-			n = avail
-		}
-		chunks = append(chunks, n)
-		avail -= n
-	}
-	if len(c.scratch) < int(fetch)*len(chunks) {
-		c.scratch = make([]byte, int(fetch)*len(chunks))
-	}
-	pos := c.readPos
-	bufOff := 0
-	for _, n := range chunks {
-		err := c.qp.PostSend(rdma.SendWR{
-			Op: rdma.OpRead, Local: c.scratch[bufOff : bufOff+int(n)],
-			RemoteAddr: c.file.addr + uint64(pos), RKey: c.file.rkey,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pos += n
-		bufOff += int(n)
-	}
-	total := int64(0)
-	for range chunks {
-		cqe := c.qp.SendCQ().Poll(p)
-		if cqe.Status != rdma.StatusOK {
-			return nil, fmt.Errorf("%w: read %v", errQPFailed, cqe.Status)
-		}
-		c.StatDataReads++
-	}
-	for _, n := range chunks {
-		total += n
-	}
-	c.readPos += total
-	p.Sleep(c.e.cfg.ConsumeCPU)
-	c.partial = append(c.partial, c.scratch[:total]...)
-
-	// Find the boundary of complete batches; a partial tail stays buffered
-	// until more bytes arrive (§4.4.2).
-	consumed := 0
-	for {
-		size, ok := krecord.PeekSize(c.partial[consumed:])
-		if !ok || consumed+size > len(c.partial) {
-			break
-		}
-		consumed += size
-	}
-	if consumed == 0 {
-		return nil, nil
-	}
-	// Copy completed batches into a caller-owned buffer — the copy the
-	// paper attributes to Kafka's consumer API requiring on-heap buffers
-	// (§5.3) — then validate integrity and decode. Returned records alias
-	// the stable copy, never the reused partial buffer.
-	stable := make([]byte, consumed)
-	copy(stable, c.partial[:consumed])
-	p.Sleep(c.e.copyTime(consumed) + c.e.crcTime(consumed))
-	c.partial = append(c.partial[:0], c.partial[consumed:]...)
-
-	var out []krecord.Record
-	if _, err := krecord.Scan(stable, func(b krecord.Batch) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		recs, err := b.Records()
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if r.Offset >= c.offset {
-				out = append(out, r)
-			}
-		}
-		c.offset = b.NextOffset()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.read(p, c.cur, c.Pipeline)
 }
 
 // Position returns the next offset to be delivered.
-func (c *RDMAConsumer) Position() int64 { return c.offset }
+func (c *RDMAConsumer) Position() int64 { return c.cur.offset }
 
 // Close disconnects the QP; the broker tears the session down.
-func (c *RDMAConsumer) Close() {
-	if !c.closed {
-		c.closed = true
-		c.qp.Disconnect()
-		c.ctl.Close()
-	}
-}
+func (c *RDMAConsumer) Close() { c.close() }

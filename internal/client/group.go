@@ -77,8 +77,7 @@ type GroupConsumer struct {
 
 	ctl       Transport
 	ctlBroker *core.Broker
-	corr      uint32
-	enc       kwire.Scratch
+	rpc       rpc
 
 	memberID   string
 	generation int32
@@ -176,20 +175,7 @@ func (c *GroupConsumer) roundTrip(p *sim.Proc, req, resp kwire.Message) error {
 	if err := c.ensureControl(p); err != nil {
 		return err
 	}
-	c.corr++
-	if err := c.ctl.Send(p, c.enc.Encode(c.corr, req)); err != nil {
-		return err
-	}
-	raw, err := c.ctl.Recv(p)
-	if err != nil {
-		return err
-	}
-	_, err = kwire.DecodeInto(raw, resp)
-	c.ctl.Recycle(raw)
-	if err == kwire.ErrKindMismatch {
-		return fmt.Errorf("client: unexpected group response kind")
-	}
-	return err
+	return c.rpc.call(p, c.ctl, req, resp)
 }
 
 // classify maps group protocol error codes onto the coordination

@@ -5,10 +5,7 @@ import (
 
 	"kafkadirect/internal/core"
 	"kafkadirect/internal/krecord"
-	"kafkadirect/internal/kwire"
-	"kafkadirect/internal/rdma"
 	"kafkadirect/internal/sim"
-	"kafkadirect/internal/tcpnet"
 )
 
 // MultiRDMAConsumer subscribes to several topic partitions on ONE broker and
@@ -16,40 +13,13 @@ import (
 // Read of its contiguous slot region — the design of Figure 9: "as the
 // metadata region is contiguous, a consumer only needs a single RDMA Read to
 // update the metadata for all files from which it is actively reading"
-// (§4.4.2). Data reads then proceed per partition like the single-TP
-// consumer.
+// (§4.4.2). It is a read session with one cursor per subscription; data
+// reads, file hops and the slot refresh are the single-TP consumer's.
 type MultiRDMAConsumer struct {
-	e      *Endpoint
-	broker *core.Broker
-
-	qp      *rdma.QP
-	session uint32
-	ctl     *tcpnet.Conn
-	corr    uint32
-
-	subs []*subscription
+	readSession
 	// rr rotates the data-read starting point across subscriptions so one
 	// busy partition cannot starve the others.
 	rr int
-
-	slotBuf []byte
-	scratch []byte
-
-	// StatMetaReads counts slot-region reads: ONE per refresh, however many
-	// partitions are subscribed. StatDataReads counts data reads.
-	StatMetaReads int
-	StatDataReads int
-	closed        bool
-}
-
-// subscription is the per-partition cursor.
-type subscription struct {
-	topic   string
-	part    int32
-	file    consumerFile
-	readPos int64
-	offset  int64
-	partial []byte
 }
 
 // TopicRecord is a record tagged with its origin partition.
@@ -62,19 +32,11 @@ type TopicRecord struct {
 // NewMultiRDMAConsumer opens a session against the broker leading the given
 // topic partitions (they must share a leader; the slot region is per broker).
 func NewMultiRDMAConsumer(p *sim.Proc, e *Endpoint, broker *core.Broker) (*MultiRDMAConsumer, error) {
-	qp, session, err := broker.ConnectConsumer(e.dev)
-	if err != nil {
+	c := &MultiRDMAConsumer{readSession: readSession{e: e}}
+	if err := c.open(p, broker); err != nil {
 		return nil, err
 	}
-	ctl, err := e.host.Dial(p, broker.Host(), core.TCPPort)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiRDMAConsumer{
-		e: e, broker: broker, qp: qp, session: session, ctl: ctl,
-		slotBuf: make([]byte, e.cfg.FetchSize),
-		scratch: make([]byte, e.cfg.FetchSize),
-	}, nil
+	return c, nil
 }
 
 // Subscribe adds a partition starting at offset. The partition must be led
@@ -83,226 +45,58 @@ func (c *MultiRDMAConsumer) Subscribe(p *sim.Proc, topic string, part int32, off
 	if lead, err := c.e.leader(topic, part); err != nil || lead != c.broker {
 		return fmt.Errorf("client: %s/%d is not led by %s", topic, part, c.broker.ID())
 	}
-	sub := &subscription{topic: topic, part: part, offset: offset}
-	if err := c.access(p, sub); err != nil {
-		return err
-	}
-	c.subs = append(c.subs, sub)
-	return nil
+	return c.subscribe(p, topic, part, offset)
 }
 
 // Subscriptions reports the subscribed partition count.
-func (c *MultiRDMAConsumer) Subscriptions() int { return len(c.subs) }
-
-// access performs the TCP control exchange for one subscription.
-func (c *MultiRDMAConsumer) access(p *sim.Proc, sub *subscription) error {
-	c.corr++
-	req := &kwire.ConsumeAccessReq{Topic: sub.topic, Partition: sub.part, Offset: sub.offset, Session: c.session}
-	if err := c.ctl.Send(p, kwire.Encode(c.corr, req)); err != nil {
-		return err
-	}
-	raw, err := c.ctl.Recv(p)
-	if err != nil {
-		return err
-	}
-	_, msg, err := kwire.Decode(raw)
-	if err != nil {
-		return err
-	}
-	resp, ok := msg.(*kwire.ConsumeAccessResp)
-	if !ok {
-		return fmt.Errorf("client: unexpected access response %T", msg)
-	}
-	if resp.Err != kwire.ErrNone {
-		return resp.Err.Err()
-	}
-	sub.file = consumerFile{
-		id:           resp.FileID,
-		addr:         resp.Addr,
-		rkey:         resp.RKey,
-		lastReadable: resp.LastReadable,
-		mutable:      resp.Mutable,
-		slotAddr:     resp.SlotRegionAddr,
-		slotRKey:     resp.SlotRegionRKey,
-		slotIndex:    resp.SlotIndex,
-	}
-	sub.readPos = resp.StartPos
-	sub.partial = sub.partial[:0]
-	return nil
-}
-
-func (c *MultiRDMAConsumer) release(p *sim.Proc, sub *subscription) error {
-	c.corr++
-	req := &kwire.ReleaseFileReq{Topic: sub.topic, Partition: sub.part, FileID: sub.file.id, Session: c.session}
-	if err := c.ctl.Send(p, kwire.Encode(c.corr, req)); err != nil {
-		return err
-	}
-	if _, err := c.ctl.Recv(p); err != nil {
-		return err
-	}
-	return nil
-}
-
-// refreshAllMetadata reads the smallest contiguous slot span covering every
-// active subscription with ONE RDMA Read and updates all cursors (Fig. 9).
-func (c *MultiRDMAConsumer) refreshAllMetadata(p *sim.Proc) error {
-	lo, hi := -1, -1
-	var addr uint64
-	var rkey uint32
-	for _, sub := range c.subs {
-		if sub.file.slotIndex < 0 {
-			continue
-		}
-		idx := int(sub.file.slotIndex)
-		if lo == -1 || idx < lo {
-			lo = idx
-		}
-		if idx > hi {
-			hi = idx
-		}
-		addr, rkey = sub.file.slotAddr, sub.file.slotRKey
-	}
-	if lo == -1 {
-		return nil // no mutable files; sealed files advance via re-access
-	}
-	span := (hi - lo + 1) * core.SlotSize
-	if len(c.slotBuf) < span {
-		c.slotBuf = make([]byte, span)
-	}
-	err := c.qp.PostSend(rdma.SendWR{
-		Op: rdma.OpRead, Local: c.slotBuf[:span],
-		RemoteAddr: addr + uint64(lo*core.SlotSize), RKey: rkey,
-	})
-	if err != nil {
-		return err
-	}
-	if cqe := c.qp.SendCQ().Poll(p); cqe.Status != rdma.StatusOK {
-		return fmt.Errorf("client: slot region read failed: %v", cqe.Status)
-	}
-	c.StatMetaReads++
-	for _, sub := range c.subs {
-		if sub.file.slotIndex < 0 {
-			continue
-		}
-		off := (int(sub.file.slotIndex) - lo) * core.SlotSize
-		sub.file.lastReadable, sub.file.mutable = core.ReadSlot(c.slotBuf[off : off+core.SlotSize])
-	}
-	return nil
-}
+func (c *MultiRDMAConsumer) Subscriptions() int { return len(c.cursors) }
 
 // Poll performs one consume round across all subscriptions: if any
 // partition has unread committed bytes, read from the next such partition
-// (round-robin); otherwise refresh every slot with one read. An empty
-// result means "nothing new anywhere".
+// (round-robin), hopping off sealed files on the way; otherwise refresh
+// every slot with one read and return empty — unlike the single-TP consumer,
+// which reads in the round that refreshes: with N partitions the refresh may
+// reveal data on several, and the next round's rotation picks among them
+// fairly. An empty result means "nothing new anywhere".
 func (c *MultiRDMAConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
 	}
-	if len(c.subs) == 0 {
+	if len(c.cursors) == 0 {
 		return nil, fmt.Errorf("client: no subscriptions")
 	}
-	for range c.subs {
-		sub := c.subs[c.rr%len(c.subs)]
+	for range c.cursors {
+		cur := c.cursors[c.rr%len(c.cursors)]
 		c.rr++
-		if sub.readPos < sub.file.lastReadable {
-			return c.readFrom(p, sub)
-		}
-		if !sub.file.mutable {
-			// Sealed and fully consumed: hop to the next file.
-			if sub.file.slotIndex >= 0 {
-				if err := c.release(p, sub); err != nil {
-					return nil, err
-				}
-			}
-			if err := c.access(p, sub); err != nil {
+		if cur.drained() && !cur.file.Mutable {
+			if err := c.hop(p, cur); err != nil {
 				return nil, err
 			}
-			if sub.readPos < sub.file.lastReadable {
-				return c.readFrom(p, sub)
+		}
+		if !cur.drained() {
+			recs, err := c.read(p, cur, 1)
+			if len(recs) == 0 {
+				return nil, err
 			}
-		}
-	}
-	if err := c.refreshAllMetadata(p); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-// readFrom performs one data read on a subscription and decodes complete
-// batches, exactly like the single-TP consumer.
-func (c *MultiRDMAConsumer) readFrom(p *sim.Proc, sub *subscription) ([]TopicRecord, error) {
-	n := int64(c.e.cfg.FetchSize)
-	if avail := sub.file.lastReadable - sub.readPos; avail < n {
-		n = avail
-	}
-	err := c.qp.PostSend(rdma.SendWR{
-		Op: rdma.OpRead, Local: c.scratch[:n],
-		RemoteAddr: sub.file.addr + uint64(sub.readPos), RKey: sub.file.rkey,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cqe := c.qp.SendCQ().Poll(p); cqe.Status != rdma.StatusOK {
-		return nil, fmt.Errorf("client: RDMA read failed: %v", cqe.Status)
-	}
-	c.StatDataReads++
-	sub.readPos += n
-	p.Sleep(c.e.cfg.ConsumeCPU)
-	sub.partial = append(sub.partial, c.scratch[:n]...)
-
-	consumed := 0
-	for {
-		size, ok := krecord.PeekSize(sub.partial[consumed:])
-		if !ok || consumed+size > len(sub.partial) {
-			break
-		}
-		consumed += size
-	}
-	if consumed == 0 {
-		return nil, nil
-	}
-	stable := make([]byte, consumed)
-	copy(stable, sub.partial[:consumed])
-	p.Sleep(c.e.copyTime(consumed) + c.e.crcTime(consumed))
-	sub.partial = append(sub.partial[:0], sub.partial[consumed:]...)
-
-	var out []TopicRecord
-	if _, err := krecord.Scan(stable, func(b krecord.Batch) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		recs, err := b.Records()
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if r.Offset >= sub.offset {
-				out = append(out, TopicRecord{Topic: sub.topic, Partition: sub.part, Record: r})
+			out := make([]TopicRecord, len(recs))
+			for i, r := range recs {
+				out[i] = TopicRecord{Topic: cur.topic, Partition: cur.part, Record: r}
 			}
+			return out, nil
 		}
-		sub.offset = b.NextOffset()
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	return out, nil
+	return nil, c.refresh(p)
 }
 
 // Position returns the next offset for one subscription (-1 if unknown).
 func (c *MultiRDMAConsumer) Position(topic string, part int32) int64 {
-	for _, sub := range c.subs {
-		if sub.topic == topic && sub.part == part {
-			return sub.offset
+	for _, cur := range c.cursors {
+		if cur.topic == topic && cur.part == part {
+			return cur.offset
 		}
 	}
 	return -1
 }
 
 // Close disconnects the session.
-func (c *MultiRDMAConsumer) Close() {
-	if !c.closed {
-		c.closed = true
-		c.qp.Disconnect()
-		c.ctl.Close()
-	}
-}
+func (c *MultiRDMAConsumer) Close() { c.close() }

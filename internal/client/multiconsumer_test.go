@@ -210,3 +210,94 @@ func TestMultiConsumerFollowsSegmentRolls(t *testing.T) {
 func krecord512() krecord.Record {
 	return krecord.Record{Value: make([]byte, 512), Timestamp: 1}
 }
+
+// TestMultiConsumerWithOneSubscriptionMatchesSingle: both consumers are a
+// read session plus cursors and differ only in poll policy (the single one
+// reads in the round that refreshes, the multi one in the round after), so
+// on identical rigs a one-subscription multi consumer must deliver the same
+// records in the same batches, from the same number of data reads, and leave
+// the broker with the same memory registered — every sealed file released.
+func TestMultiConsumerWithOneSubscriptionMatchesSingle(t *testing.T) {
+	const n = 300
+	type outcome struct {
+		batches    [][]int64 // offsets per non-empty poll
+		dataReads  int
+		registered uint64
+	}
+	run := func(multi bool) outcome {
+		r := pinRig(t, 128<<10)
+		var out outcome
+		r.drive(func(p *sim.Proc) {
+			pr, err := client.NewTCPProducer(p, r.endpoint("pr"), "t", 0, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < n; k++ {
+				if _, err := pr.Produce(p, krecord.Record{Value: make([]byte, 1024), Timestamp: int64(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			broker := r.cl.LeaderOf("t", 0)
+			if broker.Partition("t", 0).Log().NumSegments() < 3 {
+				t.Fatal("expected the preload to span segment rolls")
+			}
+			var poll func() []int64
+			var reads func() int
+			if multi {
+				co, err := client.NewMultiRDMAConsumer(p, r.endpoint("co"), broker)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := co.Subscribe(p, "t", 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				poll = func() (offs []int64) {
+					recs, err := co.Poll(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, rc := range recs {
+						offs = append(offs, rc.Offset)
+					}
+					return offs
+				}
+				reads = func() int { return co.StatDataReads }
+			} else {
+				co, err := client.NewRDMAConsumer(p, r.endpoint("co"), "t", 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				poll = func() (offs []int64) {
+					recs, err := co.Poll(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, rc := range recs {
+						offs = append(offs, rc.Offset)
+					}
+					return offs
+				}
+				reads = func() int { return co.StatDataReads }
+			}
+			for got := 0; got < n; {
+				if offs := poll(); len(offs) > 0 {
+					out.batches = append(out.batches, offs)
+					got += len(offs)
+				}
+			}
+			out.dataReads = reads()
+			out.registered = broker.Device().RegisteredBytes()
+		})
+		return out
+	}
+	single, multi := run(false), run(true)
+	if fmt.Sprint(single.batches) != fmt.Sprint(multi.batches) {
+		t.Fatalf("batches differ:\nsingle %v\nmulti  %v", single.batches, multi.batches)
+	}
+	if single.dataReads != multi.dataReads {
+		t.Fatalf("data reads: single %d, multi %d", single.dataReads, multi.dataReads)
+	}
+	if single.registered != multi.registered {
+		t.Fatalf("broker registered bytes: single %d, multi %d — a sealed file was not released", single.registered, multi.registered)
+	}
+}

@@ -64,3 +64,45 @@ func TestOSURecvSurfacesRepostFailure(t *testing.T) {
 		t.Fatal("driver did not finish: Recv blocked instead of failing")
 	}
 }
+
+// The multi-TP consumer used to report a failed Read as a plain error and to
+// drop ReleaseFile responses undecoded; the single-TP consumer wrapped the
+// first in errQPFailed and checked the second. Both now run the same
+// readSession code, so a QP failure under a multi consumer must classify as
+// retryable exactly like one under a single consumer.
+func TestMultiConsumerReadFailureIsRetryable(t *testing.T) {
+	env := sim.NewEnv(11)
+	opts := core.DefaultOptions()
+	opts.Config = opts.Config.WithRDMA()
+	cl := core.NewCluster(env, opts)
+	cl.AddBrokers(1)
+	broker := cl.Brokers()[0]
+	if err := cl.CreateTopic("t", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	finished := false
+	env.Go("driver", func(p *sim.Proc) {
+		defer env.Stop()
+		co, err := NewMultiRDMAConsumer(p, NewEndpoint(cl, "c", DefaultConfig()), broker)
+		if err != nil {
+			t.Errorf("NewMultiRDMAConsumer: %v", err)
+			return
+		}
+		if err := co.Subscribe(p, "t", 0, 0); err != nil {
+			t.Errorf("Subscribe: %v", err)
+			return
+		}
+		// Kill the QP while the idle poll's slot Read is on the wire.
+		env.After(200*time.Nanosecond, func() { broker.Device().FailAllQPs("test") })
+		_, err = co.Poll(p)
+		if !errors.Is(err, errQPFailed) || !retryableErr(err) {
+			t.Errorf("Poll error = %v, want errQPFailed (retryable)", err)
+		}
+		finished = true
+	})
+	env.RunUntil(10 * time.Second)
+	env.Shutdown()
+	if !finished {
+		t.Fatal("driver did not finish")
+	}
+}

@@ -46,6 +46,13 @@ go test -race ./internal/fabric/ ./internal/chaos/ ./internal/core/ ./internal/g
 echo "== go test -race ./... =="
 go test -race ./...
 
+# Every figure table, byte for byte, against the committed run: the drift
+# stage below only compares header ids, and outside perf/ nothing else reads
+# results_all.txt. Any difference is a change in simulated behaviour.
+echo "== golden tables (kdbench -fig all vs results_all.txt) =="
+go run ./cmd/kdbench -fig all | diff - results_all.txt \
+    || { echo "figure tables differ from results_all.txt: simulated behaviour changed" >&2; exit 1; }
+
 echo "== go test -bench (1 iteration, compile + smoke) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
