@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	kdlint [-only name[,name]] [-list] [-json] [-sarif file]
-//	       [-audit] [-budget file] [packages]
+//	kdlint [-only name[,name]] [-list] [-json] [-audit] [-budget file] [packages]
 //
 // With no packages, ./... is checked. Exit status: 0 clean, 1 findings (or
 // audit failures), 2 load or typecheck failure — including a matched
@@ -17,8 +16,7 @@
 // above; `-audit` inventories every such directive, fails on stale
 // suppressions and thin justifications, and checks the per-analyzer totals
 // against the committed budget file (-budget), so suppressions only shrink.
-// `-json` prints findings as a JSON array; `-sarif file` additionally
-// writes a SARIF 2.1.0 log for code-scanning upload.
+// `-json` prints findings as a JSON array.
 //
 // kdlint is self-contained (standard library only), so it needs no module
 // downloads: `go run ./cmd/kdlint ./...` works in a fresh checkout with no
@@ -30,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"kafkadirect/internal/analysis"
@@ -41,7 +38,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	dir := flag.String("C", ".", "directory to resolve package patterns in")
 	jsonOut := flag.Bool("json", false, "print findings as a JSON array")
-	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	audit := flag.Bool("audit", false, "audit //kdlint:allow suppressions (stale, thin, budget) in addition to findings")
 	budgetFile := flag.String("budget", "", "suppression budget file for -audit (analyzer count per line)")
 	flag.Parse()
@@ -122,27 +118,6 @@ func main() {
 	} else {
 		for _, d := range diags {
 			fmt.Println(d.String())
-		}
-	}
-
-	if *sarifOut != "" {
-		root, err := filepath.Abs(*dir)
-		if err != nil {
-			root = *dir
-		}
-		f, err := os.Create(*sarifOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kdlint: %v\n", err)
-			os.Exit(2)
-		}
-		if err := analysis.WriteSARIF(f, diags, analyzers, root); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kdlint: writing %s: %v\n", *sarifOut, err)
-			os.Exit(2)
 		}
 	}
 

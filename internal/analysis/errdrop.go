@@ -7,9 +7,11 @@ import (
 
 // ErrDrop flags transport and replication errors that are discarded without
 // a trace. Since the fault-injection subsystem landed, the error returns of
-// the rdma / tcpnet / klog / core APIs are load-bearing: a failed PostSend
-// or a reset connection IS the failover signal, and a call statement that
-// ignores it silently turns a detectable broker crash into lost acks. In
+// the rdma / tcpnet / klog / core / group / client APIs are load-bearing: a
+// failed PostSend or a reset connection IS the failover signal, and a call
+// statement that ignores it silently turns a detectable broker crash into
+// lost acks — or, in a benchmark harness, a figure measured over failed
+// operations. In
 // non-test code, every such error must be handled, propagated, or — when
 // the drop is genuinely intentional, e.g. best-effort notifications —
 // discarded visibly with `_ =` so the decision survives review.
@@ -31,6 +33,7 @@ var errDropPackages = map[string]bool{
 	"klog":   true,
 	"core":   true,
 	"group":  true,
+	"client": true,
 }
 
 func runErrDrop(pass *Pass) {

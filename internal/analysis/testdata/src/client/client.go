@@ -1,6 +1,7 @@
 // Package client is an obssafe fixture: instruments must be cached in
 // struct fields at construction (the nil-safe no-op pattern), never fetched
-// from the registry on a datapath.
+// from the registry on a datapath. It also lends errdrop's fixture (klog) a
+// callee: the client package's errors are in errdrop's set too.
 package client
 
 import "kafkadirect/internal/obs"
@@ -47,3 +48,8 @@ func (p *Producer) rebalance() {
 	//kdlint:allow obssafe cold control-plane path executed once per rebalance
 	p.o.Counter("client/rebalances").Inc()
 }
+
+// Poll mimics the consumer API: its error says the fetch failed, so a
+// caller that discards it measures or forwards nothing (see the klog
+// fixture).
+func Poll() (int, error) { return 0, nil }

@@ -5,7 +5,11 @@
 // dropped (`_ =`) forms must pass, as must calls with no error result.
 package klog
 
-import "errors"
+import (
+	"errors"
+
+	"kafkadirect/internal/analysis/testdata/src/client"
+)
 
 // Append mimics the replicated-log API: its error is the failover signal.
 func Append(rec []byte) error {
@@ -25,6 +29,12 @@ func drop(rec []byte) {
 	Append(rec)       // want `error from klog\.Append is silently discarded`
 	go Append(rec)    // want `error from klog\.Append is silently discarded`
 	defer Append(rec) // want `error from klog\.Append is silently discarded`
+}
+
+// dropPoll discards an error from another package of the set: a harness
+// that polls without reading the error measures failed fetches.
+func dropPoll() {
+	client.Poll() // want `error from client\.Poll is silently discarded`
 }
 
 func handled(rec []byte) error {

@@ -18,12 +18,6 @@ import (
 // their sums must add up to the measured RTT — the footer prints the
 // coverage, and the obs determinism test pins it to 100 +/- 1 %.
 
-func init() {
-	register("attr", "Produce latency attribution by stage (us, 1 KiB records, rf=1)",
-		"Decomposes closed-loop produce latency per datapath into verb- and broker-level stages",
-		runAttr)
-}
-
 // attrStages is the canonical display order of every produce-path stage.
 // Stages a datapath never touches render as "-". stage/rdma_ack_wire is
 // deliberately ABSENT: it is the off-critical-path return transit of the
@@ -72,24 +66,16 @@ func runAttrSystem(kind systemKind, st *Stats) attrResult {
 	const n = 40
 	var res attrResult
 	r.run(func(p *sim.Proc) {
-		pr, err := newProducer(p, r.endpoint("cli"), kind, "t", 0, 1, 1)
-		if err != nil {
-			panic(err)
-		}
+		pr := newProducer(p, r.endpoint("cli"), kind, "t", 0, 1, 1)
 		rec := payload(1024, 'x')
-		for i := 0; i < 5; i++ { // warm-up: grants, registrations, connections
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
-		}
+		produce := func() { mustProduce(p, pr, rec) }
+		// The stage snapshot brackets the measured produces only, so the
+		// warm-up is its own loop.
+		closedLoop(p, 5, 0, nil, produce)
 		pre := o.Reg.Snapshot(p.Now())
-		start := p.Now()
-		for i := 0; i < n; i++ {
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
+		for _, rtt := range closedLoop(p, 0, n, nil, produce) {
+			res.e2e += rtt
 		}
-		res.e2e = p.Now() - start
 		res.delta = o.Reg.Snapshot(p.Now()).Sub(pre)
 		res.produces = n
 	})

@@ -99,6 +99,37 @@ func (t *Table) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// addGrid appends one row per grid row: its label, then the row's cells.
+func (t *Table) addGrid(labels []string, cells [][]any) {
+	for r, row := range cells {
+		t.AddRow(append([]any{labels[r]}, row...)...)
+	}
+}
+
+// grid runs rows x cols independent data points through the fan-out and
+// returns them in declaration order, cells[r][c] = cell(r, c). A figure that
+// sweeps one axis down its rows and one across its columns is a Table
+// literal, one grid call and its notes; each cell builds its own rig, so the
+// order cells run in is free.
+func grid(rows, cols int, cell func(r, c int) any) [][]any {
+	flat := make([]any, rows*cols)
+	forEach(len(flat), func(i int) { flat[i] = cell(i/cols, i%cols) })
+	cells := make([][]any, rows)
+	for r := range cells {
+		cells[r] = flat[r*cols : (r+1)*cols]
+	}
+	return cells
+}
+
+// labels renders a swept axis as the row labels addGrid takes.
+func labels[T any](axis []T, label func(T) string) []string {
+	out := make([]string, len(axis))
+	for i, v := range axis {
+		out[i] = label(v)
+	}
+	return out
+}
+
 // Experiment is a runnable figure reproduction.
 type Experiment struct {
 	ID    string
@@ -113,53 +144,70 @@ type Experiment struct {
 	run func(st *Stats) *Table
 }
 
-// registry holds all experiments in display order.
-var registry []Experiment
-
-func register(id, title, desc string, run func(st *Stats) *Table) {
-	//kdlint:allow shardstate experiment registry filled from package init functions only, before any simulation exists
-	registry = append(registry, Experiment{
-		ID:    id,
-		Title: title,
-		Desc:  desc,
-		Run:   func() *Table { return run(new(Stats)) },
-		run:   run,
-	})
+func experiment(id, title, desc string, run func(st *Stats) *Table) Experiment {
+	return Experiment{ID: id, Title: title, Desc: desc, run: run,
+		Run: func() *Table { return run(new(Stats)) }}
 }
 
-// Experiments lists all registered experiments in the paper's order:
+// registry holds all experiments in display order, which is the paper's:
 // microbenchmarks first (Fig. 6–8), then the evaluation (Fig. 10–21 with the
-// §5.3 empty-fetch table in place), ablations last.
-func Experiments() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool { return figOrder(out[i].ID) < figOrder(out[j].ID) })
-	return out
+// §5.3 empty-fetch table in place, between Fig. 18 and Fig. 19), the
+// ablations, then the experiments beyond the paper — failure handling,
+// consumer groups, latency attribution — and the simulator-scaling figure
+// last, because it is about the harness. results_all.txt is written in this
+// order and a test holds the two together.
+var registry = []Experiment{
+	experiment("fig06", "Aggregated write goodput of RDMA produce approaches vs message size",
+		"Raw-verb microbenchmark of the produce approaches (exclusive, shared CAS/FAA), no broker", fig06),
+	experiment("fig07", "Latency and goodput of notification approaches (WriteWithImm vs Write+Send)",
+		"Raw-verb microbenchmark comparing the two write-notification verb sequences", fig07),
+	experiment("fig08", "Latency and goodput of batching 64-byte RDMA writes",
+		"Raw-verb microbenchmark of doorbell batching for tiny writes", fig08),
+	experiment("fig10", "Produce latency, no replication (us)",
+		"Closed-loop produce RTT of each system on one unreplicated partition, swept by record size", fig10),
+	experiment("fig11", "Produce goodput to one partition, no replication (MiB/s)",
+		"Open-loop produce bandwidth to one partition, swept by record size", fig11),
+	experiment("fig12", "Produce goodput vs number of partitions, 32 KiB records (GiB/s)",
+		"Aggregate produce bandwidth as partitions scale out across the broker", fig12),
+	experiment("fig13", "Total goodput vs producers with ONE API worker, 4 KiB records (MiB/s)",
+		"Contention on a single API worker: RDMA producers bypass it, RPC producers serialize", fig13),
+	experiment("fig14", "Produce latency with 3-way replication (us)",
+		"acks=all produce RTT with rf=3, crossing produce datapath with pull/push replication", fig14),
+	experiment("fig15", "Produce goodput with 3-way replication (MiB/s)",
+		"Open-loop produce bandwidth with rf=3 for each produce/replication combination", fig15),
+	experiment("fig16", "Produce goodput vs replication factor, 32 KiB records (MiB/s)",
+		"How goodput decays as the replica set grows, pull vs push replication", fig16),
+	experiment("fig17", "Goodput of 32 B produces vs replication batch size (MiB/s)",
+		"Small-record flood showing push-replication batching recovering goodput", fig17),
+	experiment("fig18", "Consumer fetch latency, preloaded records (us)",
+		"Closed-loop fetch RTT of each system over preloaded records, swept by record size", fig18),
+	experiment("emptyfetch", "Empty-fetch cost: latency and broker-side throughput (§5.3)",
+		"Cost of polling an empty partition: RPC fetch vs one-sided metadata-slot read", emptyFetch),
+	experiment("fig19", "End-to-end produce->consume latency (us)",
+		"Producer-to-consumer delivery latency with both sides live, swept by record size", fig19),
+	experiment("fig20", "Consume goodput (MiB/s)",
+		"Open-loop consume bandwidth per system, swept by record size", fig20),
+	experiment("fig21", "Event delays under constant-rate and periodic-burst IoT workloads (§5.4)",
+		"Streaming delivery delay under steady and bursty open-loop arrival processes", fig21),
+	experiment("ablation-fetchsize", "Ablation: RDMA consumer fetch size vs latency and goodput",
+		"Sweeps the RDMA consumer's fetch window to expose the latency/goodput trade-off", ablationFetchSize),
+	experiment("ablation-notify", "Ablation: WriteWithImm vs Write+Send notification inside the full broker",
+		"Replays the Fig. 7 notification comparison through the full broker datapath", ablationNotify),
+	experiment("ablation-credits", "Ablation: push-replication credits vs goodput (MiB/s)",
+		"Sweeps the push-replication credit window to find where flow control throttles goodput", ablationCredits),
+	experiment("chaos", "Fault injection: recovery time and acked-record durability (3 brokers, rf=3)",
+		"Crashes and restarts brokers mid-produce, auditing failover time and acked-record loss", runChaos),
+	experiment("groups", "Consumer groups: rebalance storm, lag drain vs group size, commit paths (3 brokers)",
+		"Rebalance storm with member kills, lag drain vs group size, and RPC vs one-sided commits", runGroups),
+	experiment("attr", "Produce latency attribution by stage (us, 1 KiB records, rf=1)",
+		"Decomposes closed-loop produce latency per datapath into verb- and broker-level stages", runAttr),
+	experiment("scale", "Sharded kernel scaling: one simulated cluster across shards (12/64/256 brokers)",
+		"Runs the capacity model at three cluster sizes, proving shard-count-invariant results", runScale),
 }
 
-// figOrder maps experiment ids to their position in the paper.
-func figOrder(id string) float64 {
-	if strings.HasPrefix(id, "ablation") {
-		return 100
-	}
-	if id == "chaos" {
-		return 200 // failure-handling experiment, after the ablations
-	}
-	if id == "groups" {
-		return 250 // consumer-group experiment, between chaos and scale
-	}
-	if id == "attr" {
-		return 260 // latency attribution, after the workload experiments
-	}
-	if id == "scale" {
-		return 300 // simulator-scaling figure, last: it is about the harness
-	}
-	if id == "emptyfetch" {
-		return 18.5 // between Fig. 18 and Fig. 19, as in §5.3
-	}
-	var n float64
-	fmt.Sscanf(strings.TrimPrefix(id, "fig"), "%f", &n)
-	return n
+// Experiments lists all registered experiments in display order.
+func Experiments() []Experiment {
+	return append([]Experiment(nil), registry...)
 }
 
 // Lookup finds an experiment by id ("fig06", "6", "emptyfetch", ...),
@@ -182,15 +230,6 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs returns the registered experiment ids.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // ---------------------------------------------------------------------------
 // Measurement helpers
 // ---------------------------------------------------------------------------
@@ -203,6 +242,18 @@ func median(samples []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), samples...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
+}
+
+// mean returns the arithmetic mean of a sample set.
+func mean(samples []time.Duration) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, s := range samples {
+		sum += s
+	}
+	return sum / time.Duration(len(samples))
 }
 
 // mibps converts bytes over a duration into MiB/s.

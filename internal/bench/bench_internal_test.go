@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,9 +71,27 @@ func TestExperimentsAreOrderedAndTitled(t *testing.T) {
 			t.Errorf("incomplete experiment %+v", e)
 		}
 	}
-	ids := IDs()
-	if len(ids) != len(exps) {
-		t.Fatal("IDs and Experiments disagree")
+}
+
+// TestExperimentsMatchGoldenTables holds the registry and the committed run
+// together: results_all.txt carries exactly the registered experiments, in
+// registry order (`kdbench -fig all` prints them in that order, and
+// scripts/check.sh diffs the bytes).
+func TestExperimentsMatchGoldenTables(t *testing.T) {
+	golden, err := os.ReadFile("../../results_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, m := range regexp.MustCompile(`(?m)^# ([^:]+):`).FindAllSubmatch(golden, -1) {
+		want = append(want, string(m[1]))
+	}
+	var got []string
+	for _, e := range Experiments() {
+		got = append(got, e.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("registry order and results_all.txt headers differ:\nregistry: %v\ngolden:   %v", got, want)
 	}
 }
 

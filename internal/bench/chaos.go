@@ -21,11 +21,6 @@ import (
 // Like every other experiment the run is a deterministic simulation: same
 // seed, same fault plan, same table, for any -workers value.
 
-func init() {
-	register("chaos", "Fault injection: recovery time and acked-record durability (3 brokers, rf=3)",
-		"Crashes and restarts brokers mid-produce, auditing failover time and acked-record loss", runChaos)
-}
-
 // chaosFaultTimes are the injection instants of the three producer-visible
 // faults; recovery time is measured from each to the next acknowledgement.
 var chaosFaultTimes = []time.Duration{
@@ -106,10 +101,7 @@ func runChaosPath(kind systemKind, st *Stats) chaosResult {
 
 	var res chaosResult
 	r.run(func(p *sim.Proc) {
-		pr, err := newProducer(p, r.endpoint("cli"), kind, "t", 0, -1, 1)
-		if err != nil {
-			panic(err)
-		}
+		pr := newProducer(p, r.endpoint("cli"), kind, "t", 0, -1, 1)
 		// Produce sequence-numbered records until past the whole schedule,
 		// recording each produce's issue and acknowledgement instants for
 		// recovery-time math.
@@ -144,15 +136,9 @@ func runChaosPath(kind systemKind, st *Stats) chaosResult {
 		// are retry duplicates.
 		seen := make(map[uint64]int)
 		c, err := client.NewTCPConsumer(p, r.endpoint("auditor"), "t", 0, 0, "audit")
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		for c.Position() <= maxOffset {
-			recs, err := c.Poll(p)
-			if err != nil {
-				panic(err)
-			}
-			for _, rec := range recs {
+			for _, rec := range mustPoll(p, c) {
 				seen[binary.BigEndian.Uint64(rec.Value)]++
 			}
 		}

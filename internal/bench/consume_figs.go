@@ -5,42 +5,35 @@ import (
 	"time"
 
 	"kafkadirect/internal/client"
-	"kafkadirect/internal/krecord"
-	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/sim"
 )
-
-func init() {
-	register("fig18", "Consumer fetch latency, preloaded records (us)",
-		"Closed-loop fetch RTT of each system over preloaded records, swept by record size", fig18)
-	register("emptyfetch", "Empty-fetch cost: latency and broker-side throughput (§5.3)",
-		"Cost of polling an empty partition: RPC fetch vs one-sided metadata-slot read", emptyFetch)
-	register("fig19", "End-to-end produce->consume latency (us)",
-		"Producer-to-consumer delivery latency with both sides live, swept by record size", fig19)
-	register("fig20", "Consume goodput (MiB/s)",
-		"Open-loop consume bandwidth per system, swept by record size", fig20)
-	register("ablation-fetchsize", "Ablation: RDMA consumer fetch size vs latency and goodput",
-		"Sweeps the RDMA consumer's fetch window to expose the latency/goodput trade-off", ablationFetchSize)
-}
 
 // preload appends n records of the given size through the fast path (direct
 // log writes via a local RDMA producer) and waits until committed.
 func preload(p *sim.Proc, r *sysRig, topic string, n, size int) {
-	pr, err := client.NewRDMAProducer(p, r.endpoint("loader"), topic, 0, kwire.AccessExclusive, 999)
-	if err != nil {
-		panic(err)
-	}
-	rec := payload(size, 'd')
-	for i := 0; i < n; i++ {
-		if err := pr.ProduceAsync(p, rec); err != nil {
-			panic(err)
-		}
-	}
-	if err := pr.Drain(p); err != nil {
-		panic(err)
-	}
+	pr := newProducer(p, r.endpoint("loader"), sysKDExcl, topic, 0, 1, 999)
+	flood(p, pr, n, same(payload(size, 'd')))
 	pr.Close()
 	p.Sleep(time.Millisecond)
+}
+
+// newRPCConsumer opens a classic fetch-RPC consumer (TCP, or OSU's two-sided
+// RDMA transport) on the consume figures' partition, from offset 0.
+func newRPCConsumer(p *sim.Proc, e *client.Endpoint, osu bool) *client.RPCConsumer {
+	open := client.NewTCPConsumer
+	if osu {
+		open = client.NewOSUConsumer
+	}
+	co, err := open(p, e, "t", 0, 0, "g")
+	must(err)
+	return co
+}
+
+// newRDMAConsumer opens a one-sided consumer on the same partition.
+func newRDMAConsumer(p *sim.Proc, e *client.Endpoint) *client.RDMAConsumer {
+	co, err := client.NewRDMAConsumer(p, e, "t", 0, 0)
+	must(err)
+	return co
 }
 
 // fig18 reproduces consumer latency on preloaded data: the paper preloads
@@ -53,18 +46,12 @@ func fig18(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "kd"},
 	}
 	sizes := []int{32, 128, 512, 2048, 8192, 32768, 131072}
-	vals := make([]time.Duration, len(sizes)*2)
-	forEach(len(vals), func(i int) {
-		size := sizes[i/2]
-		if i%2 == 0 {
-			vals[i] = consumeLatencyTCP(st, size)
-		} else {
-			vals[i] = consumeLatencyRDMA(st, size)
+	t.addGrid(labels(sizes, sizeLabel), grid(len(sizes), 2, func(r, c int) any {
+		if c == 0 {
+			return consumeLatencyTCP(st, sizes[r])
 		}
-	})
-	for si, size := range sizes {
-		t.AddRow(sizeLabel(size), vals[si*2], vals[si*2+1])
-	}
+		return consumeLatencyRDMA(st, sizes[r], 0)
+	}))
 	t.Note("paper: Kafka >=200us everywhere; KafkaDirect 4.2us small (50x), growing with record size")
 	return t
 }
@@ -76,38 +63,14 @@ func consumeLatencyTCP(st *Stats, size int) time.Duration {
 	var lat time.Duration
 	r.run(func(p *sim.Proc) {
 		preload(p, r, "t", n+5, size)
-		co, err := client.NewTCPConsumer(p, r.endpoint("cli"), "t", 0, 0, "g")
-		if err != nil {
-			panic(err)
-		}
+		co := newRPCConsumer(p, r.endpoint("cli"), false)
 		// One record per fetch, like the paper's latency setup.
 		co.LongPoll = false
 		co.MaxBytesOverride = 1
-		fetchOne := func() {
-			for {
-				recs, err := co.Poll(p)
-				if err != nil {
-					panic(err)
-				}
-				if len(recs) > 0 {
-					return
-				}
-			}
-		}
-		fetchOne() // warm-up
-		start := p.Now()
-		fetched := 1
-		for fetched < n {
-			fetchOne()
-			fetched++
-		}
-		lat = (p.Now() - start) / time.Duration(n-1)
+		// The warm-up fetch is the first of the n records.
+		lat = mean(closedLoop(p, 1, n-1, nil, func() { pollRecords(p, co) }))
 	})
 	return lat
-}
-
-func consumeLatencyRDMA(st *Stats, size int) time.Duration {
-	return consumeLatencyRDMAFetch(st, size, 0)
 }
 
 // emptyFetch reproduces the §5.3 empty-fetch results: the latency of
@@ -147,28 +110,12 @@ func emptyFetchLatency(st *Stats) (tcpLat, rdmaLat time.Duration) {
 	r := newSysRig(rigConfig{brokers: 1, stats: st})
 	r.topic("t", 1, 1)
 	r.run(func(p *sim.Proc) {
-		tc, err := client.NewTCPConsumer(p, r.endpoint("cli-tcp"), "t", 0, 0, "g")
-		if err != nil {
-			panic(err)
-		}
-		tc.LongPoll = false
-		tc.Poll(p) // warm-up
-		start := p.Now()
 		const n = 20
-		for i := 0; i < n; i++ {
-			tc.Poll(p)
-		}
-		tcpLat = (p.Now() - start) / n
-		rc, err := client.NewRDMAConsumer(p, r.endpoint("cli-rdma"), "t", 0, 0)
-		if err != nil {
-			panic(err)
-		}
-		rc.Poll(p)
-		start = p.Now()
-		for i := 0; i < n; i++ {
-			rc.Poll(p)
-		}
-		rdmaLat = (p.Now() - start) / n
+		tc := newRPCConsumer(p, r.endpoint("cli-tcp"), false)
+		tc.LongPoll = false
+		tcpLat = mean(closedLoop(p, 1, n, nil, func() { mustPoll(p, tc) }))
+		rc := newRDMAConsumer(p, r.endpoint("cli-rdma"))
+		rdmaLat = mean(closedLoop(p, 1, n, nil, func() { mustPoll(p, rc) }))
 	})
 	return tcpLat, rdmaLat
 }
@@ -181,31 +128,19 @@ func emptyFetchRate(st *Stats, consumers int, window time.Duration, viaRDMA bool
 		stop := false
 		done := sim.NewQueue[struct{}]()
 		for i := 0; i < consumers; i++ {
-			i := i
 			r.env.Go(fmt.Sprintf("cons-%d", i), func(pp *sim.Proc) {
+				e := r.endpoint(fmt.Sprintf("cli-%d", i))
+				var co client.Consumer
 				if viaRDMA {
-					rc, err := client.NewRDMAConsumer(pp, r.endpoint(fmt.Sprintf("cli-%d", i)), "t", 0, 0)
-					if err != nil {
-						panic(err)
-					}
-					for !stop {
-						if _, err := rc.Poll(pp); err != nil {
-							break
-						}
-						checks++
-					}
+					co = newRDMAConsumer(pp, e)
 				} else {
-					tc, err := client.NewTCPConsumer(pp, r.endpoint(fmt.Sprintf("cli-%d", i)), "t", 0, 0, "g")
-					if err != nil {
-						panic(err)
-					}
+					tc := newRPCConsumer(pp, e, false)
 					tc.LongPoll = false
-					for !stop {
-						if _, err := tc.Poll(pp); err != nil {
-							break
-						}
-						checks++
-					}
+					co = tc
+				}
+				for !stop {
+					mustPoll(pp, co)
+					checks++
 				}
 				done.Push(struct{}{})
 			})
@@ -230,31 +165,20 @@ func fig19(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "osu", "rdma_prod", "rdma_cons", "rdma_both"},
 	}
 	sizes := []int{32, 128, 512, 2048, 8192, 32768}
-	type combo struct {
+	combos := []struct {
 		name     string
 		prodKind systemKind
 		consRDMA bool
-	}
-	combos := []combo{
+	}{
 		{"kafka", sysKafka, false},
 		{"osu", sysOSU, false},
 		{"rdma_prod", sysKDExcl, false},
 		{"rdma_cons", sysKafka, true},
 		{"rdma_both", sysKDExcl, true},
 	}
-	nc := len(combos)
-	vals := make([]time.Duration, len(sizes)*nc)
-	forEach(len(vals), func(i int) {
-		c := combos[i%nc]
-		vals[i] = endToEndLatency(st, c.prodKind, c.consRDMA, sizes[i/nc])
-	})
-	for si, size := range sizes {
-		row := []any{sizeLabel(size)}
-		for ci := 0; ci < nc; ci++ {
-			row = append(row, vals[si*nc+ci])
-		}
-		t.AddRow(row...)
-	}
+	t.addGrid(labels(sizes, sizeLabel), grid(len(sizes), len(combos), func(r, c int) any {
+		return endToEndLatency(st, combos[c].prodKind, combos[c].consRDMA, sizes[r])
+	}))
 	t.Note("paper: Kafka ~600us small; either RDMA module saves >=200us; both ~100us (5.8x)")
 	return t
 }
@@ -265,48 +189,18 @@ func endToEndLatency(st *Stats, prodKind systemKind, consRDMA bool, size int) ti
 	var lat time.Duration
 	r.run(func(p *sim.Proc) {
 		e := r.endpoint("cli")
-		pr, err := newProducer(p, e, prodKind, "t", 0, 1, 1)
-		if err != nil {
-			panic(err)
-		}
-		var tcpCo *client.RPCConsumer
-		var rdmaCo *client.RDMAConsumer
+		pr := newProducer(p, e, prodKind, "t", 0, 1, 1)
+		var co client.Consumer
 		if consRDMA {
-			rdmaCo, err = client.NewRDMAConsumer(p, e, "t", 0, 0)
+			co = newRDMAConsumer(p, e)
 		} else {
-			tcpCo, err = client.NewTCPConsumer(p, e, "t", 0, 0, "g")
-		}
-		if err != nil {
-			panic(err)
+			co = newRPCConsumer(p, e, false)
 		}
 		rec := payload(size, 'e')
-		roundTrip := func() {
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
-			for {
-				var recs []krecord.Record
-				var err error
-				if consRDMA {
-					recs, err = rdmaCo.Poll(p)
-				} else {
-					recs, err = tcpCo.Poll(p)
-				}
-				if err != nil {
-					panic(err)
-				}
-				if len(recs) > 0 {
-					return
-				}
-			}
-		}
-		roundTrip() // warm-up
-		const n = 20
-		start := p.Now()
-		for i := 0; i < n; i++ {
-			roundTrip()
-		}
-		lat = (p.Now() - start) / n
+		lat = mean(closedLoop(p, 1, 20, nil, func() {
+			mustProduce(p, pr, rec)
+			pollRecords(p, co)
+		}))
 	})
 	return lat
 }
@@ -321,102 +215,46 @@ func fig20(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "osu", "kd"},
 	}
 	sizes := []int{32, 128, 512, 2048, 8192, 32768}
-	vals := make([]float64, len(sizes)*3)
-	forEach(len(vals), func(i int) {
-		size := sizes[i/3]
-		switch i % 3 {
-		case 0:
-			vals[i] = consumeGoodputRPC(st, size, false)
-		case 1:
-			vals[i] = consumeGoodputRPC(st, size, true)
-		case 2:
-			vals[i] = consumeGoodputRDMA(st, size, 0)
-		}
-	})
-	for si, size := range sizes {
-		t.AddRow(sizeLabel(size), vals[si*3], vals[si*3+1], vals[si*3+2])
-	}
+	kinds := []systemKind{sysKafka, sysOSU, sysKDExcl}
+	t.addGrid(labels(sizes, sizeLabel), grid(len(sizes), len(kinds), func(r, c int) any {
+		return consumeGoodput(st, kinds[c], sizes[r], 0)
+	}))
 	t.Note("paper: Kafka and OSU <150 MiB/s; RDMA consumer ~9x, reaching ~1 GiB/s (client-bound, broker CPU idle)")
 	return t
 }
 
-func consumeGoodputRPC(st *Stats, size int, osu bool) float64 {
+// consumeGoodput drains a preloaded partition through one system's consumer
+// and reports MiB/s. The RPC consumers get one record per fetch, and half
+// the byte volume, since every record costs them a round trip; the RDMA
+// consumer pipelines reads of fetchSize bytes (0 = the client default).
+func consumeGoodput(st *Stats, kind systemKind, size, fetchSize int) float64 {
 	r := newSysRig(rigConfig{brokers: 1, stats: st})
 	r.topic("t", 1, 1)
-	n := 3 << 20 / size
-	if n > 1200 {
-		n = 1200
-	}
-	if n < 100 {
-		n = 100
+	oneSided := kind == sysKDExcl
+	n := max(100, min(1200, 3<<20/size))
+	if oneSided {
+		n = max(100, min(2000, 6<<20/size))
 	}
 	var elapsed time.Duration
 	r.run(func(p *sim.Proc) {
 		preload(p, r, "t", n, size)
 		e := r.endpoint("cli")
-		var co *client.RPCConsumer
-		var err error
-		if osu {
-			co, err = client.NewOSUConsumer(p, e, "t", 0, 0, "g")
+		var co client.Consumer
+		if oneSided {
+			if fetchSize > 0 {
+				cfg := e.Config()
+				cfg.FetchSize = fetchSize
+				e = client.NewEndpoint(r.cl, "cli-fs", cfg)
+			}
+			rc := newRDMAConsumer(p, e)
+			rc.Pipeline = 8 // bandwidth mode pipelines outstanding reads (§7)
+			co = rc
 		} else {
-			co, err = client.NewTCPConsumer(p, e, "t", 0, 0, "g")
+			rc := newRPCConsumer(p, e, kind == sysOSU)
+			rc.MaxBytesOverride = 1 // any value < batch size returns one batch
+			co = rc
 		}
-		if err != nil {
-			panic(err)
-		}
-		// One record per fetch: cap the fetch size at one batch.
-		cfg := e.Config()
-		_ = cfg
-		co.MaxBytesOverride = 1 // any value < batch size returns one batch
-		start := p.Now()
-		got := 0
-		for got < n {
-			recs, err := co.Poll(p)
-			if err != nil {
-				panic(err)
-			}
-			got += len(recs)
-		}
-		elapsed = p.Now() - start
-	})
-	return mibps(n*size, elapsed)
-}
-
-func consumeGoodputRDMA(st *Stats, size, fetchSize int) float64 {
-	r := newSysRig(rigConfig{brokers: 1, stats: st})
-	r.topic("t", 1, 1)
-	n := 6 << 20 / size
-	if n > 2000 {
-		n = 2000
-	}
-	if n < 100 {
-		n = 100
-	}
-	var elapsed time.Duration
-	r.run(func(p *sim.Proc) {
-		preload(p, r, "t", n, size)
-		e := r.endpoint("cli")
-		if fetchSize > 0 {
-			cfg := e.Config()
-			cfg.FetchSize = fetchSize
-			e = client.NewEndpoint(r.cl, "cli-fs", cfg)
-		}
-		co, err := client.NewRDMAConsumer(p, e, "t", 0, 0)
-		if err != nil {
-			panic(err)
-		}
-		// Bandwidth mode pipelines outstanding reads (§7).
-		co.Pipeline = 8
-		start := p.Now()
-		got := 0
-		for got < n {
-			recs, err := co.Poll(p)
-			if err != nil {
-				panic(err)
-			}
-			got += len(recs)
-		}
-		elapsed = p.Now() - start
+		elapsed = drain(p, co, n)
 	})
 	return mibps(n*size, elapsed)
 }
@@ -430,28 +268,22 @@ func ablationFetchSize(st *Stats) *Table {
 		Columns: []string{"fetch_size", "latency_us", "goodput_MiBs"},
 	}
 	fetchSizes := []int{512, 1024, 2048, 4096, 8192, 16384}
-	lats := make([]time.Duration, len(fetchSizes))
-	gputs := make([]float64, len(fetchSizes))
-	forEach(len(fetchSizes)*2, func(i int) {
-		fs := fetchSizes[i/2]
-		if i%2 == 0 {
-			lats[i/2] = consumeLatencyRDMAFetch(st, 32, fs)
-		} else {
-			gputs[i/2] = consumeGoodputRDMA(st, 2048, fs)
+	t.addGrid(labels(fetchSizes, sizeLabel), grid(len(fetchSizes), 2, func(r, c int) any {
+		if c == 0 {
+			return consumeLatencyRDMA(st, 32, fetchSizes[r])
 		}
-	})
-	for i, fs := range fetchSizes {
-		t.AddRow(sizeLabel(fs), lats[i], gputs[i])
-	}
+		return consumeGoodput(st, sysKDExcl, 2048, fetchSizes[r])
+	}))
 	t.Note("2 KiB is the paper's default: <3us reads while sustaining >5 GiB/s on the wire")
 	return t
 }
 
-// consumeLatencyRDMAFetch measures the mean time of one "fetch round": the
-// polls needed until the next record(s) arrive. For records smaller than the
-// fetch size this is one RDMA read (the paper's 4.2 us); for larger records
-// it spans the multiple reads needed to assemble one record.
-func consumeLatencyRDMAFetch(st *Stats, size, fetchSize int) time.Duration {
+// consumeLatencyRDMA measures the mean time of one "fetch round": the polls
+// needed until the next record(s) arrive, at the given fetch size (0 = the
+// client default). For records smaller than the fetch size this is one RDMA
+// read (the paper's 4.2 us); for larger records it spans the multiple reads
+// needed to assemble one record.
+func consumeLatencyRDMA(st *Stats, size, fetchSize int) time.Duration {
 	r := newSysRig(rigConfig{brokers: 1, stats: st})
 	r.topic("t", 1, 1)
 	const rounds = 30
@@ -464,34 +296,10 @@ func consumeLatencyRDMAFetch(st *Stats, size, fetchSize int) time.Duration {
 		// Each round consumes up to one fetch worth of data (or one whole
 		// record if records are bigger); preload enough that no round ever
 		// waits for new data.
-		perRound := cfg.FetchSize
-		if size+192 > perRound {
-			perRound = size + 192
-		}
-		count := (rounds+4)*perRound/(size+46) + 8
-		preload(p, r, "t", count, size)
-		e := client.NewEndpoint(r.cl, "cli", cfg)
-		co, err := client.NewRDMAConsumer(p, e, "t", 0, 0)
-		if err != nil {
-			panic(err)
-		}
-		fetchRound := func() {
-			for {
-				recs, err := co.Poll(p)
-				if err != nil {
-					panic(err)
-				}
-				if len(recs) > 0 {
-					return
-				}
-			}
-		}
-		fetchRound() // warm-up
-		start := p.Now()
-		for i := 0; i < rounds; i++ {
-			fetchRound()
-		}
-		lat = (p.Now() - start) / rounds
+		perRound := max(cfg.FetchSize, size+192)
+		preload(p, r, "t", (rounds+4)*perRound/(size+46)+8, size)
+		co := newRDMAConsumer(p, client.NewEndpoint(r.cl, "cli", cfg))
+		lat = mean(closedLoop(p, 1, rounds, nil, func() { pollRecords(p, co) }))
 	})
 	return lat
 }

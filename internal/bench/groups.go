@@ -22,13 +22,6 @@ import (
 // table. Deterministic like every other figure: same seeds, same table,
 // for any -workers / -shards value.
 
-func init() {
-	register("groups",
-		"Consumer groups: rebalance storm, lag drain vs group size, commit paths (3 brokers)",
-		"Rebalance storm with member kills, lag drain vs group size, and RPC vs one-sided commits",
-		runGroups)
-}
-
 func runGroups(st *Stats) *Table {
 	t := &Table{
 		ID:    "groups",
@@ -145,9 +138,7 @@ func runGroupStorm(mode client.CommitMode, st *Stats) stormResult {
 	)
 	r := newSysRig(rigConfig{brokers: 3, repl: replPull, stats: st})
 	r.topic("t", parts, 2)
-	if err := r.cl.EnableGroups(4, 1, groupFigCfg()); err != nil {
-		panic(err)
-	}
+	must(r.cl.EnableGroups(4, 1, groupFigCfg()))
 	var faults []chaos.Fault
 	for _, b := range r.cl.Brokers() {
 		faults = append(faults, chaos.Fault{At: killC, Kind: chaos.LinkCut, Broker: b.ID(), Peer: "gm-2"})
@@ -168,21 +159,15 @@ func runGroupStorm(mode client.CommitMode, st *Stats) stormResult {
 	var res stormResult
 	r.run(func(p *sim.Proc) {
 		prod := r.endpoint("prod")
-		var prs [parts]*client.RPCProducer
-		for part := 0; part < parts; part++ {
-			pr, err := client.NewTCPProducer(p, prod, "t", int32(part), 1, 42)
-			if err != nil {
-				panic(err)
-			}
-			prs[part] = pr
+		var prs [parts]client.Producer
+		for part := range prs {
+			prs[part] = newProducer(p, prod, sysKafka, "t", int32(part), 1, 42)
 		}
 		var val [8]byte
 		for round := 0; round < rounds; round++ {
 			for part := 0; part < parts; part++ {
 				binary.BigEndian.PutUint64(val[:], uint64(round*parts+part))
-				if _, err := prs[part].Produce(p, krecord.Record{Value: val[:], Timestamp: 1}); err != nil {
-					panic(err)
-				}
+				mustProduce(p, prs[part], krecord.Record{Value: val[:], Timestamp: 1})
 			}
 			p.Sleep(4 * time.Millisecond)
 		}
@@ -251,9 +236,7 @@ func runGroupDrain(n int, st *Stats) drainResult {
 	)
 	r := newSysRig(rigConfig{brokers: 3, repl: replNone, stats: st})
 	r.topic("d", parts, 1)
-	if err := r.cl.EnableGroups(4, 1, groupFigCfg()); err != nil {
-		panic(err)
-	}
+	must(r.cl.EnableGroups(4, 1, groupFigCfg()))
 	members := make([]*figMember, n)
 	cfg := client.GroupConfig{
 		Group: "dg", Topics: []string{"d"}, Strategy: group.StrategyRange,
@@ -270,19 +253,11 @@ func runGroupDrain(n int, st *Stats) drainResult {
 		prod := r.endpoint("prod")
 		var val [8]byte
 		for part := 0; part < parts; part++ {
-			pr, err := client.NewTCPProducer(p, prod, "d", int32(part), 1, 42)
-			if err != nil {
-				panic(err)
-			}
-			for i := 0; i < perPart; i++ {
+			pr := newProducer(p, prod, sysKafka, "d", int32(part), 1, 42)
+			flood(p, pr, perPart, func(i int) krecord.Record {
 				binary.BigEndian.PutUint64(val[:], uint64(part*perPart+i))
-				if err := pr.ProduceAsync(p, krecord.Record{Value: val[:], Timestamp: 1}); err != nil {
-					panic(err)
-				}
-			}
-			if err := pr.Drain(p); err != nil {
-				panic(err)
-			}
+				return krecord.Record{Value: val[:], Timestamp: 1}
+			})
 			pr.Close()
 		}
 
@@ -323,46 +298,20 @@ func runGroupDrain(n int, st *Stats) drainResult {
 func groupCommitLatency(mode client.CommitMode, st *Stats) time.Duration {
 	r := newSysRig(rigConfig{brokers: 1, repl: replNone, stats: st})
 	r.topic("t", 1, 1)
-	if err := r.cl.EnableGroups(1, 1, groupFigCfg()); err != nil {
-		panic(err)
-	}
+	must(r.cl.EnableGroups(1, 1, groupFigCfg()))
 	var med time.Duration
 	r.run(func(p *sim.Proc) {
-		pr, err := client.NewTCPProducer(p, r.endpoint("prod"), "t", 0, 1, 7)
-		if err != nil {
-			panic(err)
-		}
+		pr := newProducer(p, r.endpoint("prod"), sysKafka, "t", 0, 1, 7)
 		gc, err := client.NewGroupConsumer(p, r.endpoint("cm"), client.GroupConfig{
 			Group: "lg", Topics: []string{"t"}, Strategy: group.StrategyRange, CommitMode: mode,
 		})
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		rec := krecord.Record{Value: []byte("v"), Timestamp: 1}
-		const warm, n = 3, 31
-		samples := make([]time.Duration, 0, n)
-		for i := 0; i < warm+n; i++ {
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
-			for {
-				recs, err := gc.Poll(p)
-				if err != nil {
-					panic(err)
-				}
-				if len(recs) > 0 {
-					break
-				}
-			}
-			start := p.Now()
-			if err := gc.Commit(p); err != nil {
-				panic(err)
-			}
-			if i >= warm {
-				samples = append(samples, p.Now()-start)
-			}
-		}
-		med = median(samples)
+		// Every commit needs fresh progress to record: produce one record
+		// and fetch it, outside the measurement.
+		med = median(closedLoop(p, 3, 31,
+			func() { mustProduce(p, pr, rec); pollRecords(p, gc) },
+			func() { must(gc.Commit(p)) }))
 	})
 	return med
 }

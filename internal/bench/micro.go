@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"kafkadirect/internal/bufpool"
@@ -18,15 +16,6 @@ import (
 // Kafka — to expose the upper bound the hardware offers, exactly like the
 // paper's prototypes.
 
-func init() {
-	register("fig06", "Aggregated write goodput of RDMA produce approaches vs message size",
-		"Raw-verb microbenchmark of the produce approaches (exclusive, shared CAS/FAA), no broker", fig06)
-	register("fig07", "Latency and goodput of notification approaches (WriteWithImm vs Write+Send)",
-		"Raw-verb microbenchmark comparing the two write-notification verb sequences", fig07)
-	register("fig08", "Latency and goodput of batching 64-byte RDMA writes",
-		"Raw-verb microbenchmark of doorbell batching for tiny writes", fig08)
-}
-
 // microRig is a one-responder verbs testbed.
 type microRig struct {
 	env       *sim.Env
@@ -36,10 +25,11 @@ type microRig struct {
 	region    *rdma.MR
 	regionBuf []byte
 	word      *rdma.MR // shared order|offset counter
+	st        *Stats
 }
 
-func newMicroRig(seed int64, regionSize int) *microRig {
-	env := sim.NewEnv(seed)
+func newMicroRig(st *Stats, regionSize int) *microRig {
+	env := sim.NewEnv(1)
 	net := fabric.New(env, fabric.DefaultConfig())
 	target := rdma.NewDevice(net.NewNode("target"), rdma.DefaultCosts())
 	pd := target.AllocPD()
@@ -48,23 +38,25 @@ func newMicroRig(seed int64, regionSize int) *microRig {
 	// RNIC tracks the write high-water mark, bounding the re-zero on return.
 	regionBuf := bufpool.Get(regionSize)
 	region, err := pd.RegisterMR(regionBuf, rdma.AccessRemoteWrite|rdma.AccessRemoteRead)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	wordBuf := make([]byte, 8)
 	word, err := pd.RegisterMR(wordBuf, rdma.AccessRemoteAtomic|rdma.AccessRemoteRead)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	return &microRig{env: env, net: net, target: target, pd: pd,
-		region: region, regionBuf: regionBuf, word: word}
+		region: region, regionBuf: regionBuf, word: word, st: st}
 }
 
-// finish shuts the rig down, records its executed-event count, and returns
-// the target region to the buffer pool.
-func (r *microRig) finish(st *Stats) {
+// run drives the rig until fn returns (virtual deadline as a backstop), then
+// unwinds every process, records the executed-event count, and returns the
+// target region to the buffer pool — sysRig.run for the verbs testbed.
+func (r *microRig) run(deadline time.Duration, fn func(p *sim.Proc)) {
+	r.env.Go("driver", func(p *sim.Proc) {
+		fn(p)
+		r.env.Stop()
+	})
+	r.env.RunUntil(deadline)
 	r.env.Shutdown()
-	st.AddEvents(r.env.Executed())
+	r.st.AddEvents(r.env.Executed())
 	bufpool.Put(r.regionBuf, r.region.Touched())
 	r.regionBuf = nil
 }
@@ -75,9 +67,7 @@ func (r *microRig) client(name string) *rdma.QP {
 	dev := rdma.NewDevice(r.net.NewNode(name), rdma.DefaultCosts())
 	cqp := dev.CreateQP(rdma.QPConfig{SendDepth: 256})
 	tqp := r.target.CreateQP(rdma.QPConfig{})
-	if err := rdma.Connect(cqp, tqp); err != nil {
-		panic(err)
-	}
+	must(rdma.Connect(cqp, tqp))
 	// Keep the responder's receive queue effectively bottomless.
 	r.env.Go(name+"/rq", func(p *sim.Proc) {
 		for i := 0; i < 1<<20; i++ {
@@ -93,6 +83,51 @@ func (r *microRig) client(name string) *rdma.QP {
 		}
 	})
 	return cqp
+}
+
+// mustPost posts wr and panics on failure. Microbench rigs never inject
+// faults, so a rejected work request means the rig itself is miswired — and
+// a figure measured over unposted WRs would be silently wrong.
+func mustPost(qp *rdma.QP, wr rdma.SendWR) {
+	if err := qp.PostSend(wr); err != nil {
+		panic("bench: PostSend failed on a fault-free microbench rig: " + err.Error())
+	}
+}
+
+// window bounds the signaled work requests a requester keeps in flight: the
+// post/reap pipeline every goodput microbenchmark runs.
+type window struct {
+	qp       *rdma.QP
+	depth    int
+	inflight int
+	// reaped, when set, observes every completion the window takes off the
+	// send CQ.
+	reaped func(cqe rdma.CQE)
+}
+
+// admit blocks until fewer than depth completions are outstanding and counts
+// one more: the caller posts exactly one signaled WR next.
+func (w *window) admit(p *sim.Proc) {
+	for w.inflight >= w.depth {
+		w.reap(p)
+	}
+	w.inflight++
+}
+
+// reap takes one completion off the send CQ.
+func (w *window) reap(p *sim.Proc) {
+	cqe := w.qp.SendCQ().Poll(p)
+	w.inflight--
+	if w.reaped != nil {
+		w.reaped(cqe)
+	}
+}
+
+// flush reaps until nothing is outstanding.
+func (w *window) flush(p *sim.Proc) {
+	for w.inflight > 0 {
+		w.reap(p)
+	}
 }
 
 // produceMode is one line of Fig. 6.
@@ -120,58 +155,38 @@ func fig06(st *Stats) *Table {
 		{"cas_5p", 5, "cas"},
 	}
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144}
-	nm := len(modes)
-	vals := make([]float64, len(sizes)*nm)
-	forEach(len(vals), func(i int) {
-		vals[i] = microProduceGoodput(st, modes[i%nm], sizes[i/nm])
-	})
-	for si, size := range sizes {
-		row := []any{sizeLabel(size)}
-		for mi := 0; mi < nm; mi++ {
-			row = append(row, vals[si*nm+mi])
-		}
-		t.AddRow(row...)
-	}
+	t.addGrid(labels(sizes, sizeLabel), grid(len(sizes), len(modes), func(r, c int) any {
+		return microProduceGoodput(st, modes[c], sizes[r])
+	}))
 	t.Note("shared modes are atomic-limited (~2.68 Mops/s per counter) until messages are large; FAA beats CAS under contention")
 	return t
-}
-
-// mustPost posts wr and panics on failure. Microbench rigs never inject
-// faults, so a rejected work request means the rig itself is miswired — and
-// a figure measured over unposted WRs would be silently wrong.
-func mustPost(qp *rdma.QP, wr rdma.SendWR) {
-	if err := qp.PostSend(wr); err != nil {
-		panic("bench: PostSend failed on a fault-free microbench rig: " + err.Error())
-	}
 }
 
 // microProduceGoodput pushes messages of one size for a fixed count per
 // producer and reports aggregate goodput in GiB/s.
 func microProduceGoodput(st *Stats, m produceMode, size int) float64 {
-	r := newMicroRig(1, 64<<20)
+	r := newMicroRig(st, 64<<20)
 	count := 3000 / m.producers
 	if size >= 65536 {
 		count = 600 / m.producers
 	}
-	const window = 32
 	done := sim.NewQueue[int]()
 	for pi := 0; pi < m.producers; pi++ {
 		qp := r.client(fmt.Sprintf("p%d", pi))
-		pi := pi
 		r.env.Go(fmt.Sprintf("prod%d", pi), func(p *sim.Proc) {
 			payload := make([]byte, size)
 			faaOld := make([]byte, 8)
-			inflight := 0
+			w := window{qp: qp, depth: 32}
 			lastSeen := uint64(0)
 			// pollAtomic waits for the atomic's completion, counting any
 			// write completions drained along the way against the window.
-			pollAtomic := func(p *sim.Proc) rdma.CQE {
+			pollAtomic := func() rdma.CQE {
 				for {
 					cqe := qp.SendCQ().Poll(p)
 					if cqe.Op == rdma.OpFetchAdd || cqe.Op == rdma.OpCompSwap {
 						return cqe
 					}
-					inflight--
+					w.inflight--
 				}
 			}
 			for i := 0; i < count; i++ {
@@ -183,8 +198,7 @@ func microProduceGoodput(st *Stats, m produceMode, size int) float64 {
 				case "faa":
 					mustPost(qp, rdma.SendWR{Op: rdma.OpFetchAdd, Local: faaOld,
 						RemoteAddr: r.word.Addr(), RKey: r.word.RKey(), Add: uint64(size)})
-					cqe := pollAtomic(p)
-					offset = int64(cqe.Old % uint64(48<<20))
+					offset = int64(pollAtomic().Old % uint64(48<<20))
 				case "cas":
 					// Compare-and-swap loop: read the last observed value,
 					// attempt to bump it, retry on conflict.
@@ -192,7 +206,7 @@ func microProduceGoodput(st *Stats, m produceMode, size int) float64 {
 						mustPost(qp, rdma.SendWR{Op: rdma.OpCompSwap, Local: faaOld,
 							RemoteAddr: r.word.Addr(), RKey: r.word.RKey(),
 							Compare: lastSeen, Swap: lastSeen + uint64(size)})
-						cqe := pollAtomic(p)
+						cqe := pollAtomic()
 						if cqe.Old == lastSeen {
 							offset = int64(lastSeen % uint64(48<<20))
 							lastSeen += uint64(size)
@@ -201,41 +215,32 @@ func microProduceGoodput(st *Stats, m produceMode, size int) float64 {
 						lastSeen = cqe.Old
 					}
 				}
-				for inflight >= window {
-					cqe := qp.SendCQ().Poll(p)
-					if cqe.Op != rdma.OpWriteImm {
-						continue // stray atomic already accounted
-					}
-					inflight--
-				}
+				// The atomic was reaped above, so only writes are outstanding.
+				w.admit(p)
 				mustPost(qp, rdma.SendWR{Op: rdma.OpWriteImm, Local: payload,
 					RemoteAddr: r.region.Addr() + uint64(offset), RKey: r.region.RKey(),
 					Imm: uint32(i)})
-				inflight++
 			}
-			for ; inflight > 0; inflight-- {
-				qp.SendCQ().Poll(p)
-			}
+			w.flush(p)
 			done.Push(pi)
 		})
 	}
 	var elapsed time.Duration
-	r.env.Go("driver", func(p *sim.Proc) {
+	r.run(60*time.Second, func(p *sim.Proc) {
 		for i := 0; i < m.producers; i++ {
 			done.Pop(p)
 		}
 		elapsed = p.Now()
-		r.env.Stop()
 	})
-	r.env.RunUntil(60 * time.Second)
-	r.finish(st)
-	total := count * m.producers * size
-	return gibps(total, elapsed)
+	return gibps(count*m.producers*size, elapsed)
 }
 
 // fig07 compares WriteWithImm against Write+Send for notifying the broker
-// about written data: latency (requester completion round trip) and write
-// goodput.
+// about written data: latency (requester completion round trip) for small
+// writes, stacked over write goodput for larger ones. Each block fills its
+// own three columns and leaves the other block's blank. The third line
+// differs between the blocks as in the paper: a 128 B Send for latency, a
+// 512 B Send for goodput. A send size of 0 selects WriteWithImm.
 func fig07(st *Stats) *Table {
 	t := &Table{
 		ID:      "fig07",
@@ -244,123 +249,70 @@ func fig07(st *Stats) *Table {
 	}
 	latSizes := []int{8, 16, 32, 64, 128, 256, 512, 1024}
 	bwSizes := []int{256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
-	type cfg struct {
-		name     string
-		sendSize int // 0 = WriteWithImm
-	}
-	cfgs := []cfg{{"wimm", 0}, {"w+s4", 4}, {"w+s128", 128}, {"w+s512", 512}}
-	latencies := map[string]map[int]time.Duration{}
-	goodputs := map[string]map[int]float64{}
-	for _, c := range cfgs {
-		latencies[c.name] = map[int]time.Duration{}
-		goodputs[c.name] = map[int]float64{}
-	}
-	// One point per (config, size, metric); map writes are serialized under
-	// the mutex, and each point writes a distinct key, so the table contents
-	// are identical regardless of completion order.
-	perCfg := len(latSizes) + len(bwSizes)
-	var mu sync.Mutex
-	forEach(len(cfgs)*perCfg, func(i int) {
-		c := cfgs[i/perCfg]
-		j := i % perCfg
-		if j < len(latSizes) {
-			v := microNotifyLatency(st, c.sendSize, latSizes[j])
-			mu.Lock()
-			latencies[c.name][latSizes[j]] = v
-			mu.Unlock()
-		} else {
-			s := bwSizes[j-len(latSizes)]
-			v := microNotifyGoodput(st, c.sendSize, s)
-			mu.Lock()
-			goodputs[c.name][s] = v
-			mu.Unlock()
+	latSends := []int{0, 4, 128}
+	bwSends := []int{0, 4, 512}
+	t.addGrid(labels(latSizes, sizeLabel), grid(len(latSizes), 6, func(r, c int) any {
+		if c >= len(latSends) {
+			return ""
 		}
-	})
-	for i := range latSizes {
-		ls := latSizes[i]
-		t.AddRow(sizeLabel(ls),
-			latencies["wimm"][ls], latencies["w+s4"][ls], latencies["w+s128"][ls],
-			"", "", "")
-	}
-	for _, bs := range bwSizes {
-		t.AddRow(sizeLabel(bs), "", "", "",
-			goodputs["wimm"][bs], goodputs["w+s4"][bs], goodputs["w+s512"][bs])
-	}
+		return microNotifyLatency(st, latSends[c], latSizes[r])
+	}))
+	t.addGrid(labels(bwSizes, sizeLabel), grid(len(bwSizes), 6, func(r, c int) any {
+		if c < len(latSends) {
+			return ""
+		}
+		return microNotifyGoodput(st, bwSends[c-len(latSends)], bwSizes[r])
+	}))
 	t.Note("WriteWithImm is ~1us faster for small messages and wins goodput between 1K and 32K (one WR vs two per message)")
 	return t
 }
 
-func microNotifyLatency(st *Stats, sendSize, writeSize int) time.Duration {
-	r := newMicroRig(1, 1<<20)
-	qp := r.client("c")
-	var lat time.Duration
-	r.env.Go("driver", func(p *sim.Proc) {
-		payload := make([]byte, writeSize)
-		meta := make([]byte, sendSize)
-		const n = 50
-		// Warm-up round.
-		doOne(p, qp, r, payload, meta, sendSize)
-		start := p.Now()
-		for i := 0; i < n; i++ {
-			doOne(p, qp, r, payload, meta, sendSize)
-		}
-		lat = (p.Now() - start) / n
-		r.env.Stop()
-	})
-	r.env.RunUntil(10 * time.Second)
-	r.finish(st)
-	return lat
-}
-
-func doOne(p *sim.Proc, qp *rdma.QP, r *microRig, payload, meta []byte, sendSize int) {
-	if sendSize == 0 {
+// postNotified posts one write of payload at the given region offset and its
+// notification: a single WriteWithImm, or an unsignaled Write followed by a
+// Send of meta. Either way exactly one signaled completion follows.
+func postNotified(qp *rdma.QP, r *microRig, off uint64, payload, meta []byte, imm uint32) {
+	if len(meta) == 0 {
 		mustPost(qp, rdma.SendWR{Op: rdma.OpWriteImm, Local: payload,
-			RemoteAddr: r.region.Addr(), RKey: r.region.RKey(), Imm: 1})
-		qp.SendCQ().Poll(p)
+			RemoteAddr: r.region.Addr() + off, RKey: r.region.RKey(), Imm: imm})
 		return
 	}
 	mustPost(qp, rdma.SendWR{Op: rdma.OpWrite, Local: payload,
-		RemoteAddr: r.region.Addr(), RKey: r.region.RKey(), Unsignaled: true})
+		RemoteAddr: r.region.Addr() + off, RKey: r.region.RKey(), Unsignaled: true})
 	mustPost(qp, rdma.SendWR{Op: rdma.OpSend, Local: meta})
-	qp.SendCQ().Poll(p)
+}
+
+func microNotifyLatency(st *Stats, sendSize, writeSize int) time.Duration {
+	r := newMicroRig(st, 1<<20)
+	qp := r.client("c")
+	var lat time.Duration
+	r.run(10*time.Second, func(p *sim.Proc) {
+		payload := make([]byte, writeSize)
+		meta := make([]byte, sendSize)
+		lat = mean(closedLoop(p, 1, 50, nil, func() {
+			postNotified(qp, r, 0, payload, meta, 1)
+			qp.SendCQ().Poll(p)
+		}))
+	})
+	return lat
 }
 
 func microNotifyGoodput(st *Stats, sendSize, writeSize int) float64 {
-	r := newMicroRig(1, 16<<20)
+	r := newMicroRig(st, 16<<20)
 	qp := r.client("c")
 	var elapsed time.Duration
 	const n = 3000
-	r.env.Go("driver", func(p *sim.Proc) {
+	r.run(30*time.Second, func(p *sim.Proc) {
 		payload := make([]byte, writeSize)
 		meta := make([]byte, sendSize)
-		inflight := 0
-		const window = 64
+		w := window{qp: qp, depth: 64}
 		start := p.Now()
 		for i := 0; i < n; i++ {
-			for inflight >= window {
-				qp.SendCQ().Poll(p)
-				inflight--
-			}
-			off := uint64(i*writeSize) % uint64(8<<20)
-			if sendSize == 0 {
-				mustPost(qp, rdma.SendWR{Op: rdma.OpWriteImm, Local: payload,
-					RemoteAddr: r.region.Addr() + off, RKey: r.region.RKey(), Imm: uint32(i)})
-				inflight++
-			} else {
-				mustPost(qp, rdma.SendWR{Op: rdma.OpWrite, Local: payload,
-					RemoteAddr: r.region.Addr() + off, RKey: r.region.RKey(), Unsignaled: true})
-				mustPost(qp, rdma.SendWR{Op: rdma.OpSend, Local: meta})
-				inflight++
-			}
+			w.admit(p)
+			postNotified(qp, r, uint64(i*writeSize)%uint64(8<<20), payload, meta, uint32(i))
 		}
-		for ; inflight > 0; inflight-- {
-			qp.SendCQ().Poll(p)
-		}
+		w.flush(p)
 		elapsed = p.Now() - start
-		r.env.Stop()
 	})
-	r.env.RunUntil(30 * time.Second)
-	r.finish(st)
 	return gibps(n*writeSize, elapsed)
 }
 
@@ -388,47 +340,29 @@ func fig08(st *Stats) *Table {
 }
 
 func microBatching(st *Stats, maxBatch int) (time.Duration, float64) {
-	r := newMicroRig(1, 64<<20)
+	r := newMicroRig(st, 64<<20)
 	qp := r.client("leader")
 	// The leader is overloaded: records are always available, so every
 	// batch is full (maxBatch bytes of merged 64-byte records). Writes are
 	// pipelined; latency is the per-write round trip.
 	const totalBatches = 4000
-	const window = 16
-	var sumLat time.Duration
-	var completed int
-	var elapsed time.Duration
-	posted := make(map[uint64]time.Duration, window)
-	r.env.Go("replicator", func(p *sim.Proc) {
+	const depth = 16
+	var sumLat, elapsed time.Duration
+	r.run(120*time.Second, func(p *sim.Proc) {
 		payload := make([]byte, maxBatch)
-		inflight := 0
+		posted := make(map[uint64]time.Duration, depth)
+		w := window{qp: qp, depth: depth, reaped: func(cqe rdma.CQE) {
+			sumLat += p.Now() - posted[cqe.WRID]
+		}}
 		start := p.Now()
 		for i := 0; i < totalBatches; i++ {
-			for inflight >= window {
-				cqe := qp.SendCQ().Poll(p)
-				sumLat += p.Now() - posted[cqe.WRID]
-				completed++
-				inflight--
-			}
+			w.admit(p)
 			posted[uint64(i)] = p.Now()
 			mustPost(qp, rdma.SendWR{Op: rdma.OpWriteImm, WRID: uint64(i), Local: payload,
 				RemoteAddr: r.region.Addr() + uint64(i*maxBatch%(32<<20)), RKey: r.region.RKey(), Imm: 1})
-			inflight++
 		}
-		for ; inflight > 0; inflight-- {
-			cqe := qp.SendCQ().Poll(p)
-			sumLat += p.Now() - posted[cqe.WRID]
-			completed++
-		}
+		w.flush(p)
 		elapsed = p.Now() - start
-		r.env.Stop()
 	})
-	r.env.RunUntil(120 * time.Second)
-	r.finish(st)
-	if completed == 0 {
-		return 0, 0
-	}
-	return sumLat / time.Duration(completed), gibps(totalBatches*maxBatch, elapsed)
+	return sumLat / totalBatches, gibps(totalBatches*maxBatch, elapsed)
 }
-
-var _ = binary.LittleEndian // keep encoding/binary for future micro tests

@@ -8,9 +8,11 @@ import (
 	"kafkadirect/internal/sim"
 )
 
-func init() {
-	register("ablation-notify", "Ablation: WriteWithImm vs Write+Send notification inside the full broker",
-		"Replays the Fig. 7 notification comparison through the full broker datapath", ablationNotify)
+// notifyConfig is one row of the notification ablation.
+type notifyConfig struct {
+	name     string
+	mode     client.NotifyMode
+	metaSize int
 }
 
 // ablationNotify runs the §4.2.2 notification-method comparison through the
@@ -24,82 +26,50 @@ func ablationNotify(st *Stats) *Table {
 		Title:   "Produce latency (us) and goodput (MiB/s): notification method, in-system",
 		Columns: []string{"config", "latency_us_128B", "goodput_MiBs_4K"},
 	}
-	type cfg struct {
-		name     string
-		mode     client.NotifyMode
-		metaSize int
-	}
-	cfgs := []cfg{
+	cfgs := []notifyConfig{
 		{"write_with_imm", client.NotifyWriteImm, 0},
 		{"write+send_8B", client.NotifyWriteSend, 8},
 		{"write+send_128B", client.NotifyWriteSend, 128},
 		{"write+send_512B", client.NotifyWriteSend, 512},
 	}
-	lats := make([]time.Duration, len(cfgs))
-	gputs := make([]float64, len(cfgs))
-	forEach(len(cfgs)*2, func(i int) {
-		c := cfgs[i/2]
-		if i%2 == 0 {
-			lats[i/2] = notifyLatency(st, c.mode, c.metaSize, 128)
-		} else {
-			gputs[i/2] = notifyGoodput(st, c.mode, c.metaSize, 4096)
+	name := func(c notifyConfig) string { return c.name }
+	t.addGrid(labels(cfgs, name), grid(len(cfgs), 2, func(r, c int) any {
+		if c == 0 {
+			return notifyLatency(st, cfgs[r], 128)
 		}
-	})
-	for i, c := range cfgs {
-		t.AddRow(c.name, lats[i], gputs[i])
-	}
+		return notifyGoodput(st, cfgs[r], 4096)
+	}))
 	t.Note("WriteWithImm stays the lowest-latency choice in-system, as §4.2.2 concludes; Write+Send costs one extra WR per produce")
 	return t
 }
 
-func notifyLatency(st *Stats, mode client.NotifyMode, metaSize, recordSize int) time.Duration {
+// notifyRun builds a one-broker rig and hands fn an exclusive RDMA producer
+// that notifies the broker with the given method.
+func notifyRun(st *Stats, c notifyConfig, fn func(p *sim.Proc, pr *client.RDMAProducer)) {
 	r := newSysRig(rigConfig{brokers: 1, stats: st})
 	r.topic("t", 1, 1)
-	var lat time.Duration
 	r.run(func(p *sim.Proc) {
 		pr, err := client.NewRDMAProducer(p, r.endpoint("cli"), "t", 0, kwire.AccessExclusive, 1)
-		if err != nil {
-			panic(err)
-		}
-		pr.Notify = mode
-		pr.MetaSize = metaSize
+		must(err)
+		pr.Notify = c.mode
+		pr.MetaSize = c.metaSize
+		fn(p, pr)
+	})
+}
+
+func notifyLatency(st *Stats, c notifyConfig, recordSize int) (lat time.Duration) {
+	notifyRun(st, c, func(p *sim.Proc, pr *client.RDMAProducer) {
 		rec := payload(recordSize, 'n')
-		pr.Produce(p, rec)
-		const n = 25
-		start := p.Now()
-		for i := 0; i < n; i++ {
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
-		}
-		lat = (p.Now() - start) / n
+		lat = mean(closedLoop(p, 1, 25, nil, func() { mustProduce(p, pr, rec) }))
 	})
 	return lat
 }
 
-func notifyGoodput(st *Stats, mode client.NotifyMode, metaSize, recordSize int) float64 {
-	r := newSysRig(rigConfig{brokers: 1, stats: st})
-	r.topic("t", 1, 1)
+func notifyGoodput(st *Stats, c notifyConfig, recordSize int) float64 {
 	const n = 2000
 	var elapsed time.Duration
-	r.run(func(p *sim.Proc) {
-		pr, err := client.NewRDMAProducer(p, r.endpoint("cli"), "t", 0, kwire.AccessExclusive, 1)
-		if err != nil {
-			panic(err)
-		}
-		pr.Notify = mode
-		pr.MetaSize = metaSize
-		rec := payload(recordSize, 'n')
-		start := p.Now()
-		for i := 0; i < n; i++ {
-			if err := pr.ProduceAsync(p, rec); err != nil {
-				panic(err)
-			}
-		}
-		if err := pr.Drain(p); err != nil {
-			panic(err)
-		}
-		elapsed = p.Now() - start
+	notifyRun(st, c, func(p *sim.Proc, pr *client.RDMAProducer) {
+		elapsed = flood(p, pr, n, same(payload(recordSize, 'n')))
 	})
 	return mibps(n*recordSize, elapsed)
 }

@@ -1,20 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"time"
-)
-
-func init() {
-	register("fig10", "Produce latency, no replication (us)",
-		"Closed-loop produce RTT of each system on one unreplicated partition, swept by record size", fig10)
-	register("fig11", "Produce goodput to one partition, no replication (MiB/s)",
-		"Open-loop produce bandwidth to one partition, swept by record size", fig11)
-	register("fig12", "Produce goodput vs number of partitions, 32 KiB records (GiB/s)",
-		"Aggregate produce bandwidth as partitions scale out across the broker", fig12)
-	register("fig13", "Total goodput vs producers with ONE API worker, 4 KiB records (MiB/s)",
-		"Contention on a single API worker: RDMA producers bypass it, RPC producers serialize", fig13)
-}
+import "strconv"
 
 // latencySizes and bandwidthSizes mirror the paper's x axes.
 var latencySizes = []int{32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072}
@@ -34,18 +20,9 @@ func fig10(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "osu", "kd_excl", "kd_shared"},
 	}
 	cfg := rigConfig{brokers: 1, stats: st}
-	nk := len(produceKinds)
-	vals := make([]time.Duration, len(latencySizes)*nk)
-	forEach(len(vals), func(i int) {
-		vals[i] = produceLatency(produceKinds[i%nk], latencySizes[i/nk], cfg)
-	})
-	for si, size := range latencySizes {
-		row := []any{sizeLabel(size)}
-		for ki := 0; ki < nk; ki++ {
-			row = append(row, vals[si*nk+ki])
-		}
-		t.AddRow(row...)
-	}
+	t.addGrid(labels(latencySizes, sizeLabel), grid(len(latencySizes), len(produceKinds), func(r, c int) any {
+		return produceLatency(produceKinds[c], latencySizes[r], cfg)
+	}))
 	t.Note("paper: Kafka ~300us small, OSU ~90us below Kafka, KafkaDirect ~90us; exclusive ~2.5us under shared")
 	return t
 }
@@ -58,18 +35,9 @@ func fig11(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "osu", "kd_excl", "kd_shared"},
 	}
 	cfg := rigConfig{brokers: 1, stats: st}
-	nk := len(produceKinds)
-	vals := make([]float64, len(bandwidthSizes)*nk)
-	forEach(len(vals), func(i int) {
-		vals[i] = produceGoodput(produceKinds[i%nk], bandwidthSizes[i/nk], 1, 1, cfg)
-	})
-	for si, size := range bandwidthSizes {
-		row := []any{sizeLabel(size)}
-		for ki := 0; ki < nk; ki++ {
-			row = append(row, vals[si*nk+ki])
-		}
-		t.AddRow(row...)
-	}
+	t.addGrid(labels(bandwidthSizes, sizeLabel), grid(len(bandwidthSizes), len(produceKinds), func(r, c int) any {
+		return produceGoodput(produceKinds[c], bandwidthSizes[r], 1, 1, cfg)
+	}))
 	t.Note("paper: ~10x KD-exclusive vs Kafka at 512B; 1.65 GiB/s vs 280 MiB/s at 32K")
 	return t
 }
@@ -87,19 +55,12 @@ func fig12(st *Stats) *Table {
 	cfg := rigConfig{brokers: 1, stats: st}
 	kinds := []systemKind{sysKafka, sysKDExcl, sysKDShared}
 	partCounts := []int{1, 2, 4, 8, 16}
-	nk := len(kinds)
-	vals := make([]float64, len(partCounts)*nk)
-	forEach(len(vals), func(i int) {
-		vals[i] = produceGoodput(kinds[i%nk], size, partCounts[i/nk], 1, cfg) / 1024
-	})
-	for pi, parts := range partCounts {
-		t.AddRow(fmt_int(parts), vals[pi*nk], vals[pi*nk+1], vals[pi*nk+2])
-	}
+	t.addGrid(labels(partCounts, strconv.Itoa), grid(len(partCounts), len(kinds), func(r, c int) any {
+		return produceGoodput(kinds[c], size, partCounts[r], 1, cfg) / 1024
+	}))
 	t.Note("paper: saturates at 8 partitions (= API workers); KD-exclusive 4.5 GiB/s, shared 3 GiB/s, Kafka ~0.5 GiB/s")
 	return t
 }
-
-func fmt_int(v int) string { return fmt.Sprintf("%d", v) }
 
 // fig13 reproduces the single-API-worker scaling experiment: brokers with
 // ONE worker, producers on private TPs, 4 KiB records.
@@ -113,14 +74,9 @@ func fig13(st *Stats) *Table {
 	cfg := rigConfig{brokers: 1, apiWorkers: 1, stats: st}
 	kinds := []systemKind{sysKafka, sysKDExcl}
 	producerCounts := []int{1, 2, 3, 4, 5, 6, 7}
-	nk := len(kinds)
-	vals := make([]float64, len(producerCounts)*nk)
-	forEach(len(vals), func(i int) {
-		vals[i] = produceGoodput(kinds[i%nk], size, producerCounts[i/nk], 1, cfg)
-	})
-	for pi, producers := range producerCounts {
-		t.AddRow(fmt_int(producers), vals[pi*nk], vals[pi*nk+1])
-	}
+	t.addGrid(labels(producerCounts, strconv.Itoa), grid(len(producerCounts), len(kinds), func(r, c int) any {
+		return produceGoodput(kinds[c], size, producerCounts[r], 1, cfg)
+	}))
 	t.Note("paper: KD plateaus ~630 MiB/s, Kafka ~190 MiB/s — a 3.3x CPU-load reduction")
 	return t
 }

@@ -1,23 +1,6 @@
 package bench
 
-import (
-	"time"
-
-	"kafkadirect/internal/client"
-	"kafkadirect/internal/kwire"
-	"kafkadirect/internal/sim"
-)
-
-func init() {
-	register("fig14", "Produce latency with 3-way replication (us)",
-		"acks=all produce RTT with rf=3, crossing produce datapath with pull/push replication", fig14)
-	register("fig15", "Produce goodput with 3-way replication (MiB/s)",
-		"Open-loop produce bandwidth with rf=3 for each produce/replication combination", fig15)
-	register("fig16", "Produce goodput vs replication factor, 32 KiB records (MiB/s)",
-		"How goodput decays as the replica set grows, pull vs push replication", fig16)
-	register("fig17", "Goodput of 32 B produces vs replication batch size (MiB/s)",
-		"Small-record flood showing push-replication batching recovering goodput", fig17)
-}
+import "strconv"
 
 // replConfig is one line of Fig. 14/15: which produce datapath and which
 // replication datapath are RDMA-accelerated.
@@ -35,6 +18,10 @@ var replLines = []replConfig{
 	{"rdma_both", sysKDExcl, replPush},
 }
 
+// floodRecords is how many records the single-producer replication floods
+// (Fig. 16/17) send per data point.
+const floodRecords = 2500
+
 // fig14 reproduces produce latency under 3-way replication for the five
 // configurations of §5.2.
 func fig14(st *Stats) *Table {
@@ -44,19 +31,9 @@ func fig14(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "osu", "rdma_prod", "rdma_repl", "rdma_both"},
 	}
 	sizes := []int{32, 128, 512, 2048, 8192, 32768, 131072}
-	nl := len(replLines)
-	vals := make([]time.Duration, len(sizes)*nl)
-	forEach(len(vals), func(i int) {
-		lc := replLines[i%nl]
-		vals[i] = produceLatency(lc.kind, sizes[i/nl], rigConfig{brokers: 3, repl: lc.repl, stats: st})
-	})
-	for si, size := range sizes {
-		row := []any{sizeLabel(size)}
-		for li := 0; li < nl; li++ {
-			row = append(row, vals[si*nl+li])
-		}
-		t.AddRow(row...)
-	}
+	t.addGrid(labels(sizes, sizeLabel), grid(len(sizes), len(replLines), func(r, c int) any {
+		return produceLatency(replLines[c].kind, sizes[r], rigConfig{brokers: 3, repl: replLines[c].repl, stats: st})
+	}))
 	t.Note("paper: Kafka ~700us small; enabling either RDMA module saves ~300us; both enabled ~100us (7x)")
 	return t
 }
@@ -69,19 +46,9 @@ func fig15(st *Stats) *Table {
 		Columns: []string{"size", "kafka", "osu", "rdma_prod", "rdma_repl", "rdma_both"},
 	}
 	sizes := []int{32, 128, 512, 2048, 8192, 32768}
-	nl := len(replLines)
-	vals := make([]float64, len(sizes)*nl)
-	forEach(len(vals), func(i int) {
-		lc := replLines[i%nl]
-		vals[i] = produceGoodput(lc.kind, sizes[i/nl], 1, 1, rigConfig{brokers: 3, repl: lc.repl, stats: st})
-	})
-	for si, size := range sizes {
-		row := []any{sizeLabel(size)}
-		for li := 0; li < nl; li++ {
-			row = append(row, vals[si*nl+li])
-		}
-		t.AddRow(row...)
-	}
+	t.addGrid(labels(sizes, sizeLabel), grid(len(sizes), len(replLines), func(r, c int) any {
+		return produceGoodput(replLines[c].kind, sizes[r], 1, 1, rigConfig{brokers: 3, repl: replLines[c].repl, stats: st})
+	}))
 	t.Note("paper: 9-14x KafkaDirect over Kafka; RDMA produce alone is capped by pull replication")
 	return t
 }
@@ -101,56 +68,15 @@ func fig16(st *Stats) *Table {
 		{"rdma_both", sysKDExcl, replPush},
 	}
 	rfs := []int{1, 2, 3, 4}
-	nl := len(lines)
-	vals := make([]float64, len(rfs)*nl)
-	forEach(len(vals), func(i int) {
-		lc := lines[i%nl]
-		rf := rfs[i/nl]
-		repl := lc.repl
-		if rf == 1 {
-			repl = replNone
+	t.addGrid(labels(rfs, strconv.Itoa), grid(len(rfs), len(lines), func(r, c int) any {
+		repl := lines[c].repl
+		if rfs[r] == 1 {
+			repl = replNone // a lone replica engages no replication datapath
 		}
-		vals[i] = produceGoodputRF(lc.kind, size, rf, rigConfig{brokers: 4, repl: repl, stats: st})
-	})
-	for ri, rf := range rfs {
-		row := []any{fmt_int(rf)}
-		for li := 0; li < nl; li++ {
-			row = append(row, vals[ri*nl+li])
-		}
-		t.AddRow(row...)
-	}
+		return floodGoodput(lines[c].kind, size, rfs[r], floodRecords, rigConfig{brokers: 4, repl: repl, stats: st})
+	}))
 	t.Note("paper: RDMA producer drops 1.5 GiB/s -> 0.5 GiB/s once TCP pull replication engages; push replication avoids the slowdown")
 	return t
-}
-
-// produceGoodputRF is produceGoodput with an explicit replication factor.
-func produceGoodputRF(kind systemKind, recordSize, rf int, cfg rigConfig) float64 {
-	r := newSysRig(cfg)
-	r.topic("t", 1, rf)
-	acks := int8(1)
-	if rf > 1 {
-		acks = -1
-	}
-	perProducer := 2500
-	var elapsed time.Duration
-	r.run(func(p *sim.Proc) {
-		pr, err := newProducer(p, r.endpoint("cli"), kind, "t", 0, acks, 1)
-		if err != nil {
-			panic(err)
-		}
-		rec := payload(recordSize, 'r')
-		start := p.Now()
-		for i := 0; i < perProducer; i++ {
-			if err := pr.ProduceAsync(p, rec); err != nil {
-				panic(err)
-			}
-		}
-		if err := pr.Drain(p); err != nil {
-			panic(err)
-		}
-		elapsed = p.Now() - start
-	})
-	return mibps(perProducer*recordSize, elapsed)
 }
 
 // fig17 reproduces the push-replication batching sweep: an RDMA producer
@@ -164,30 +90,16 @@ func fig17(st *Stats) *Table {
 	}
 	batches := []int{32, 64, 128, 256, 512, 1024}
 	rfs := []int{2, 3}
-	nr := len(rfs)
-	vals := make([]float64, len(batches)*nr)
-	forEach(len(vals), func(i int) {
-		batch := batches[i/nr]
-		rf := rfs[i%nr]
-		cfg := rigConfig{brokers: rf, repl: replPush, pushBatch: batch, clientInFlight: 512, stats: st}
-		vals[i] = produceGoodputRF(sysKDExcl, 32, rf, cfg)
-	})
-	for bi, batch := range batches {
-		t.AddRow(sizeLabel(batch), vals[bi*nr], vals[bi*nr+1])
-	}
+	t.addGrid(labels(batches, sizeLabel), grid(len(batches), len(rfs), func(r, c int) any {
+		cfg := rigConfig{brokers: rfs[c], repl: replPush, pushBatch: batches[r], clientInFlight: 512, stats: st}
+		return floodGoodput(sysKDExcl, 32, rfs[c], floodRecords, cfg)
+	}))
 	t.Note("paper: 3.8 MiB/s unbatched climbing to ~5.2 MiB/s, limited by the API worker's checksum+lock, not the network")
 	return t
 }
 
-// ---------------------------------------------------------------------------
-// Ablation: push-replication credit limits (the §4.3.2 flow-control knob).
-// ---------------------------------------------------------------------------
-
-func init() {
-	register("ablation-credits", "Ablation: push-replication credits vs goodput (MiB/s)",
-		"Sweeps the push-replication credit window to find where flow control throttles goodput", ablationCredits)
-}
-
+// ablationCredits sweeps the push-replication credit limit, the §4.3.2
+// flow-control knob, under a 3-way replicated flood of 4 KiB records.
 func ablationCredits(st *Stats) *Table {
 	t := &Table{
 		ID:      "ablation-credits",
@@ -195,34 +107,9 @@ func ablationCredits(st *Stats) *Table {
 		Columns: []string{"credits", "goodput_MiBs"},
 	}
 	creditValues := []int{1, 2, 4, 8, 16, 32, 64}
-	vals := make([]float64, len(creditValues))
-	forEach(len(vals), func(i int) {
-		r := newSysRig(rigConfig{brokers: 3, repl: replPush, pushCredits: creditValues[i], stats: st})
-		r.topic("t", 1, 3)
-		var elapsed time.Duration
-		const n = 1500
-		r.run(func(p *sim.Proc) {
-			pr, err := client.NewRDMAProducer(p, r.endpoint("cli"), "t", 0, kwire.AccessExclusive, 1)
-			if err != nil {
-				panic(err)
-			}
-			rec := payload(4096, 'c')
-			start := p.Now()
-			for i := 0; i < n; i++ {
-				if err := pr.ProduceAsync(p, rec); err != nil {
-					panic(err)
-				}
-			}
-			if err := pr.Drain(p); err != nil {
-				panic(err)
-			}
-			elapsed = p.Now() - start
-		})
-		vals[i] = mibps(n*4096, elapsed)
-	})
-	for i, credits := range creditValues {
-		t.AddRow(fmt_int(credits), vals[i])
-	}
+	t.addGrid(labels(creditValues, strconv.Itoa), grid(len(creditValues), 1, func(r, _ int) any {
+		return floodGoodput(sysKDExcl, 4096, 3, 1500, rigConfig{brokers: 3, repl: replPush, pushCredits: creditValues[r], stats: st})
+	}))
 	t.Note("a handful of credits suffices; the knob exists to prevent CQ overrun, not to tune throughput")
 	return t
 }

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,8 +111,8 @@ func (r Result) EventsPerSec() float64 {
 // ---------------------------------------------------------------------------
 
 // workerSem bounds the number of data points executing at once across the
-// whole process. nil means "sequential": forEach runs its body inline, with
-// no goroutines involved, which is the workers=1 baseline.
+// whole process. nil means "sequential": the fan-out runs its body inline,
+// with no goroutines involved, which is the workers=1 baseline.
 var (
 	workerMu  sync.Mutex
 	workerSem chan struct{}
@@ -165,11 +167,18 @@ func ShardParallel() int {
 	return shardParallel
 }
 
-// forEach runs fn(0..n-1), each call a data point. Sequential mode runs the
-// calls inline in order; parallel mode runs each under a pool slot, and any
-// panic is re-raised here after all points finish. Callers must make fn(i)
-// write only to its own slot of a pre-sized result slice.
-func forEach(n int, fn func(i int)) {
+// forEach runs fn(0..n-1), each call a data point holding one pool slot
+// while it runs. Callers must make fn(i) write only to its own slot of a
+// pre-sized result slice.
+func forEach(n int, fn func(i int)) { fanOut(n, true, fn) }
+
+// fanOut is the harness's one goroutine loop. Sequential mode (no pool) runs
+// fn(0..n-1) inline, in order. Pool mode runs every call on its own
+// goroutine — under a pool slot when pooled, unbounded otherwise
+// (experiments only wait for their data points, and a waiter that held a
+// slot could starve them of it) — and waits for all of them. The first panic
+// is re-raised here afterwards, carrying the stack of the call that failed.
+func fanOut(n int, pooled bool, fn func(i int)) {
 	sem := currentSem()
 	if sem == nil {
 		for i := 0; i < n; i++ {
@@ -179,43 +188,57 @@ func forEach(n int, fn func(i int)) {
 	}
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
-	var panicVal any
+	var first *cellPanic
 	for i := 0; i < n; i++ {
-		i := i
-		sem <- struct{}{}
+		if pooled {
+			sem <- struct{}{}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
 			defer func() {
 				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
+					cp, nested := r.(*cellPanic) // an inner fan-out's stack is the cell's
+					if !nested {
+						cp = &cellPanic{val: r, stack: debug.Stack()}
+					}
+					panicOnce.Do(func() { first = cp })
+				}
+				if pooled {
+					<-sem
 				}
 			}()
 			fn(i)
 		}()
 	}
 	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+	if first != nil {
+		panic(first)
 	}
+}
+
+// cellPanic carries a panic out of a fan-out goroutine together with the
+// stack it unwound, so the trace names the data point that failed and not
+// only the harness that re-raised it.
+type cellPanic struct {
+	val   any
+	stack []byte
+}
+
+func (cp *cellPanic) Error() string {
+	return fmt.Sprintf("%v [recovered on a bench worker, re-raised from the fan-out]\n%s", cp.val, cp.stack)
 }
 
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
 
-// RunAll executes every registered experiment on a pool of the given number
-// of workers (0 means GOMAXPROCS) and returns results in the paper's order.
-// The rendered tables are byte-identical to a workers=1 run.
-func RunAll(workers int) []Result {
-	return RunExperiments(Experiments(), workers)
-}
-
-// RunExperiments executes the given experiments on a worker pool. With
-// workers <= 1 everything — experiments and their data points — runs
-// strictly sequentially. With more workers, experiments run as concurrent
-// goroutines whose data points contend for the shared pool slots.
+// RunExperiments executes the given experiments on a worker pool (0 means
+// GOMAXPROCS workers). With workers <= 1 everything — experiments and their
+// data points — runs strictly sequentially. With more workers, experiments
+// run as concurrent goroutines whose data points contend for the shared pool
+// slots. Results come back in the order given, and the rendered tables are
+// byte-identical to a workers=1 run.
 func RunExperiments(exps []Experiment, workers int) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -223,32 +246,7 @@ func RunExperiments(exps []Experiment, workers int) []Result {
 	SetWorkers(workers)
 	defer SetWorkers(1)
 	results := make([]Result, len(exps))
-	if workers <= 1 {
-		for i, e := range exps {
-			results[i] = runExperiment(e)
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	for i, e := range exps {
-		i, e := i, e
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			results[i] = runExperiment(e)
-		}()
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
+	fanOut(len(exps), false, func(i int) { results[i] = runExperiment(exps[i]) })
 	return results
 }
 

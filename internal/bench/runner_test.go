@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -86,19 +87,83 @@ func TestForEachParallelCoversAllPoints(t *testing.T) {
 	}
 }
 
-func TestForEachPropagatesPanic(t *testing.T) {
-	SetWorkers(4)
+// boomCell is the data point that fails in TestFanOutPropagatesPanic; its
+// name is what the re-raised panic must still carry.
+func boomCell(i int) {
+	if i == 3 {
+		panic("boom")
+	}
+}
+
+// TestFanOutPropagatesPanic: a panic on a pool goroutine is re-raised from
+// the fan-out with the failing cell's stack, whether the cell is a data
+// point under forEach or a whole experiment under RunExperiments — one loop
+// serves both.
+func TestFanOutPropagatesPanic(t *testing.T) {
+	for name, run := range map[string]func(){
+		"forEach": func() {
+			SetWorkers(4)
+			defer SetWorkers(1)
+			forEach(8, boomCell)
+		},
+		"RunExperiments": func() {
+			exps := make([]Experiment, 8)
+			for i := range exps {
+				exps[i] = experiment("x", "x", "x", func(*Stats) *Table { boomCell(i); return &Table{} })
+			}
+			RunExperiments(exps, 4)
+		},
+		"nested": func() {
+			e := experiment("x", "x", "x", func(*Stats) *Table { forEach(8, boomCell); return &Table{} })
+			RunExperiments([]Experiment{e}, 4)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok {
+					t.Fatal("panic did not propagate as an error value")
+				}
+				for _, want := range []string{"boom", "bench.boomCell"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("re-raised panic lacks %q:\n%v", want, err)
+					}
+				}
+			}()
+			run()
+		})
+	}
+}
+
+// TestGridDeclarationOrder: grid hands back cells[r][c] = cell(r, c), having
+// called every cell exactly once, sequentially and on the pool.
+func TestGridDeclarationOrder(t *testing.T) {
 	defer SetWorkers(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("panic did not propagate")
+	for _, workers := range []int{1, 8} {
+		SetWorkers(workers)
+		const rows, cols = 5, 7
+		var calls [rows][cols]atomic.Int32
+		cells := grid(rows, cols, func(r, c int) any {
+			calls[r][c].Add(1)
+			return r*100 + c
+		})
+		if len(cells) != rows {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, len(cells), rows)
 		}
-	}()
-	forEach(8, func(i int) {
-		if i == 3 {
-			panic("boom")
+		for r := range cells {
+			if len(cells[r]) != cols {
+				t.Fatalf("workers=%d: row %d has %d cells, want %d", workers, r, len(cells[r]), cols)
+			}
+			for c, v := range cells[r] {
+				if v != r*100+c {
+					t.Errorf("workers=%d: cells[%d][%d] = %v", workers, r, c, v)
+				}
+				if n := calls[r][c].Load(); n != 1 {
+					t.Errorf("workers=%d: cell (%d,%d) ran %d times", workers, r, c, n)
+				}
+			}
 		}
-	})
+	}
 }
 
 func TestStatsNilSafe(t *testing.T) {

@@ -25,11 +25,6 @@ import (
 // -shards N the windows execute on up to N goroutines. Either way the table
 // is identical — parallelism is a resource knob, never an input.
 
-func init() {
-	register("scale", "Sharded kernel scaling: one simulated cluster across shards (12/64/256 brokers)",
-		"Runs the capacity model at three cluster sizes, proving shard-count-invariant results", runScale)
-}
-
 // scaleSizes are the swept cluster sizes. ClientsPerBroker comes from
 // core.DefaultShardedConfig (4), so the node counts are 60, 320, and 1280.
 // Sim horizons shrink with size to keep total work a few seconds of host

@@ -7,11 +7,6 @@ import (
 	"kafkadirect/internal/stream"
 )
 
-func init() {
-	register("fig21", "Event delays under constant-rate and periodic-burst IoT workloads (§5.4)",
-		"Streaming delivery delay under steady and bursty open-loop arrival processes", fig21)
-}
-
 // fig21 reproduces the streaming-benchmark experiment: JSON sensor events
 // into two topics, constant-rate and periodic-burst publishers, with and
 // without 2x replication, for all three systems. The paper plots delay over

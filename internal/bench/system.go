@@ -13,8 +13,8 @@ import (
 )
 
 // This file holds the shared scaffolding for the full-system benchmarks
-// (Fig. 10–20): cluster construction per system configuration, closed-loop
-// latency measurement, and open-loop goodput measurement.
+// (Fig. 10–20): cluster construction per system configuration, the four
+// measurement loops, and the produce measurements built from them.
 
 // systemKind names the compared systems exactly as the paper's legends do.
 type systemKind string
@@ -106,9 +106,7 @@ func newSysRig(cfg rigConfig) *sysRig {
 }
 
 func (r *sysRig) topic(name string, partitions, rf int) {
-	if err := r.cl.CreateTopic(name, partitions, rf); err != nil {
-		panic(err)
-	}
+	must(r.cl.CreateTopic(name, partitions, rf))
 }
 
 func (r *sysRig) endpoint(name string) *client.Endpoint {
@@ -140,18 +138,41 @@ func (r *sysRig) run(fn func(p *sim.Proc)) {
 
 // newProducer builds the producer matching a system kind. acks applies to
 // the RPC producers; RDMA producers follow the partition's replication.
-func newProducer(p *sim.Proc, e *client.Endpoint, kind systemKind, topic string, part int32, acks int8, id int64) (client.Producer, error) {
+func newProducer(p *sim.Proc, e *client.Endpoint, kind systemKind, topic string, part int32, acks int8, id int64) client.Producer {
+	var pr client.Producer
+	var err error
 	switch kind {
 	case sysKafka:
-		return client.NewTCPProducer(p, e, topic, part, acks, id)
+		pr, err = client.NewTCPProducer(p, e, topic, part, acks, id)
 	case sysOSU:
-		return client.NewOSUProducer(p, e, topic, part, acks, id)
+		pr, err = client.NewOSUProducer(p, e, topic, part, acks, id)
 	case sysKDExcl:
-		return client.NewRDMAProducer(p, e, topic, part, kwire.AccessExclusive, id)
+		pr, err = client.NewRDMAProducer(p, e, topic, part, kwire.AccessExclusive, id)
 	case sysKDShared:
-		return client.NewRDMAProducer(p, e, topic, part, kwire.AccessShared, id)
+		pr, err = client.NewRDMAProducer(p, e, topic, part, kwire.AccessShared, id)
+	default:
+		err = fmt.Errorf("bench: unknown system %q", kind)
 	}
-	return nil, fmt.Errorf("bench: unknown system %q", kind)
+	must(err)
+	return pr
+}
+
+// rf is the replication factor the produce figures give their topic: every
+// broker of the rig holds a replica once a replication datapath is selected.
+func (cfg rigConfig) rf() int {
+	if cfg.repl == replNone {
+		return 1
+	}
+	return cfg.brokers
+}
+
+// acksFor is the RPC producers' acks setting: leader-only on an unreplicated
+// topic, all in-sync replicas (-1) on a replicated one.
+func acksFor(rf int) int8 {
+	if rf > 1 {
+		return -1
+	}
+	return 1
 }
 
 // payload builds one record of the given value size.
@@ -163,98 +184,160 @@ func payload(size int, tag byte) krecord.Record {
 	return krecord.Record{Value: v, Timestamp: 1}
 }
 
+// ---------------------------------------------------------------------------
+// Measurement loops
+// ---------------------------------------------------------------------------
+//
+// The evaluation's vocabulary is four loops, each written once here. Rigs
+// never inject faults into the measured path (the chaos figure, which does,
+// counts its errors itself), so every loop panics on an error exactly as
+// mustPost does for raw verbs: a figure measured over failed operations
+// would be silently wrong.
+
+// must panics on an error from a fault-free rig.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// mustProduce is one checked synchronous produce.
+func mustProduce(p *sim.Proc, pr client.Producer, rec krecord.Record) {
+	_, err := pr.Produce(p, rec)
+	must(err)
+}
+
+// poller is what the consume loops need of a consumer: client.Consumer
+// yields krecord.Record, the group consumer client.TopicRecord.
+type poller[R any] interface {
+	Poll(p *sim.Proc) ([]R, error)
+}
+
+// mustPoll is one checked poll; the batch may be empty.
+func mustPoll[R any](p *sim.Proc, co poller[R]) []R {
+	recs, err := co.Poll(p)
+	must(err)
+	return recs
+}
+
+// same is the flood source that sends one record every time.
+func same(rec krecord.Record) func(int) krecord.Record {
+	return func(int) krecord.Record { return rec }
+}
+
+// flood is the open-loop produce: n records, record i being next(i), through
+// the producer's asynchronous window, then a wait for the last
+// acknowledgement. It returns the time from the first send to that
+// acknowledgement.
+func flood(p *sim.Proc, pr client.Producer, n int, next func(i int) krecord.Record) time.Duration {
+	batch := make([]krecord.Record, 1) // one argument slice for the flood, not one per record
+	start := p.Now()
+	for i := 0; i < n; i++ {
+		batch[0] = next(i)
+		must(pr.ProduceAsync(p, batch...))
+	}
+	must(pr.Drain(p))
+	return p.Now() - start
+}
+
+// closedLoop is the closed-loop latency measurement: op runs warm times
+// unmeasured (grants, registrations, connections), then n times with each
+// run's duration sampled. Callers reduce the samples with median, or with
+// mean — which, the measured ops running back to back, is the elapsed time
+// over n. before, when non-nil, readies every op outside its measurement
+// (the commit figure produces and fetches the record each commit covers).
+func closedLoop(p *sim.Proc, warm, n int, before, op func()) []time.Duration {
+	samples := make([]time.Duration, 0, n)
+	for i := 0; i < warm+n; i++ {
+		if before != nil {
+			before()
+		}
+		start := p.Now()
+		op()
+		if i >= warm {
+			samples = append(samples, p.Now()-start)
+		}
+	}
+	return samples
+}
+
+// pollRecords polls until a batch with records arrives and returns it: one
+// fetch round of the consume-latency figures.
+func pollRecords[R any](p *sim.Proc, co poller[R]) []R {
+	for {
+		if recs := mustPoll(p, co); len(recs) > 0 {
+			return recs
+		}
+	}
+}
+
+// drain is the open-loop consume: poll until n records have arrived, and
+// return how long that took.
+func drain(p *sim.Proc, co client.Consumer, n int) time.Duration {
+	start := p.Now()
+	for got := 0; got < n; {
+		got += len(mustPoll(p, co))
+	}
+	return p.Now() - start
+}
+
 // produceLatency measures the median closed-loop produce RTT for one system
 // and record size. acks=-1 when the topic is replicated.
 func produceLatency(kind systemKind, recordSize int, cfg rigConfig) time.Duration {
 	r := newSysRig(cfg)
-	rf := 1
-	if cfg.repl != replNone {
-		rf = cfg.brokers
-	}
+	rf := cfg.rf()
 	r.topic("t", 1, rf)
-	acks := int8(1)
-	if rf > 1 {
-		acks = -1
-	}
 	var med time.Duration
 	r.run(func(p *sim.Proc) {
-		pr, err := newProducer(p, r.endpoint("cli"), kind, "t", 0, acks, 1)
-		if err != nil {
-			panic(err)
-		}
+		pr := newProducer(p, r.endpoint("cli"), kind, "t", 0, acksFor(rf), 1)
 		rec := payload(recordSize, 'x')
-		for i := 0; i < 3; i++ { // warm-up
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
-		}
-		const n = 31
-		samples := make([]time.Duration, 0, n)
-		for i := 0; i < n; i++ {
-			start := p.Now()
-			if _, err := pr.Produce(p, rec); err != nil {
-				panic(err)
-			}
-			samples = append(samples, p.Now()-start)
-		}
-		med = median(samples)
+		med = median(closedLoop(p, 3, 31, nil, func() { mustProduce(p, pr, rec) }))
 	})
 	return med
 }
 
 // produceGoodput measures open-loop produce goodput (MiB/s) for one system:
-// one producer per partition, each pipelining up to the in-flight window.
+// one producer process per partition (times producersPerTP), each flooding
+// its own window. Unlike the single-producer floods it is timed from the
+// driver: the clock starts before the producers have connected and stops
+// when the last of them has drained, so connection set-up of a whole fleet
+// is part of what the partition-scaling figures measure.
 func produceGoodput(kind systemKind, recordSize, partitions, producersPerTP int, cfg rigConfig) float64 {
 	r := newSysRig(cfg)
-	rf := 1
-	if cfg.repl != replNone {
-		rf = cfg.brokers
-	}
+	rf := cfg.rf()
 	r.topic("t", partitions, rf)
-	acks := int8(1)
-	if rf > 1 {
-		acks = -1
-	}
 	// Scale the record count so each run moves a comparable byte volume.
-	perProducer := 6 << 20 / recordSize
-	if perProducer > 3000 {
-		perProducer = 3000
-	}
-	if perProducer < 200 {
-		perProducer = 200
-	}
-	total := 0
-	var elapsed time.Duration
-	done := sim.NewQueue[error]()
+	perProducer := max(200, min(3000, 6<<20/recordSize))
 	nProducers := partitions * producersPerTP
+	var elapsed time.Duration
+	done := sim.NewQueue[struct{}]()
 	r.run(func(p *sim.Proc) {
 		for pi := 0; pi < nProducers; pi++ {
-			pi := pi
-			part := int32(pi % partitions)
 			r.env.Go(fmt.Sprintf("prod-%d", pi), func(pp *sim.Proc) {
-				pr, err := newProducer(pp, r.endpoint(fmt.Sprintf("cli-%d", pi)), kind, "t", part, acks, int64(pi))
-				if err != nil {
-					done.Push(err)
-					return
-				}
-				rec := payload(recordSize, byte('a'+pi%26))
-				for i := 0; i < perProducer; i++ {
-					if err := pr.ProduceAsync(pp, rec); err != nil {
-						done.Push(err)
-						return
-					}
-				}
-				done.Push(pr.Drain(pp))
+				pr := newProducer(pp, r.endpoint(fmt.Sprintf("cli-%d", pi)), kind, "t", int32(pi%partitions), acksFor(rf), int64(pi))
+				flood(pp, pr, perProducer, same(payload(recordSize, byte('a'+pi%26))))
+				done.Push(struct{}{})
 			})
 		}
 		start := p.Now()
 		for i := 0; i < nProducers; i++ {
-			if err := done.Pop(p); err != nil {
-				panic(err)
-			}
+			done.Pop(p)
 		}
 		elapsed = p.Now() - start
-		total = nProducers * perProducer * recordSize
 	})
-	return mibps(total, elapsed)
+	return mibps(nProducers*perProducer*recordSize, elapsed)
+}
+
+// floodGoodput measures the goodput (MiB/s) of one producer flooding n
+// records into a single partition of explicit replication factor, timed
+// inside the producer once it is connected.
+func floodGoodput(kind systemKind, recordSize, rf, n int, cfg rigConfig) float64 {
+	r := newSysRig(cfg)
+	r.topic("t", 1, rf)
+	var elapsed time.Duration
+	r.run(func(p *sim.Proc) {
+		pr := newProducer(p, r.endpoint("cli"), kind, "t", 0, acksFor(rf), 1)
+		elapsed = flood(p, pr, n, same(payload(recordSize, 'r')))
+	})
+	return mibps(n*recordSize, elapsed)
 }

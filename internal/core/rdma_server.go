@@ -124,9 +124,6 @@ type replWriteEvent struct {
 	size int
 }
 
-// sessionRegistry assigns ids so TCP control requests can name RDMA sessions.
-var _ = 0
-
 func (b *Broker) sessionByID(id uint32) *rdmaProducerSession {
 	return b.producerSessions[id]
 }

@@ -769,7 +769,12 @@ func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
 // ---------------------------------------------------------------------------
 
 // Resource models a pool of identical servers (CPU threads, an RNIC atomic
-// unit, ...). Acquire takes one unit, blocking FIFO when none are free.
+// unit, ...). Acquire takes one unit, blocking when none are free. Waiters
+// queue in arrival order but the hand-off is NOT FIFO: Release wakes the
+// oldest waiter, and a process that calls Acquire before that waiter has run
+// takes the unit, sending the waiter to the back of the queue. Callers that
+// need units granted in request order must sequence the requests themselves
+// (DESIGN.md §6 records the one place this has bitten).
 type Resource struct {
 	capacity int
 	inUse    int
