@@ -61,17 +61,17 @@ func attrExcluded(name string) bool { return name == "stage/rdma_ack_wire" }
 // rig-local registry and returns the stage delta across the measured loop.
 func runAttrSystem(kind systemKind, st *Stats) attrResult {
 	o := obs.New(0) // metrics only: the attribution needs histograms, not spans
-	r := newSysRig(rigConfig{brokers: 1, repl: replNone, stats: st, obs: o})
+	const warm, n, size = 5, 40, 1024
+	r := newSysRig(rigConfig{brokers: 1, repl: replNone, segmentSize: segmentFor(warm+n, size), stats: st, obs: o})
 	r.topic("t", 1, 1)
-	const n = 40
 	var res attrResult
 	r.run(func(p *sim.Proc) {
 		pr := newProducer(p, r.endpoint("cli"), kind, "t", 0, 1, 1)
-		rec := payload(1024, 'x')
+		rec := payload(size, 'x')
 		produce := func() { mustProduce(p, pr, rec) }
 		// The stage snapshot brackets the measured produces only, so the
 		// warm-up is its own loop.
-		closedLoop(p, 5, 0, nil, produce)
+		closedLoop(p, warm, 0, nil, produce)
 		pre := o.Reg.Snapshot(p.Now())
 		for _, rtt := range closedLoop(p, 0, n, nil, produce) {
 			res.e2e += rtt

@@ -69,7 +69,13 @@ func runChaosPath(kind systemKind, st *Stats) chaosResult {
 	if kind == sysKDExcl || kind == sysKDShared {
 		repl = replPush
 	}
-	r := newSysRig(rigConfig{brokers: 3, repl: repl, stats: st})
+	// The producer sends one 8-byte record per pace until the schedule has
+	// run its course; retries add a handful of duplicates.
+	const (
+		runFor = 450 * time.Millisecond
+		pace   = 200 * time.Microsecond
+	)
+	r := newSysRig(rigConfig{brokers: 3, repl: repl, segmentSize: segmentFor(int(runFor/pace), 8), stats: st})
 	r.topic("t", 1, 3)
 
 	leader := r.cl.LeaderOf("t", 0).ID()
@@ -109,7 +115,7 @@ func runChaosPath(kind systemKind, st *Stats) chaosResult {
 		acked := make(map[uint64]bool)
 		maxOffset := int64(-1)
 		seq := uint64(0)
-		for p.Now() < 450*time.Millisecond {
+		for p.Now() < runFor {
 			val := make([]byte, 8)
 			binary.BigEndian.PutUint64(val, seq)
 			start := p.Now()
@@ -122,7 +128,7 @@ func runChaosPath(kind systemKind, st *Stats) chaosResult {
 				}
 			}
 			seq++
-			p.Sleep(200 * time.Microsecond)
+			p.Sleep(pace)
 		}
 		pr.Close()
 		res.produced = int(seq)

@@ -57,9 +57,9 @@ func fig18(st *Stats) *Table {
 }
 
 func consumeLatencyTCP(st *Stats, size int) time.Duration {
-	r := newSysRig(rigConfig{brokers: 1, stats: st})
-	r.topic("t", 1, 1)
 	const n = 40
+	r := newSysRig(rigConfig{brokers: 1, segmentSize: segmentFor(n+5, size), stats: st})
+	r.topic("t", 1, 1)
 	var lat time.Duration
 	r.run(func(p *sim.Proc) {
 		preload(p, r, "t", n+5, size)
@@ -184,7 +184,8 @@ func fig19(st *Stats) *Table {
 }
 
 func endToEndLatency(st *Stats, prodKind systemKind, consRDMA bool, size int) time.Duration {
-	r := newSysRig(rigConfig{brokers: 1, stats: st})
+	const warm, n = 1, 20
+	r := newSysRig(rigConfig{brokers: 1, segmentSize: segmentFor(warm+n, size), stats: st})
 	r.topic("t", 1, 1)
 	var lat time.Duration
 	r.run(func(p *sim.Proc) {
@@ -197,7 +198,7 @@ func endToEndLatency(st *Stats, prodKind systemKind, consRDMA bool, size int) ti
 			co = newRPCConsumer(p, e, false)
 		}
 		rec := payload(size, 'e')
-		lat = mean(closedLoop(p, 1, 20, nil, func() {
+		lat = mean(closedLoop(p, warm, n, nil, func() {
 			mustProduce(p, pr, rec)
 			pollRecords(p, co)
 		}))
@@ -284,20 +285,21 @@ func ablationFetchSize(st *Stats) *Table {
 // read (the paper's 4.2 us); for larger records it spans the multiple reads
 // needed to assemble one record.
 func consumeLatencyRDMA(st *Stats, size, fetchSize int) time.Duration {
-	r := newSysRig(rigConfig{brokers: 1, stats: st})
-	r.topic("t", 1, 1)
 	const rounds = 30
+	cfg := client.DefaultConfig()
+	if fetchSize > 0 {
+		cfg.FetchSize = fetchSize
+	}
+	// Each round consumes up to one fetch worth of data (or one whole
+	// record if records are bigger); preload enough that no round ever
+	// waits for new data.
+	perRound := max(cfg.FetchSize, size+192)
+	records := (rounds+4)*perRound/(size+46) + 8
+	r := newSysRig(rigConfig{brokers: 1, segmentSize: segmentFor(records, size), stats: st})
+	r.topic("t", 1, 1)
 	var lat time.Duration
 	r.run(func(p *sim.Proc) {
-		cfg := client.DefaultConfig()
-		if fetchSize > 0 {
-			cfg.FetchSize = fetchSize
-		}
-		// Each round consumes up to one fetch worth of data (or one whole
-		// record if records are bigger); preload enough that no round ever
-		// waits for new data.
-		perRound := max(cfg.FetchSize, size+192)
-		preload(p, r, "t", (rounds+4)*perRound/(size+46)+8, size)
+		preload(p, r, "t", records, size)
 		co := newRDMAConsumer(p, client.NewEndpoint(r.cl, "cli", cfg))
 		lat = mean(closedLoop(p, 1, rounds, nil, func() { pollRecords(p, co) }))
 	})

@@ -53,6 +53,12 @@ func runGroups(st *Stats) *Table {
 	return t
 }
 
+// groupSegment sizes every TP file of the group rigs. No section writes more
+// than 60 eight-byte records to a data partition, and the offsets partitions
+// take one record of about 100 bytes per commit — under 12 KiB in the
+// busiest of them — so the smallest segment holds either many times over.
+var groupSegment = segmentFor(60, 8)
+
 // groupFigCfg is the coordinator configuration every section runs with:
 // timeouts tightened so the multi-second protocol fits a short simulation.
 func groupFigCfg() group.Config {
@@ -136,7 +142,7 @@ func runGroupStorm(mode client.CommitMode, st *Stats) stormResult {
 		killC  = 500 * time.Millisecond
 		killD  = 520 * time.Millisecond
 	)
-	r := newSysRig(rigConfig{brokers: 3, repl: replPull, stats: st})
+	r := newSysRig(rigConfig{brokers: 3, repl: replPull, segmentSize: groupSegment, stats: st})
 	r.topic("t", parts, 2)
 	must(r.cl.EnableGroups(4, 1, groupFigCfg()))
 	var faults []chaos.Fault
@@ -234,7 +240,7 @@ func runGroupDrain(n int, st *Stats) drainResult {
 		parts   = 64
 		perPart = 50
 	)
-	r := newSysRig(rigConfig{brokers: 3, repl: replNone, stats: st})
+	r := newSysRig(rigConfig{brokers: 3, repl: replNone, segmentSize: groupSegment, stats: st})
 	r.topic("d", parts, 1)
 	must(r.cl.EnableGroups(4, 1, groupFigCfg()))
 	members := make([]*figMember, n)
@@ -296,7 +302,7 @@ func runGroupDrain(n int, st *Stats) drainResult {
 // one member tracking a slow producer — a coordinator RPC round trip versus
 // a single one-sided WRITE into the registered commit table.
 func groupCommitLatency(mode client.CommitMode, st *Stats) time.Duration {
-	r := newSysRig(rigConfig{brokers: 1, repl: replNone, stats: st})
+	r := newSysRig(rigConfig{brokers: 1, repl: replNone, segmentSize: groupSegment, stats: st})
 	r.topic("t", 1, 1)
 	must(r.cl.EnableGroups(1, 1, groupFigCfg()))
 	var med time.Duration

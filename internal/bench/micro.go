@@ -18,14 +18,13 @@ import (
 
 // microRig is a one-responder verbs testbed.
 type microRig struct {
-	env       *sim.Env
-	net       *fabric.Network
-	target    *rdma.Device
-	pd        *rdma.PD
-	region    *rdma.MR
-	regionBuf []byte
-	word      *rdma.MR // shared order|offset counter
-	st        *Stats
+	env    *sim.Env
+	net    *fabric.Network
+	target *rdma.Device
+	pd     *rdma.PD
+	region *rdma.MR
+	word   *rdma.MR // shared order|offset counter
+	st     *Stats
 }
 
 func newMicroRig(st *Stats, regionSize int) *microRig {
@@ -39,16 +38,18 @@ func newMicroRig(st *Stats, regionSize int) *microRig {
 	regionBuf := bufpool.Get(regionSize)
 	region, err := pd.RegisterMR(regionBuf, rdma.AccessRemoteWrite|rdma.AccessRemoteRead)
 	must(err)
+	net.OnRelease(func() { bufpool.Put(regionBuf, region.Touched()) })
 	wordBuf := make([]byte, 8)
 	word, err := pd.RegisterMR(wordBuf, rdma.AccessRemoteAtomic|rdma.AccessRemoteRead)
 	must(err)
 	return &microRig{env: env, net: net, target: target, pd: pd,
-		region: region, regionBuf: regionBuf, word: word, st: st}
+		region: region, word: word, st: st}
 }
 
 // run drives the rig until fn returns (virtual deadline as a backstop), then
-// unwinds every process, records the executed-event count, and returns the
-// target region to the buffer pool — sysRig.run for the verbs testbed.
+// unwinds every process, records the executed-event count, and releases the
+// fabric, which returns the target region and the large wire buffers to the
+// buffer pool — sysRig.run for the verbs testbed.
 func (r *microRig) run(deadline time.Duration, fn func(p *sim.Proc)) {
 	r.env.Go("driver", func(p *sim.Proc) {
 		fn(p)
@@ -57,8 +58,7 @@ func (r *microRig) run(deadline time.Duration, fn func(p *sim.Proc)) {
 	r.env.RunUntil(deadline)
 	r.env.Shutdown()
 	r.st.AddEvents(r.env.Executed())
-	bufpool.Put(r.regionBuf, r.region.Touched())
-	r.regionBuf = nil
+	r.net.Release()
 }
 
 // client adds a requester machine with a connected QP; the responder side
@@ -68,10 +68,12 @@ func (r *microRig) client(name string) *rdma.QP {
 	cqp := dev.CreateQP(rdma.QPConfig{SendDepth: 256})
 	tqp := r.target.CreateQP(rdma.QPConfig{})
 	must(rdma.Connect(cqp, tqp))
-	// Keep the responder's receive queue effectively bottomless.
+	// Keep the responder's receive queue effectively bottomless. Nothing
+	// ever reads what is received, so every receive posts the same buffer.
+	sink := make([]byte, 1024)
 	r.env.Go(name+"/rq", func(p *sim.Proc) {
 		for i := 0; i < 1<<20; i++ {
-			if tqp.PostRecv(rdma.RQE{Buf: make([]byte, 1024)}) != nil {
+			if tqp.PostRecv(rdma.RQE{Buf: sink}) != nil {
 				return
 			}
 			if i%512 == 511 {

@@ -51,9 +51,14 @@ type sysRig struct {
 
 // rigConfig parameterises a deployment.
 type rigConfig struct {
-	brokers     int
-	repl        replMode
-	apiWorkers  int
+	brokers    int
+	repl       replMode
+	apiWorkers int
+	// segmentSize is the preallocated size of every TP file; 0 means the
+	// 64 MiB the flooding figures roll through. A rig that writes a known,
+	// small number of records sets segmentFor of them, so that it does not
+	// provision (and the pool does not retain) 64 MiB per partition to hold
+	// a few KiB.
 	segmentSize int
 	pushBatch   int
 	pushCredits int
@@ -65,6 +70,19 @@ type rigConfig struct {
 	// obs forces a rig-local telemetry bundle regardless of the global
 	// collection mode (the attr figure reads its own registry directly).
 	obs *obs.Obs
+}
+
+// segmentFor sizes the segments of a rig that must never roll: the smallest
+// power of two, from 1 MiB, with room for n records of size bytes in one
+// partition (each in a batch of its own, hence the per-record allowance) and
+// a quarter to spare. Powers of two keep the rigs on a few pooled sizes.
+func segmentFor(n, size int) int {
+	need := n * (size + 128) * 5 / 4
+	seg := 1 << 20
+	for seg < need {
+		seg <<= 1
+	}
+	return seg
 }
 
 func newSysRig(cfg rigConfig) *sysRig {
@@ -118,10 +136,11 @@ func (r *sysRig) endpoint(name string) *client.Endpoint {
 }
 
 // run drives the rig until fn returns (virtual deadline as a backstop),
-// then unwinds every process, records the executed-event count, and returns
-// the cluster's segment buffers to the shared pool — the harness builds one
-// rig per data point, and recycling the multi-MiB segment "files" (rather
-// than reallocating and re-zeroing them) dominates harness wall clock.
+// then unwinds every process, records the executed-event count, and releases
+// the cluster: its segment files, receive rings and large wire buffers go
+// back to the process-wide pool, and the next data point's rig is built from
+// them. The harness builds one rig per data point; without this a point's
+// host cost is the memory it provisions, not the bytes it moves.
 func (r *sysRig) run(fn func(p *sim.Proc)) {
 	r.env.Go("driver", func(p *sim.Proc) {
 		fn(p)
@@ -284,6 +303,8 @@ func drain(p *sim.Proc, co client.Consumer, n int) time.Duration {
 // produceLatency measures the median closed-loop produce RTT for one system
 // and record size. acks=-1 when the topic is replicated.
 func produceLatency(kind systemKind, recordSize int, cfg rigConfig) time.Duration {
+	const warm, n = 3, 31
+	cfg.segmentSize = segmentFor(warm+n, recordSize)
 	r := newSysRig(cfg)
 	rf := cfg.rf()
 	r.topic("t", 1, rf)
@@ -291,7 +312,7 @@ func produceLatency(kind systemKind, recordSize int, cfg rigConfig) time.Duratio
 	r.run(func(p *sim.Proc) {
 		pr := newProducer(p, r.endpoint("cli"), kind, "t", 0, acksFor(rf), 1)
 		rec := payload(recordSize, 'x')
-		med = median(closedLoop(p, 3, 31, nil, func() { mustProduce(p, pr, rec) }))
+		med = median(closedLoop(p, warm, n, nil, func() { mustProduce(p, pr, rec) }))
 	})
 	return med
 }

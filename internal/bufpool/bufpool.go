@@ -1,13 +1,22 @@
 // Package bufpool recycles large byte buffers across simulation runs.
 //
-// The benchmark harness constructs one simulated cluster per data point, and
-// every topic partition preallocates a segment file tens of MiB large. With
-// plain make([]byte, n) the Go runtime re-zeroes those spans on every
-// allocation — profiled at >70% of the harness's wall clock. The pool breaks
-// that cycle: buffers are returned with an explicit "dirty prefix" length,
-// only that prefix is zeroed (callers track the high-water mark of bytes
-// actually written, typically a small fraction of the capacity), and reused
-// buffers skip the runtime's full-span clear entirely.
+// The benchmark harness builds one simulated cluster per data point, and a
+// cluster's large buffers — a preallocated segment file per partition, a
+// receive ring per two-sided RDMA connection, megabyte wire frames — are
+// sized for the largest workload, not for the bytes a data point moves. With
+// plain make([]byte, n) the runtime clears every such span on allocation and
+// the collector then frees it, so host cost follows the bytes provisioned.
+// The pool makes it follow the bytes moved: a buffer is returned with an
+// explicit "dirty prefix" length, only that prefix is cleared, and the next
+// rig gets the same span back without the runtime touching it.
+//
+// The pool is one process-wide free list per exact buffer size, guarded by a
+// mutex and holding its buffers strongly: a collection never empties it.
+// Every pooled buffer was live in some rig before it was returned, so the
+// pool never holds more than the largest set of buffers that were live at
+// once, and needs neither a cap nor a setting. Rigs return their buffers in
+// one place, when the simulation has shut down (fabric.Network.Release,
+// which core.Cluster.Release calls).
 //
 // Invariant: every buffer handed out by Get is fully zero, exactly like a
 // fresh make([]byte, n) — so pooling is invisible to simulation behaviour.
@@ -17,25 +26,26 @@ package bufpool
 
 import "sync"
 
-// pools maps buffer size -> *sync.Pool of []byte of exactly that size.
-var pools sync.Map
-
-func poolFor(size int) *sync.Pool {
-	if p, ok := pools.Load(size); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := pools.LoadOrStore(size, &sync.Pool{})
-	return p.(*sync.Pool)
-}
+// free holds the clean buffers, keyed by their exact length.
+var (
+	mu   sync.Mutex
+	free = map[int][][]byte{}
+)
 
 // Get returns a zeroed buffer of exactly size bytes.
 func Get(size int) []byte {
 	if size <= 0 {
 		return nil
 	}
-	if v := poolFor(size).Get(); v != nil {
-		return v.([]byte)
+	mu.Lock()
+	if s := free[size]; len(s) > 0 {
+		buf := s[len(s)-1]
+		s[len(s)-1] = nil
+		free[size] = s[:len(s)-1]
+		mu.Unlock()
+		return buf
 	}
+	mu.Unlock()
 	return make([]byte, size)
 }
 
@@ -54,7 +64,9 @@ func Put(buf []byte, dirty int) {
 	if dirty > 0 {
 		clear(buf[:dirty])
 	}
-	poolFor(len(buf)).Put(buf[:len(buf):len(buf)])
+	mu.Lock()
+	free[len(buf)] = append(free[len(buf)], buf[:len(buf):len(buf)])
+	mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -76,7 +88,9 @@ func Put(buf []byte, dirty int) {
 //
 // Capacities are rounded up to powers of two between minClass and maxClass;
 // requests larger than maxClass fall through to plain make and are dropped
-// on Put.
+// on Put. Classes of 64 KiB and up draw their buffers from the package-level
+// pool and Release hands them back, so a rig's megabyte frames are the
+// previous rig's.
 type List struct {
 	classes [listClasses][][]byte
 }
@@ -85,6 +99,8 @@ const (
 	listMinBits = 6  // smallest class: 64 B
 	listMaxBits = 24 // largest class: 16 MiB
 	listClasses = listMaxBits - listMinBits + 1
+	// listSharedClass is the first class backed by the package-level pool.
+	listSharedClass = 16 - listMinBits // 64 KiB
 )
 
 // listClass returns the class index whose capacity (1 << (listMinBits+c))
@@ -117,6 +133,9 @@ func (l *List) Get(n int) []byte {
 		l.classes[c] = s[:len(s)-1]
 		return buf[:n]
 	}
+	if c >= listSharedClass {
+		return Get(1 << (listMinBits + c))[:n]
+	}
 	return make([]byte, n, 1<<(listMinBits+c))
 }
 
@@ -138,4 +157,20 @@ func (l *List) Put(buf []byte) {
 		cls++
 	}
 	l.classes[cls] = append(l.classes[cls], buf[:0:c])
+}
+
+// Release hands the list's buffers of 64 KiB and up back to the package-level
+// pool, cleared whole (a wire buffer carries no write high-water mark), and
+// drops its reference to them. Call it once the owning simulation has shut
+// down. Buffers still in flight then, and buffers of a foreign capacity that
+// Put adopted, are left to the collector.
+func (l *List) Release() {
+	for c := listSharedClass; c < listClasses; c++ {
+		for _, buf := range l.classes[c] {
+			if cap(buf) == 1<<(listMinBits+c) {
+				Put(buf[:cap(buf)], cap(buf))
+			}
+		}
+		l.classes[c] = nil
+	}
 }

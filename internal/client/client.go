@@ -304,7 +304,7 @@ func NewTCPTransport(p *sim.Proc, e *Endpoint, broker *core.Broker) (Transport, 
 type osuTransport struct {
 	e    *Endpoint
 	qp   *rdma.QP
-	bufs [][]byte
+	ring *rdma.RecvRing
 }
 
 // osuClientRecvDepth and osuClientBufSize size the client's response
@@ -320,12 +320,9 @@ func NewOSUTransport(p *sim.Proc, e *Endpoint, broker *core.Broker) (Transport, 
 	if err != nil {
 		return nil, err
 	}
-	t := &osuTransport{e: e, qp: qp, bufs: make([][]byte, osuClientRecvDepth)}
-	for i := range t.bufs {
-		t.bufs[i] = make([]byte, osuClientBufSize)
-		if err := qp.PostRecv(rdma.RQE{WRID: uint64(i), Buf: t.bufs[i]}); err != nil {
-			return nil, err
-		}
+	t := &osuTransport{e: e, qp: qp, ring: e.dev.NewRecvRing(osuClientRecvDepth, osuClientBufSize)}
+	if err := t.ring.PostAll(qp); err != nil {
+		return nil, err
 	}
 	// Connection establishment handshake.
 	p.Sleep(100 * time.Microsecond)
@@ -353,8 +350,8 @@ func (t *osuTransport) Recv(p *sim.Proc) ([]byte, error) {
 	p.Sleep(t.e.cfg.OSURecvCost + t.e.copyTime(cqe.ByteLen))
 	t.e.stOSURecv.ObserveDur(p.Now() - popNow)
 	frame := t.e.node.Network().WireBufs().Get(cqe.ByteLen)
-	copy(frame, t.bufs[cqe.WRID][:cqe.ByteLen])
-	if err := t.qp.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: t.bufs[cqe.WRID]}); err != nil {
+	copy(frame, t.ring.Frame(cqe))
+	if err := t.ring.Post(t.qp, int(cqe.WRID)); err != nil {
 		// The QP died between the completion and the repost. Swallowing this
 		// (the pre-kdlint behaviour) shrinks the receive queue by one each
 		// time; once every buffer leaks out this way, the next Recv blocks

@@ -66,6 +66,13 @@ type pipeline struct {
 	// delivered, not when it is posted, so batches in flight together must
 	// not share memory. Transport.Send consumes the frame before returning.
 	retained bool
+	// ring holds the private batch copies of a retained link's pipelined
+	// produces: window+1 buffers used in turn. Acknowledgements arrive in
+	// submission order and at most window batches are unacknowledged, so the
+	// buffer a build takes over was last used by a batch the broker has
+	// already acknowledged — and had therefore been delivered.
+	ring [][]byte
+	next int
 
 	// builder is reused by every produce whose batch is dead by the next
 	// one: always on an RPC link, and on any link in synchronous mode (the
@@ -91,7 +98,8 @@ func newPipeline(e *Endpoint, l link, window int, retained bool, producerID int6
 // producer API makes a copy of user data to prevent mutation of it during
 // transmission", §5.1) — part of the 88 µs overhead that one-sided writes
 // cannot remove. The returned slice belongs to the reusable builder and is
-// valid until the next build, unless own asks for a private copy.
+// valid until the next build, unless own asks for a private copy: that one
+// is valid until window further builds have asked for theirs.
 func (pl *pipeline) build(p *sim.Proc, recs []krecord.Record, own bool) ([]byte, error) {
 	pl.builder.Reset()
 	for _, r := range recs {
@@ -104,7 +112,12 @@ func (pl *pipeline) build(p *sim.Proc, recs []krecord.Record, own bool) ([]byte,
 		return nil, err
 	}
 	if own {
-		batch = append([]byte(nil), batch...)
+		if pl.ring == nil {
+			pl.ring = make([][]byte, pl.window+1)
+		}
+		batch = append(pl.ring[pl.next][:0], batch...)
+		pl.ring[pl.next] = batch
+		pl.next = (pl.next + 1) % len(pl.ring)
 	}
 	start := p.Now()
 	p.Sleep(pl.e.cfg.ProduceCPU + pl.e.copyTime(len(batch)))

@@ -130,15 +130,18 @@ func (c *Cluster) AddBrokers(n int) {
 // Brokers returns all brokers.
 func (c *Cluster) Brokers() []*Broker { return c.brokers }
 
-// Release returns every partition's segment buffers to the shared buffer
-// pool. Call only after the simulation has shut down (no process may still
-// read or write log storage); the cluster is unusable afterwards. Benchmark
-// rigs call this between data points so segment "files" are recycled rather
-// than reallocated (and re-zeroed) per point.
+// Release is the deployment's one teardown: it returns every large buffer
+// that lived as long as the rig to the process-wide buffer pool — each
+// partition's segment files, both halves of every two-sided receive ring,
+// and the large classes of the fabric's wire free list — so the next rig is
+// built from them instead of from fresh, runtime-cleared memory. Call only
+// after the simulation has shut down (no process may still read or write
+// log storage or a frame); the cluster is unusable afterwards.
 func (c *Cluster) Release() {
 	for _, b := range c.brokers {
 		b.release()
 	}
+	c.net.Release()
 }
 
 // broker returns the broker with the given id (panics on unknown ids —

@@ -29,8 +29,10 @@ type Partition struct {
 	followerLEO map[string]int64
 
 	// hwWaiters are continuations waiting for the high watermark to reach
-	// an offset (produce acks=all responses).
+	// an offset (produce acks=all responses). hwSpare is the emptied slice
+	// of the previous advance, which the next one filters into.
 	hwWaiters []offsetWaiter
+	hwSpare   []offsetWaiter
 	// leoWaiters are parked long-poll fetches from replicas (wake on
 	// append); hwPollWaiters are parked consumer fetches (wake on commit).
 	leoWaiters    []func()
@@ -226,16 +228,21 @@ func (pt *Partition) advanceHW(hw int64) {
 			ref.update(seg)
 		}
 	}
-	// Complete produce waiters whose target offset is now committed.
-	var still []offsetWaiter
-	for _, w := range pt.hwWaiters {
+	// Complete produce waiters whose target offset is now committed. A
+	// continuation may register a new waiter (waitForHW), which must land in
+	// a list this loop is not walking: the survivors go to the spare slice
+	// and the two swap, so the filter is neither in place nor allocating.
+	waiters := pt.hwWaiters
+	pt.hwWaiters, pt.hwSpare = pt.hwSpare[:0], nil
+	for _, w := range waiters {
 		if w.offset <= after {
 			w.fn()
 		} else {
-			still = append(still, w)
+			pt.hwWaiters = append(pt.hwWaiters, w)
 		}
 	}
-	pt.hwWaiters = still
+	clear(waiters) // drop the continuations' references
+	pt.hwSpare = waiters[:0]
 	// Wake parked consumer fetches.
 	polls := pt.hwPollWaiters
 	pt.hwPollWaiters = nil

@@ -17,7 +17,7 @@ import (
 // producer QP. Producer clients bound their in-flight writes well below it.
 const producerRecvDepth = 256
 
-// osuRecvDepth and osuBufSize size the OSU transport's receive buffers: a
+// osuRecvDepth and osuBufSize size the OSU transport's receive ring: a
 // two-sided design must provision buffers for the largest request up front —
 // memory the one-sided design does not need.
 const (
@@ -105,7 +105,7 @@ func decodeAck(buf []byte) (fileID uint16, leo int64) {
 type osuSession struct {
 	b    *Broker
 	qp   *rdma.QP
-	bufs [][]byte
+	ring *rdma.RecvRing
 }
 
 func (s *osuSession) send(frame []byte) {
@@ -179,13 +179,10 @@ func (b *Broker) ConnectConsumer(clientDev *rdma.Device) (*rdma.QP, uint32, erro
 // the same way; the broker provisions per-connection receive buffers.
 func (b *Broker) ConnectOSU(clientDev *rdma.Device) (*rdma.QP, error) {
 	brokerQP := b.dev.CreateQP(rdma.QPConfig{RecvCQ: b.rdmaCQ, SendDepth: 256})
-	sess := &osuSession{b: b, qp: brokerQP, bufs: make([][]byte, osuRecvDepth)}
+	sess := &osuSession{b: b, qp: brokerQP, ring: b.dev.NewRecvRing(osuRecvDepth, osuBufSize)}
 	brokerQP.SetUserData(sess)
-	for i := range sess.bufs {
-		sess.bufs[i] = make([]byte, osuBufSize)
-		if err := brokerQP.PostRecv(rdma.RQE{WRID: uint64(i), Buf: sess.bufs[i]}); err != nil {
-			return nil, err
-		}
+	if err := sess.ring.PostAll(brokerQP); err != nil {
+		return nil, err
 	}
 	clientQP := clientDev.CreateQP(rdma.QPConfig{SendDepth: 256})
 	if err := rdma.Connect(brokerQP, clientQP); err != nil {
@@ -246,18 +243,18 @@ func (b *Broker) rdmaPoller(p *sim.Proc) {
 			p.Sleep(b.cfg.OSURecvCost)
 			// Decode straight out of the receive buffer (every byte field is
 			// copied during decode), then hand the buffer back to the RQ.
-			frame := sess.bufs[cqe.WRID][:cqe.ByteLen]
+			frame := sess.ring.Frame(cqe)
 			k, ok := kwire.PeekKind(frame)
 			var msg kwire.Message
 			if ok {
 				msg = b.getMsg(k)
 			}
 			if msg == nil {
-				_ = cqe.QP.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: sess.bufs[cqe.WRID]})
+				_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
 				continue
 			}
 			corr, err := kwire.DecodeInto(frame, msg)
-			_ = cqe.QP.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: sess.bufs[cqe.WRID]})
+			_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
 			if err != nil {
 				b.putMsg(msg)
 				continue

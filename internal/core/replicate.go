@@ -61,6 +61,13 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 	b.env.Go(fmt.Sprintf("%s/fetcher/%s", b.id, pt.key()), func(p *sim.Proc) {
 		var conn *tcpnet.Conn
 		var corr uint32
+		// One request scratch and one response for the fetcher's lifetime:
+		// decoding copies the payload into resp.Data's reused capacity and
+		// the append below copies it on into the log, so a steady fetch of
+		// any size allocates nothing.
+		var enc kwire.Scratch
+		var req kwire.FetchReq
+		var resp kwire.FetchResp
 		backoff := pullRetryMin
 		resync := false
 		fail := func() {
@@ -106,7 +113,7 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 				}
 			}
 			corr++
-			req := &kwire.FetchReq{
+			req = kwire.FetchReq{
 				Topic:         pt.topic,
 				Partition:     pt.index,
 				Offset:        pt.log.NextOffset(),
@@ -114,7 +121,7 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 				MaxWaitMicros: int64(b.cfg.ReplicaFetchWait / time.Microsecond),
 				ReplicaID:     b.cluster.brokerIndex(b.id),
 			}
-			if err := conn.Send(p, kwire.Encode(corr, req)); err != nil {
+			if err := conn.Send(p, enc.Encode(corr, &req)); err != nil {
 				fail()
 				continue
 			}
@@ -123,13 +130,10 @@ func (b *Broker) startPullFetcher(pt *Partition) {
 				fail()
 				continue
 			}
-			_, msg, err := kwire.Decode(raw)
+			_, err = kwire.DecodeInto(raw, &resp)
+			conn.Recycle(raw) // decoding copies every byte field out of the frame
 			if err != nil {
-				continue
-			}
-			resp, ok := msg.(*kwire.FetchResp)
-			if !ok {
-				continue
+				continue // malformed, or not a fetch response
 			}
 			if resp.Err != kwire.ErrNone {
 				// ErrNotLeader after a failover this fetcher has not seen

@@ -69,6 +69,10 @@ type Network struct {
 	// process at a time, and each simulation owns its own Network.
 	wire bufpool.List
 
+	// onRelease are the teardown hooks of everything on this fabric that
+	// holds a pooled rig-lifetime buffer (OnRelease).
+	onRelease []func()
+
 	// o is the simulation's telemetry bundle (nil when disabled). The
 	// Network is the one object every layer of a deployment can reach, so
 	// it also distributes the obs handle: tcpnet stacks, RNICs, brokers,
@@ -133,6 +137,25 @@ func (n *Network) Config() Config { return n.cfg }
 // WireBufs returns the fabric-wide free list for in-flight message buffers.
 // Buffers from it are not zeroed; see bufpool.List.
 func (n *Network) WireBufs() *bufpool.List { return &n.wire }
+
+// OnRelease registers fn to run at Release. Whatever draws a buffer that
+// lives as long as the deployment from the process-wide pool (a receive
+// ring, a verbs target region) registers the function that returns it here,
+// so that one call tears down a rig however it was assembled.
+func (n *Network) OnRelease(fn func()) { n.onRelease = append(n.onRelease, fn) }
+
+// Release returns every pooled buffer of the deployment to the process-wide
+// pool: it runs the OnRelease hooks, then hands back the large classes of
+// the wire free list. Call it only after the simulation has shut down — no
+// process or scheduled delivery may still touch a buffer — and build nothing
+// further on the Network afterwards.
+func (n *Network) Release() {
+	for _, fn := range n.onRelease {
+		fn()
+	}
+	n.onRelease = nil
+	n.wire.Release()
+}
 
 // CutLink severs the link between two nodes: subsequent Reachable calls for
 // the pair report false until RestoreLink. The fabric itself keeps delivering

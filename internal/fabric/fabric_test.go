@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"kafkadirect/internal/bufpool"
 	"kafkadirect/internal/sim"
 )
 
@@ -186,4 +187,31 @@ func TestPropertyPerFlowOrderUnderContention(t *testing.T) {
 	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Release is the one teardown of everything on the fabric: the registered
+// hooks run once, in registration order, and the wire free list's large
+// buffers go back to the process-wide pool.
+func TestReleaseRunsHooksOnceAndReturnsLargeWireBuffers(t *testing.T) {
+	n := New(sim.NewEnv(1), DefaultConfig())
+	var order []int
+	n.OnRelease(func() { order = append(order, 1) })
+	n.OnRelease(func() { order = append(order, 2) })
+	frame := n.WireBufs().Get(200 << 10) // 256 KiB class
+	frame[0] = 0xff
+	base := &frame[0]
+	n.WireBufs().Put(frame)
+	n.Release()
+	n.Release()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("hooks ran as %v, want [1 2]", order)
+	}
+	back := bufpool.Get(256 << 10)
+	if &back[0] != base {
+		t.Fatal("the 256 KiB wire buffer did not reach the process-wide pool")
+	}
+	if back[0] != 0 {
+		t.Fatal("a released wire buffer came back dirty")
+	}
+	bufpool.Put(back, 0)
 }

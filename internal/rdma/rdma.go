@@ -423,6 +423,9 @@ func (c *CQ) push(e CQE) {
 type RQE struct {
 	WRID uint64
 	Buf  []byte
+	// landed, on a RecvRing slot, is raised to the length of each message
+	// received into Buf.
+	landed *int
 }
 
 // SendWR is a work request posted to a QP's send queue.
@@ -855,6 +858,9 @@ func wrSendDone(v any) {
 	rdev := remote.dev
 	rec.obsRespDone()
 	copy(rec.rqe.Buf, rec.wr.Local)
+	if n := rec.rqe.landed; n != nil && rec.size > *n {
+		*n = rec.size
+	}
 	remote.recvCQ.push(CQE{
 		QP: remote, WRID: rec.rqe.WRID, Op: OpRecv, Status: StatusOK,
 		ByteLen: rec.size, Imm: rec.wr.Imm, HasImm: rec.wr.HasImm,

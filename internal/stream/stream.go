@@ -203,7 +203,7 @@ func Run(cfg Config) Result {
 	})
 	env.RunUntil(cfg.Duration + time.Second)
 	env.Shutdown()
-	cl.Release() // recycle segment buffers; the cluster is done
+	cl.Release() // return the rig's pooled buffers; the cluster is done
 
 	res := summarise(delays, bucketSum, bucketN)
 	res.SimEvents = env.Executed()

@@ -54,6 +54,25 @@ echo "== golden tables (kdbench -fig all vs results_all.txt) =="
 go run ./cmd/kdbench -fig all | diff - results_all.txt \
     || { echo "figure tables differ from results_all.txt: simulated behaviour changed" >&2; exit 1; }
 
+# Rigs stay cheap: the bytes the whole suite allocates, one figure after the
+# other in one process, against the committed ceiling
+# (scripts/figs_alloc_budget.txt). The count does not depend on the host —
+# buffers are pooled strongly, so no collection decides what is reallocated —
+# and it is what grows when a rig-lifetime buffer stops being returned at
+# teardown, or a figure provisions more than it moves.
+echo "== suite allocation budget (kdbench -fig all -workers 1 -json) =="
+budget=$(grep -v '^#' scripts/figs_alloc_budget.txt)
+figs_dir=.bench_build/figs-alloc # git-ignored, like perf/run.sh's build products
+mkdir -p "$figs_dir"
+go build -o "$figs_dir/kdbench" ./cmd/kdbench
+(cd "$figs_dir" && ./kdbench -fig all -workers 1 -json >/dev/null 2>&1)
+allocated=$(awk -F': *' '/"alloc_bytes"/ { sum += $2 } END { printf "%.0f", sum }' "$figs_dir/BENCH_figs.json")
+echo "suite allocated $((allocated / 1000000)) MB, budget $((budget / 1000000)) MB"
+if [ "$allocated" -le 0 ] || [ "$allocated" -gt "$budget" ]; then
+    echo "kdbench -fig all allocates $allocated bytes, over the budget of $budget (scripts/figs_alloc_budget.txt)" >&2
+    exit 1
+fi
+
 echo "== go test -bench (1 iteration, compile + smoke) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
