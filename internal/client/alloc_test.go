@@ -14,10 +14,12 @@ import (
 
 // A pipelined one-sided produce allocates nothing that grows with the
 // record: the private copy a WRITE needs until it is delivered comes from
-// the pipeline's ring. What is left per record, over the whole deployment,
-// is the producer's wait for window room and three small objects on the
-// broker's commit path (the ack frame, the ack continuation, the validated
-// records' slice). Before, each record also cost a fresh copy of itself.
+// the pipeline's ring, the wait for window room reuses the cond's waiter list
+// and the broker validates the records in place. What is left per record,
+// over the whole deployment, is two small objects on the broker's commit path
+// (the ack frame and the ack continuation; measured 2.02). The bound leaves
+// room for -race, where sync.Pool drops a quarter of its Puts and kwire's
+// pooled writer and reader add 0.5 (measured 2.51-2.58), and for nothing else.
 func TestPipelinedOneSidedProduceAllocatesNoBatchCopies(t *testing.T) {
 	const warm, n, size = 200, 1000, 32 << 10
 	env := sim.NewEnv(3)
@@ -57,7 +59,7 @@ func TestPipelinedOneSidedProduceAllocatesNoBatchCopies(t *testing.T) {
 	})
 	env.Shutdown()
 	cl.Release()
-	if allocs > 4.5 || bytesPer > 1<<10 {
-		t.Fatalf("a pipelined 32 KiB produce cost %.2f allocations and %.0f bytes, want at most 4 and 1 KiB", allocs, bytesPer)
+	if allocs > 2.9 || bytesPer > 1<<10 {
+		t.Fatalf("a pipelined 32 KiB produce cost %.2f allocations and %.0f bytes, want at most 2 and 1 KiB", allocs, bytesPer)
 	}
 }

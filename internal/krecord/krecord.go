@@ -233,8 +233,8 @@ func (b Batch) ProducerID() int64 { return int64(binary.LittleEndian.Uint64(b.ra
 func (b Batch) CRC() uint32 { return binary.LittleEndian.Uint32(b.raw[13:]) }
 
 // Validate recomputes the CRC32C and checks it, plus structural integrity of
-// every record. This is the verification brokers perform before committing
-// (§4.2.2) and consumers perform on fetched data (§5.3).
+// every record, in place. This is the verification brokers perform before
+// committing (§4.2.2) and consumers perform on fetched data (§5.3).
 func (b Batch) Validate() error {
 	if crc32.Checksum(b.raw[17:], castagnoli) != b.CRC() {
 		return ErrBadCRC
@@ -242,34 +242,42 @@ func (b Batch) Validate() error {
 	if b.Count() == 0 {
 		return ErrEmptyBatch
 	}
-	_, err := b.Records()
-	return err
+	return b.walk(nil)
 }
 
 // Records decodes all records in the batch, assigning absolute offsets from
 // the batch base offset.
 func (b Batch) Records() ([]Record, error) {
-	base := b.BaseOffset()
-	baseTime := b.BaseTime()
 	out := make([]Record, 0, b.Count())
-	buf := b.raw[HeaderSize:]
-	for len(buf) > 0 {
-		rl, n := binary.Uvarint(buf)
-		if n <= 0 || rl > uint64(len(buf)-n) {
-			return nil, ErrShortRecord
-		}
-		body := buf[n : n+int(rl)]
-		buf = buf[n+int(rl):]
-		rec, err := decodeRecord(body, base, baseTime)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	if len(out) != b.Count() {
-		return nil, ErrCorrupt
+	if err := b.walk(func(r Record) { out = append(out, r) }); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// walk decodes the records one after the other, hands each to visit (nil:
+// check only) and holds their number against the header's count.
+func (b Batch) walk(visit func(Record)) error {
+	base, baseTime := b.BaseOffset(), b.BaseTime()
+	count := 0
+	for buf := b.raw[HeaderSize:]; len(buf) > 0; count++ {
+		rl, n := binary.Uvarint(buf)
+		if n <= 0 || rl > uint64(len(buf)-n) {
+			return ErrShortRecord
+		}
+		rec, err := decodeRecord(buf[n:n+int(rl)], base, baseTime)
+		if err != nil {
+			return err
+		}
+		if visit != nil {
+			visit(rec)
+		}
+		buf = buf[n+int(rl):]
+	}
+	if count != b.Count() {
+		return ErrCorrupt
+	}
+	return nil
 }
 
 func decodeRecord(body []byte, baseOffset, baseTime int64) (Record, error) {

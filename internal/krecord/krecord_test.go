@@ -2,6 +2,8 @@ package krecord
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,5 +311,133 @@ func TestPropertyScanConsumesExactlyWholeBatches(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reseal recomputes the checksum of a damaged batch (and its size field, if
+// the damage changed the length), so that Validate gets past the CRC to the
+// structural walk it shares with Records.
+func reseal(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(buf)))
+	binary.LittleEndian.PutUint32(buf[13:], crc32.Checksum(buf[17:], castagnoli))
+	return buf
+}
+
+// wantValidate is Validate's contract in terms of Records: checksum first,
+// then the empty batch, then whatever the record walk reports.
+func wantValidate(b Batch) error {
+	if crc32.Checksum(b.raw[17:], castagnoli) != b.CRC() {
+		return ErrBadCRC
+	}
+	if b.Count() == 0 {
+		return ErrEmptyBatch
+	}
+	_, err := b.Records()
+	return err
+}
+
+func TestValidateAgreesWithRecords(t *testing.T) {
+	good := mustEncode(t, 1,
+		Record{Key: []byte("k"), Value: bytes.Repeat([]byte("x"), 100), Timestamp: 1},
+		Record{Value: []byte("y"), Timestamp: 2})
+	// The first record: a length byte at HeaderSize, then attrs, timestamp
+	// delta, offset delta, key length, key, value length, value.
+	const rec0 = HeaderSize
+	damaged := func(fn func(b []byte) []byte) []byte { return fn(append([]byte(nil), good...)) }
+	flip := func(pos int) []byte { return damaged(func(b []byte) []byte { b[pos] ^= 0x40; return b }) }
+	set := func(pos int, v byte) []byte { return damaged(func(b []byte) []byte { b[pos] = v; return b }) }
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want error
+	}{
+		{"intact", good, nil},
+		// The flips of TestCorruptionDetected as the wire delivers them ...
+		{"flipped attrs", flip(17), ErrBadCRC},
+		{"flipped count", flip(18), ErrBadCRC},
+		{"flipped record length", flip(rec0), ErrBadCRC},
+		{"flipped last byte", flip(len(good) - 1), ErrBadCRC},
+		// ... and under a matching checksum, where only the walk can object.
+		{"resealed attrs", reseal(flip(17)), nil},
+		{"resealed count", reseal(flip(18)), ErrCorrupt},
+		{"resealed record length", reseal(flip(rec0)), ErrShortRecord},
+		{"resealed last byte", reseal(flip(len(good) - 1)), nil},
+		{"count zero", reseal(set(18, 0)), ErrEmptyBatch},
+		{"count one short", reseal(set(18, 1)), ErrCorrupt},
+		{"last record cut", reseal(damaged(func(b []byte) []byte { return b[:len(b)-1] })), ErrShortRecord},
+		{"record length past the end", reseal(set(rec0, 0x7f)), ErrShortRecord},
+		{"record length varint unterminated", reseal(damaged(func(b []byte) []byte { return append(b, 0x80) })), ErrShortRecord},
+		{"empty record", reseal(damaged(func(b []byte) []byte { return append(b, 0) })), ErrShortRecord},
+		{"timestamp varint unterminated", reseal(damaged(func(b []byte) []byte { return append(b[:rec0], 2, 0, 0x80) })), ErrCorrupt},
+		{"offset varint unterminated", reseal(damaged(func(b []byte) []byte { return append(b[:rec0], 3, 0, 0, 0x80) })), ErrCorrupt},
+		{"key past the record", reseal(set(rec0+4, 0x7f)), ErrShortRecord},
+		{"value past the record", reseal(set(rec0+6, 0x7f)), ErrShortRecord},
+		{"bytes after the value", reseal(set(rec0+6, 100)), ErrCorrupt},
+	} {
+		batch, _, err := Parse(tc.buf)
+		if err != nil {
+			t.Fatalf("%s: Parse: %v", tc.name, err)
+		}
+		if got, agreed := batch.Validate(), wantValidate(batch); got != tc.want || got != agreed {
+			t.Errorf("%s: Validate = %v, want %v (Records says %v)", tc.name, got, tc.want, agreed)
+		}
+	}
+}
+
+// TestPropertyValidateAgreesWithRecords damages random bytes of random
+// batches of short records (mostly framing, little payload) under a matching
+// checksum. The count's upper bytes are spared: Records sizes its result by
+// them.
+func TestPropertyValidateAgreesWithRecords(t *testing.T) {
+	rejected := 0
+	property := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		b := NewBuilder(1)
+		for i, n := 0, 1+r.Intn(8); i < n; i++ {
+			val := make([]byte, r.Intn(4))
+			r.Read(val)
+			if err := b.Append(Record{Value: val, Timestamp: int64(i)}); err != nil {
+				return false
+			}
+		}
+		buf, err := b.Bytes()
+		if err != nil {
+			return false
+		}
+		for i, n := 0, 1+r.Intn(3); i < n; i++ {
+			pos := 18
+			if r.Intn(8) > 0 {
+				pos = HeaderSize + r.Intn(len(buf)-HeaderSize)
+			}
+			buf[pos] ^= byte(1 + r.Intn(255))
+		}
+		batch, _, err := Parse(reseal(buf))
+		if err != nil {
+			return false
+		}
+		got := batch.Validate()
+		if got != nil {
+			rejected++
+		}
+		return got == wantValidate(batch)
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if rejected < 250 {
+		t.Fatalf("only %d of 500 damaged batches were rejected: the damage misses the framing", rejected)
+	}
+}
+
+// TestValidateDoesNotAllocate: brokers validate every batch they commit and
+// consumers every batch they fetch; the walk decodes records in place.
+func TestValidateDoesNotAllocate(t *testing.T) {
+	buf, err := Encode(1, quickRecords(rand.New(rand.NewSource(1)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, _ := Parse(buf)
+	if avg := testing.AllocsPerRun(100, func() { err = batch.Validate() }); avg != 0 || err != nil {
+		t.Fatalf("Validate allocates %.1f times per batch of %d records (err %v), want 0", avg, batch.Count(), err)
 	}
 }

@@ -124,9 +124,9 @@ func benchShardGroup(b *testing.B, shards, parallel int) {
 
 // BenchmarkKernelProcessSwitch measures a self-wake: the only process sleeps,
 // runs the event loop itself, pops its own resume and returns from Sleep — a
-// heap push and pop, no goroutine switch. perf's sim.switch rung is this
-// shape; despite both names, nothing switches here any more. The cross-
-// process cost is the two benchmarks below.
+// heap push and pop, no switch. perf's sim.switch rung is this shape; despite
+// both names, nothing switches here. The cross-process cost is the two
+// benchmarks below.
 func BenchmarkKernelProcessSwitch(b *testing.B) {
 	e := NewEnv(1)
 	b.ReportAllocs()
@@ -141,9 +141,9 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 
 // BenchmarkKernelProcessHandoff measures a cross-process wake through a
 // Queue: two processes ping-pong a token, so every Pop parks, finds the other
-// process next in the heap and hands it the baton — one goroutine handoff per
-// op. perf's sim.queue_wake rung is the same path (it pushes from a callback
-// instead of from a peer).
+// process next in the heap and yields it to the trampoline — two coroutine
+// switches per op. perf's sim.queue_wake rung is the same path (it pushes
+// from a callback instead of from a peer).
 func BenchmarkKernelProcessHandoff(b *testing.B) {
 	e := NewEnv(1)
 	ping, pong := NewQueue[int](), NewQueue[int]()
@@ -166,7 +166,7 @@ func BenchmarkKernelProcessHandoff(b *testing.B) {
 // BenchmarkKernelProcessFanIn measures timer-driven cross-process wakes:
 // eight sleepers with the same period at distinct phases, so the process
 // that parks is never the one whose timer expires next and every resume is
-// a handoff. The stream workload's publishers and pollers have this shape;
+// a switch. The stream workload's publishers and pollers have this shape;
 // no perf rung isolates it (sim.switch has a single sleeper).
 func BenchmarkKernelProcessFanIn(b *testing.B) {
 	const sleepers = 8

@@ -154,3 +154,34 @@ func TestPopTimeoutDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestBroadcastKeepsWaiterList: Broadcast empties the waiter list in place,
+// so the waits that follow it append into the same backing array.
+func TestBroadcastKeepsWaiterList(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	var c Cond
+	woken := 0
+	for i := 0; i < 3; i++ {
+		e.Go("waiter", func(p *Proc) {
+			for {
+				c.Wait(p)
+				woken++
+			}
+		})
+	}
+	var tick func()
+	tick = func() {
+		c.Broadcast()
+		e.After(time.Microsecond, tick)
+	}
+	e.After(time.Microsecond, tick)
+	slice := func() { e.RunUntil(e.Now() + 100*time.Microsecond) }
+	slice() // grow the heap and the waiter list
+	if avg := testing.AllocsPerRun(10, slice); avg != 0 {
+		t.Errorf("Broadcast and re-Wait allocate %.1f times per 100 rounds, want 0", avg)
+	}
+	if woken < 3000 {
+		t.Fatalf("only %d wakeups: the waiters did not go round", woken)
+	}
+}

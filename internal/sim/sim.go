@@ -1,5 +1,7 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel with cooperative, goroutine-backed processes.
+// kernel with cooperative processes, one coroutine each.
 //
 // The kernel is the substrate for the whole KafkaDirect reproduction: the
 // RDMA fabric, the TCP stack, brokers, and clients all run as sim processes
@@ -7,31 +9,40 @@
 // "takes" 400 simulated seconds completes in milliseconds of wall time and is
 // bit-for-bit reproducible for a given seed.
 //
-// Concurrency model: exactly one goroutine runs simulation code at a time —
-// the one holding the baton. A process runs until it blocks (Sleep,
-// Queue.Pop, Cond.Wait, Resource.Acquire, ...) or returns; it then runs the
-// event loop itself (Env.dispatch), on its own stack: it pops events from a
-// time-ordered heap and invokes inline callbacks in place until an event
-// resumes a process. If that process is the one running the loop, it simply
-// returns from its blocking call — a self-wake costs no goroutine switch. If
-// it is another process, the loop hands it the baton with one channel send
-// and its goroutine blocks until somebody hands the baton back. There is no
-// scheduler goroutine: Run enters the same loop from its caller, hands off to
-// the first process the loop reaches, and waits until whichever goroutine
-// sees the run end (no events, Stop, deadline) returns the baton.
+// Concurrency model: exactly one stack runs simulation code at a time. Every
+// process is an iter.Pull coroutine, and the goroutine that called Run resumes
+// them one after another from a trampoline (Env.run). A process runs until it
+// blocks (Sleep, Queue.Pop, Cond.Wait, Resource.Acquire, ...) or returns. A
+// blocked process runs the event loop itself (Env.dispatch), on its own
+// stack: it pops events from a time-ordered heap and invokes inline callbacks
+// in place until an event resumes a process. If that process is the one
+// running the loop, it simply returns from its blocking call — a self-wake is
+// a heap push and pop, no switch of any kind. If it is another process, or the
+// run has ended, the loop yields that process (or nil) to the trampoline,
+// which resumes it: two coroutine switches on one thread, with no channel, no
+// trip through the Go scheduler and no system call. A process that returns
+// leaves the loop to the trampoline, which runs it on Run's caller's stack
+// until the next process is due.
 //
 // Events with equal timestamps are ordered by insertion sequence, and every
-// baton holder executes the same loop over the same heap, so the order of
-// events — and with it the whole simulation — is fully deterministic and
-// independent of which goroutine happens to run the loop.
+// stack executes the same loop over the same heap, so the order of events —
+// and with it the whole simulation — is fully deterministic and independent
+// of which stack happens to run the loop.
 //
-// Inline callbacks therefore run on whatever stack holds the baton. A panic
-// in one (or in a process body) is recovered on that goroutine and re-raised
-// from Run on the caller's.
+// Inline callbacks therefore run on whatever stack is current. A panic in one
+// (or in a process body) unwinds that stack and then Run's caller, wrapped
+// with the stack it was raised on when that was a process's; runtime.Goexit
+// (t.FailNow) likewise ends the process and then the goroutine that called
+// Run, running its deferred calls. Shutdown stops every coroutine still
+// alive, so deferred cleanups run and nothing is left behind.
+//
+// iter is why this file needs a Go 1.23 toolchain although go.mod says 1.22
+// (ROADMAP item 2(b)); there is no channel-based fallback for older ones.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -52,17 +63,10 @@ type Env struct {
 	// resumptions); the benchmark harness reads it to report events/sec.
 	executed uint64
 
-	// yield returns the baton to the goroutine blocked in Run/RunUntil (or
-	// Shutdown) when the run ends on a process goroutine.
-	yield   chan struct{}
 	stopped bool
 	// horizon is the last virtual time the current run may execute
 	// (inclusive), set by RunUntil/runBefore before they enter dispatch.
 	horizon Time
-	// relayed holds a panic recovered on a process goroutine until the
-	// goroutine that gets the baton back (Run's or Shutdown's caller)
-	// re-raises it.
-	relayed *relayedPanic
 	live    int // processes spawned and not yet exited
 
 	rng *rand.Rand
@@ -81,10 +85,7 @@ type Env struct {
 // NewEnv returns a fresh environment with its clock at zero and a
 // deterministic random source derived from seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -99,7 +100,7 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // event is a scheduled occurrence: either resume a parked process or invoke
 // an inline callback (which must not block). Inline callbacks are the fast
-// path: the event loop invokes them in place, with no goroutine handoff.
+// path: the event loop invokes them in place, with no switch.
 // An event carries either fn (a plain closure) or fnArg+arg (a shared
 // function applied to a caller-pooled argument, see AtArg) — the latter lets
 // hot paths schedule work without allocating a closure per event.
@@ -198,9 +199,9 @@ func (e *Env) push(at Time, p *Proc, fn func()) {
 	e.events.push(event{at: at, seq: e.seq, proc: p, fn: fn})
 }
 
-// At schedules fn to run inline (inside the event loop, on whichever
-// goroutine runs it at the time) at absolute virtual time t. fn must not
-// block; it may wake processes.
+// At schedules fn to run inline (inside the event loop, on whichever stack
+// runs it at the time) at absolute virtual time t. fn must not block; it may
+// wake processes.
 //
 //kdlint:hotpath
 func (e *Env) At(t Time, fn func()) {
@@ -234,17 +235,21 @@ func (e *Env) AtArg(t Time, fn func(any), arg any) {
 //kdlint:hotpath
 func (e *Env) AfterArg(d Time, fn func(any), arg any) { e.AtArg(e.now+d, fn, arg) }
 
-// Proc is a simulation process. All blocking operations take the process as
-// receiver so that misuse (blocking outside a process) is impossible to write.
+// Proc is a simulation process: a coroutine the trampoline (Env.run) resumes.
+// All blocking operations take the process as receiver so that misuse
+// (blocking outside a process) is impossible to write.
 type Proc struct {
 	env  *Env
 	name string
-	// resume hands this process the baton; true instead unwinds it (Shutdown).
-	resume chan bool
+	// next and stop are the iter.Pull pair of the process's coroutine. next
+	// runs it until it yields the process to resume after it (nil: the run
+	// has ended) and reports false once the body has returned; stop unwinds
+	// it (Shutdown). yield is its own end of next, set when it starts.
+	next   func() (*Proc, bool)
+	stop   func()
+	yield  func(*Proc) bool
 	parked bool
 	dead   bool
-	// gone is set once exit has given the baton away.
-	gone bool
 	// waitToken guards against stale timeout events waking a process that
 	// has already been woken for another reason and moved on.
 	waitToken uint64
@@ -256,10 +261,10 @@ type Proc struct {
 // killSentinel is the panic value used to unwind processes on Shutdown.
 type killSentinel struct{}
 
-// relayedPanic carries a panic that unwound a process goroutine — raised by
-// the process body or by an inline callback the process ran while it held
-// the baton — to the caller of Run, with the stack it was raised on (the
-// re-raise alone would show only Run's caller).
+// relayedPanic carries a panic that unwound a process — raised by the process
+// body or by an inline callback the process ran while parked — to the caller
+// of Run, with the stack it was raised on (iter.Pull re-panics the bare value
+// from next, which alone would show only Run's caller).
 type relayedPanic struct {
 	val   any
 	proc  string
@@ -282,54 +287,32 @@ func (p *Proc) Now() Time { return p.env.now }
 // Go spawns a new process running fn, scheduled to start at the current
 // virtual time. It is safe to call before Run and from within processes.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan bool)}
+	p := &Proc{env: e, name: name}
 	e.live++
 	e.procs = append(e.procs, p)
-	go func() {
-		if kill := <-p.resume; kill {
-			// Shut down before ever running: Shutdown holds the baton.
-			p.dead = true
-			e.live--
-			e.yield <- struct{}{}
-			return
-		}
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
 		defer p.exit()
 		fn(p)
-	}()
+	})
 	e.push(e.now, p, nil)
 	return p
 }
 
-// exit is deferred on every started process goroutine, so it runs when the
-// body returns, when it aborts via runtime.Goexit (t.Fatal inside a
-// process), when Shutdown unwinds it, and when it — or an inline callback it
-// ran while parked — panics. In each case this goroutine holds the baton and
-// must give it to someone before it vanishes.
+// exit is deferred on every started process, so it runs when the body
+// returns, when it aborts via runtime.Goexit (t.Fatal inside a process), when
+// Shutdown unwinds it, and when it — or an inline callback it ran while
+// parked — panics. iter.Pull carries a Goexit or a panic on to the caller of
+// next or stop (Run's or Shutdown's), the panic without its stack: it is
+// wrapped here, where the stack still stands.
 func (p *Proc) exit() {
-	if p.gone {
-		return
-	}
-	e := p.env
-	if !p.dead {
-		p.dead = true
-		e.live--
-	}
+	p.dead = true
+	p.env.live--
 	if r := recover(); r != nil {
-		// Unwound by Shutdown, or the run ends here with a panic for the
-		// Run caller to re-raise: either way the baton goes straight back.
-		if _, kill := r.(killSentinel); !kill && e.relayed == nil {
-			e.relayed = &relayedPanic{val: r, proc: p.name, stack: debug.Stack()}
+		if _, kill := r.(killSentinel); !kill {
+			panic(&relayedPanic{val: r, proc: p.name, stack: debug.Stack()})
 		}
-		p.gone = true
-		e.yield <- struct{}{}
-		return
 	}
-	// The loop runs callbacks on this dying goroutine, and one of them may
-	// itself panic or Goexit: re-arm, so that pass relays it like any other.
-	defer p.exit()
-	q := e.dispatch()
-	p.gone = true
-	e.handoff(q)
 }
 
 // park suspends the calling process until it is woken, running the event
@@ -339,14 +322,10 @@ func (p *Proc) exit() {
 //kdlint:hotpath
 func (p *Proc) park() bool {
 	p.parked = true
-	e := p.env
-	if q := e.dispatch(); q != p {
-		// Another process (or the Run caller) is next: one handoff, then
-		// wait for the baton to come back.
-		e.handoff(q)
-		if kill := <-p.resume; kill {
-			panic(killSentinel{})
-		}
+	// Another process is next, or the run has ended: yield it to the
+	// trampoline and wait there until this one is resumed — or stopped.
+	if q := p.env.dispatch(); q != p && !p.yield(q) {
+		panic(killSentinel{})
 	}
 	p.parked = false
 	to := p.timedOut
@@ -378,13 +357,13 @@ func (p *Proc) Sleep(d Time) {
 // events run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// dispatch is the event loop. Whichever goroutine holds the baton runs it:
-// the Run caller, a parked process, or an exiting one. It pops events in
-// (at, seq) order and runs inline callbacks in place until an event resumes
-// a live process, which it returns with the clock at that event; it returns
-// nil when the run ends (no events, Stop, or the next event lies beyond the
+// dispatch is the event loop. Whichever stack is current runs it: a parked
+// process, or the trampoline on Run's caller. It pops events in (at, seq)
+// order and runs inline callbacks in place until an event resumes a live
+// process, which it returns with the clock at that event; it returns nil
+// when the run ends (no events, Stop, or the next event lies beyond the
 // horizon). The caller decides what the result costs: nothing if it is the
-// returned process itself, one handoff otherwise.
+// returned process itself, a coroutine switch otherwise.
 //
 //kdlint:hotpath
 func (e *Env) dispatch() *Proc {
@@ -412,34 +391,16 @@ func (e *Env) dispatch() *Proc {
 	return nil
 }
 
-// handoff gives the baton away: to process q, or, when the run has ended
-// (q == nil), back to the goroutine waiting in run or Shutdown.
-//
-//kdlint:hotpath
-func (e *Env) handoff(q *Proc) {
-	if q != nil {
-		q.resume <- false
-	} else {
-		e.yield <- struct{}{}
-	}
-}
-
-// run executes events up to the horizon from the calling goroutine: it
-// dispatches until a process must run, hands it the baton, and waits for
-// whichever goroutine ends the run to give it back.
+// run executes events up to the horizon from the calling goroutine. It is the
+// trampoline: it resumes the process the loop reached and gets back the one
+// that process's own loop reached next, until one reports the end of the run
+// (nil). A process that returned instead leaves the loop to be run here.
 func (e *Env) run() {
-	if q := e.dispatch(); q != nil {
-		e.handoff(q)
-		<-e.yield
-	}
-	e.reraise()
-}
-
-// reraise panics with the panic a process goroutine relayed, if any.
-func (e *Env) reraise() {
-	if rp := e.relayed; rp != nil {
-		e.relayed = nil
-		panic(rp)
+	for q := e.dispatch(); q != nil; {
+		var parked bool
+		if q, parked = q.next(); !parked {
+			q = e.dispatch()
+		}
 	}
 }
 
@@ -489,20 +450,29 @@ func (e *Env) Stop() { e.stopped = true }
 // harnesses that build many simulations (the benchmark suite constructs one
 // per data point) depend on this to keep memory bounded.
 func (e *Env) Shutdown() {
-	// Stopped, dispatch returns nil at once: a process that blocks or
-	// returns in a deferred cleanup while it unwinds hands the baton
-	// straight back here instead of running events.
+	// Stopped, dispatch returns nil at once: a process that blocks in a
+	// deferred cleanup while it unwinds is refused instead of running events.
 	e.stopped = true
-	for _, p := range e.procs {
+	// A cleanup that panics or Goexits leaves through stop: unwind the rest
+	// on the way out.
+	defer func() {
+		if len(e.procs) > 0 {
+			e.Shutdown()
+		}
+		e.procs, e.events = nil, eventHeap{}
+	}()
+	for len(e.procs) > 0 {
+		p := e.procs[0]
+		e.procs = e.procs[1:]
 		if p.dead {
 			continue
 		}
-		p.resume <- true
-		<-e.yield
+		p.stop()
+		if !p.dead { // never started: there was no exit to run
+			p.dead = true
+			e.live--
+		}
 	}
-	e.procs = nil
-	e.events = eventHeap{}
-	e.reraise() // a deferred cleanup panicked while its process unwound
 }
 
 // Pending reports the number of scheduled events (diagnostic).
@@ -625,13 +595,15 @@ func (c *Cond) Signal() {
 	p.wake()
 }
 
-// Broadcast wakes all waiting processes.
+// Broadcast wakes all waiting processes. Like Signal it keeps the backing
+// array for the next Wait; wake only pushes an event, so nothing re-enters
+// the list while it is walked.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for _, p := range c.waiters {
 		p.wake()
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Waiting reports the number of processes blocked on the condition.

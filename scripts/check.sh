@@ -35,9 +35,11 @@ go run ./cmd/kdlint -audit -budget scripts/kdlint_budget.txt ./...
 # race would corrupt everything downstream, so they gate the full suite.
 # The shard test matrices run parallel>1 configurations, so this is the
 # shards>1 race gate: real goroutines executing shard windows concurrently.
-# The kernel runs at three GOMAXPROCS settings: the event loop moves between
-# process goroutines on every cross-process wake, so baton handoffs must hold
-# both when the runtime can and when it cannot run the two sides in parallel.
+# The kernel runs at three GOMAXPROCS settings. There are no channel handoffs
+# in it any more; what this guards is coroutines that are created on one
+# goroutine (the test's, or another process's) and resumed from another (a
+# later Run's caller, a ShardGroup worker), whether or not the runtime has a
+# second P to put that goroutine on.
 echo "== go test -race -cpu 1,2,4 (sim) =="
 go test -race -cpu 1,2,4 ./internal/sim/
 echo "== go test -race (fabric, chaos, core, group) =="
@@ -86,5 +88,9 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 echo "== perf module (vet, test, kdlint, smoke run) =="
 (cd perf && go vet . && go test . && go run kafkadirect/cmd/kdlint ./...)
 bash perf/run.sh --workload produce_small --seed 1 --seconds 1 --trace 0 --short | tail -n 1
+# run.sh builds with -mod=mod, which lets the go command rewrite a module file
+# it finds wanting; a PR outside perf/ may not change either, by hand or so.
+git diff --exit-code -- go.mod perf/go.mod \
+    || { echo "building the benchmark rewrote a go.mod" >&2; exit 1; }
 
 echo "all checks passed"
