@@ -1,12 +1,12 @@
 // Command kdlint runs the repo's invariant analyzers (internal/analysis)
-// over Go packages: simclock, maporder, poolalias, errdrop, shardstate,
-// crossnode, hotalloc, obssafe. It is the static half of the determinism
-// story — the dynamic half being the workers=1-vs-8 byte-identical figure
-// suite.
+// over Go packages: simclock, maporder, poolalias, errdrop, obssafe — the
+// rules for which a planted defect reached no run-time gate (DESIGN.md §9).
+// It is the static half of the determinism story — the dynamic half being
+// the workers=1-vs-8 byte-identical figure suite.
 //
 // Usage:
 //
-//	kdlint [-only name[,name]] [-list] [-json] [-audit] [-budget file] [packages]
+//	kdlint [-only name[,name]] [-list] [-audit] [-budget file] [packages]
 //
 // With no packages, ./... is checked. Exit status: 0 clean, 1 findings (or
 // audit failures), 2 load or typecheck failure — including a matched
@@ -16,7 +16,6 @@
 // above; `-audit` inventories every such directive, fails on stale
 // suppressions and thin justifications, and checks the per-analyzer totals
 // against the committed budget file (-budget), so suppressions only shrink.
-// `-json` prints findings as a JSON array.
 //
 // kdlint is self-contained (standard library only), so it needs no module
 // downloads: `go run ./cmd/kdlint ./...` works in a fresh checkout with no
@@ -24,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,8 +34,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	dir := flag.String("C", ".", "directory to resolve package patterns in")
-	jsonOut := flag.Bool("json", false, "print findings as a JSON array")
 	audit := flag.Bool("audit", false, "audit //kdlint:allow suppressions (stale, thin, budget) in addition to findings")
 	budgetFile := flag.String("budget", "", "suppression budget file for -audit (analyzer count per line)")
 	flag.Parse()
@@ -76,7 +72,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	prog, err := analysis.LoadProgram(*dir, patterns...)
+	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kdlint: %v\n", err)
 		os.Exit(2)
@@ -84,7 +80,7 @@ func main() {
 	// A finding is only trustworthy if its package typechecked: surface
 	// type errors as hard failures rather than analyzing partial ASTs.
 	badTypes := false
-	for _, p := range prog.Packages {
+	for _, p := range pkgs {
 		for _, te := range p.TypeErrors {
 			fmt.Fprintf(os.Stderr, "kdlint: typecheck %s: %v\n", p.PkgPath, te)
 			badTypes = true
@@ -94,36 +90,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := analysis.RunDetail(prog, analyzers)
-	diags := res.Diags
-
-	if *jsonOut {
-		type finding struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{d.Analyzer, d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "kdlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	res := analysis.RunDetail(pkgs, analyzers)
+	for _, d := range res.Diags {
+		fmt.Println(d.String())
 	}
 
-	failed := len(diags) > 0
+	failed := len(res.Diags) > 0
 	if failed {
-		fmt.Fprintf(os.Stderr, "kdlint: %d finding(s) in %d package(s)\n", len(diags), len(prog.Packages))
+		fmt.Fprintf(os.Stderr, "kdlint: %d finding(s) in %d package(s)\n", len(res.Diags), len(pkgs))
 	}
 
 	if *audit {

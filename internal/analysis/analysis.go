@@ -1,21 +1,18 @@
 // Package analysis is kdlint: a small, dependency-free static-analysis
-// framework plus the repo-specific analyzers that enforce the simulator's
-// core invariants (see DESIGN.md §9):
+// framework plus the repo-specific rules that a planted defect showed no
+// run-time gate catches (see DESIGN.md §9):
 //
-//	simclock   — no wall clock or unseeded randomness in simulated code
-//	maporder   — no order-sensitive work driven by unsorted map iteration
-//	poolalias  — no aliasing of pooled wire buffers past their recycle call
-//	errdrop    — no silently discarded transport/replication errors
-//	shardstate — no shared mutable state or unjustified cross-shard access
-//	crossnode  — no reaching into another node's state outside delivery
-//	hotalloc   — //kdlint:hotpath functions must be provably alloc-free
-//	obssafe    — obs instruments are cached in fields at construction
+//	simclock  — no wall clock or unseeded randomness in simulated code
+//	maporder  — no order-sensitive work driven by unsorted map iteration
+//	poolalias — no aliasing of pooled wire buffers past their recycle call
+//	errdrop   — no silently discarded transport/replication errors
+//	obssafe   — obs instruments are cached in fields at construction
 //
-// The v2 analyzers (crossnode, hotalloc, obssafe) share the dataflow layer
-// in dataflow.go: def-use chains, branch-aware reachability, and the
-// cross-package fact store fed by //kdlint:delivery and //kdlint:hotpath
-// directives. `kdlint -audit` additionally audits every //kdlint:allow
-// suppression for staleness and justification quality (audit.go).
+// simclock, errdrop and obssafe are one walk over function references driven
+// by a rule table (forbid.go); maporder and poolalias reason about one
+// function body at a time. `kdlint -audit` additionally audits every
+// //kdlint:allow suppression for staleness and justification quality
+// (audit.go).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers would port to a standard
@@ -26,7 +23,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"path"
 	"regexp"
@@ -43,16 +39,13 @@ type Analyzer struct {
 
 // All returns the full kdlint analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{SimClock, MapOrder, PoolAlias, ErrDrop, ShardState, CrossNode, HotAlloc, ObsSafe}
+	return []*Analyzer{SimClock, MapOrder, PoolAlias, ErrDrop, ObsSafe}
 }
 
 // A Pass is one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Facts holds the run-wide directive and derived facts (delivery entry
-	// points, hotpath annotations) collected before any analyzer ran.
-	Facts *FactSet
 
 	diags *[]Diagnostic
 }
@@ -121,42 +114,6 @@ func pkgBase(pkgPath string) string { return path.Base(pkgPath) }
 // suppression is itself reported.
 var allowRe = regexp.MustCompile(`^//kdlint:allow\s+([a-z]+)\s*(.*)$`)
 
-type allowDirective struct {
-	analyzer string
-	reason   string
-	pos      token.Position
-}
-
-func collectAllows(pkg *Package) []allowDirective {
-	var out []allowDirective
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				out = append(out, allowDirective{
-					analyzer: m[1],
-					reason:   strings.TrimSpace(m[2]),
-					pos:      pkg.Fset.Position(c.Pos()),
-				})
-			}
-		}
-	}
-	return out
-}
-
-func (a allowDirective) covers(d Diagnostic) bool {
-	return a.analyzer == d.Analyzer &&
-		a.pos.Filename == d.Pos.Filename &&
-		(a.pos.Line == d.Pos.Line || a.pos.Line == d.Pos.Line-1)
-}
-
-// ---------------------------------------------------------------------------
-// Runner
-// ---------------------------------------------------------------------------
-
 // An AllowInfo is one //kdlint:allow directive together with how it fared
 // during the run: how many raw findings it suppressed. Zero with its
 // analyzer among those run means the suppression is stale.
@@ -167,13 +124,42 @@ type AllowInfo struct {
 	Suppressed int
 }
 
+func collectAllows(pkg *Package) []AllowInfo {
+	var out []AllowInfo
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := allowRe.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				out = append(out, AllowInfo{
+					Analyzer: m[1],
+					Reason:   strings.TrimSpace(m[2]),
+					Pos:      pkg.Fset.Position(c.Pos()),
+				})
+			}
+		}
+	}
+	return out
+}
+
+func (a AllowInfo) covers(d Diagnostic) bool {
+	return a.Analyzer == d.Analyzer &&
+		a.Pos.Filename == d.Pos.Filename &&
+		(a.Pos.Line == d.Pos.Line || a.Pos.Line == d.Pos.Line-1)
+}
+
+// ---------------------------------------------------------------------------
+// Runner
+// ---------------------------------------------------------------------------
+
 // A RunResult carries everything a driver can want from one run: the
-// surviving findings, the full allow-directive inventory with suppression
-// counts (for -audit), and the collected fact set.
+// surviving findings and the full allow-directive inventory with suppression
+// counts (for -audit).
 type RunResult struct {
 	Diags  []Diagnostic
 	Allows []AllowInfo
-	Facts  *FactSet
 }
 
 // Run applies every analyzer to every package, filters findings through
@@ -181,33 +167,29 @@ type RunResult struct {
 // Malformed directives (no justification, unknown analyzer name) are
 // reported as kdlint findings themselves.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunDetail(&Program{Packages: pkgs}, analyzers).Diags
+	return RunDetail(pkgs, analyzers).Diags
 }
 
 // RunDetail is Run with the books kept open: it returns the surviving
 // findings plus the allow inventory the suppression audit consumes.
-func RunDetail(prog *Program, analyzers []*Analyzer) *RunResult {
+func RunDetail(pkgs []*Package, analyzers []*Analyzer) *RunResult {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	facts := collectFacts(prog.Packages, prog.DepFacts)
-	res := &RunResult{Facts: facts}
+	res := &RunResult{}
 	var diags []Diagnostic
-	diags = append(diags, facts.hygiene...)
-	for _, pkg := range prog.Packages {
+	for _, pkg := range pkgs {
 		var raw []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts, diags: &raw}
-			a.Run(pass)
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &raw})
 		}
 		allows := collectAllows(pkg)
-		counts := make([]int, len(allows))
 		for _, d := range raw {
 			suppressed := false
-			for i, a := range allows {
-				if a.covers(d) && a.reason != "" {
-					counts[i]++
+			for i := range allows {
+				if allows[i].covers(d) && allows[i].Reason != "" {
+					allows[i].Suppressed++
 					suppressed = true
 					break
 				}
@@ -216,27 +198,22 @@ func RunDetail(prog *Program, analyzers []*Analyzer) *RunResult {
 				diags = append(diags, d)
 			}
 		}
-		for i, a := range allows {
-			res.Allows = append(res.Allows, AllowInfo{
-				Analyzer:   a.analyzer,
-				Reason:     a.reason,
-				Pos:        a.pos,
-				Suppressed: counts[i],
-			})
-			if a.reason == "" {
+		for _, a := range allows {
+			if a.Reason == "" {
 				diags = append(diags, Diagnostic{
 					Analyzer: "kdlint",
-					Pos:      a.pos,
-					Message:  fmt.Sprintf("//kdlint:allow %s needs a justification after the analyzer name", a.analyzer),
+					Pos:      a.Pos,
+					Message:  fmt.Sprintf("//kdlint:allow %s needs a justification after the analyzer name", a.Analyzer),
 				})
-			} else if !known[a.analyzer] {
+			} else if !known[a.Analyzer] {
 				diags = append(diags, Diagnostic{
 					Analyzer: "kdlint",
-					Pos:      a.pos,
-					Message:  fmt.Sprintf("//kdlint:allow names unknown analyzer %q", a.analyzer),
+					Pos:      a.Pos,
+					Message:  fmt.Sprintf("//kdlint:allow names unknown analyzer %q", a.Analyzer),
 				})
 			}
 		}
+		res.Allows = append(res.Allows, allows...)
 	}
 	sortDiags(diags)
 	sort.Slice(res.Allows, func(i, j int) bool { return posLess(res.Allows[i].Pos, res.Allows[j].Pos) })
@@ -270,16 +247,4 @@ func posEqual(a, b token.Position) bool {
 // isTestFile reports whether the file containing pos is a _test.go file.
 func isTestFile(pkg *Package, pos token.Pos) bool {
 	return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
-}
-
-// enclosingFuncs returns every function declaration and literal in f, for
-// analyzers that reason about one function body at a time.
-func funcBodies(f *ast.File) []*ast.BlockStmt {
-	var out []*ast.BlockStmt
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			out = append(out, fd.Body)
-		}
-	}
-	return out
 }

@@ -116,18 +116,6 @@ func TestErrDropFixture(t *testing.T) {
 	checkFixture(t, ErrDrop, "klog")
 }
 
-func TestShardStateFixture(t *testing.T) {
-	checkFixture(t, ShardState, "stream")
-}
-
-func TestCrossNodeFixture(t *testing.T) {
-	checkFixture(t, CrossNode, "tcpnet")
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	checkFixture(t, HotAlloc, "kwire")
-}
-
 func TestObsSafeFixture(t *testing.T) {
 	checkFixture(t, ObsSafe, "client")
 }
@@ -142,7 +130,7 @@ func TestObsSafeFixture(t *testing.T) {
 // Unlike TestRepoIsKdlintClean it loads one package, so it survives -short.
 func TestGroupPackageIsKdlintClean(t *testing.T) {
 	if !simPackages["group"] {
-		t.Error(`internal/group missing from simPackages: simclock/maporder/shardstate no longer cover the coordinator`)
+		t.Error(`internal/group missing from simPackages: simclock/maporder no longer cover the coordinator`)
 	}
 	if !errDropPackages["group"] {
 		t.Error(`internal/group missing from errDropPackages: dropped group errors (the fencing signal) go unflagged`)
@@ -159,7 +147,7 @@ func TestGroupPackageIsKdlintClean(t *testing.T) {
 			t.Fatalf("%s: type error: %v", pkg.PkgPath, te)
 		}
 		if allows := collectAllows(pkg); len(allows) != 0 {
-			t.Errorf("internal/group carries %d //kdlint:allow directive(s), first at %s — the coordinator must be clean without suppressions", len(allows), allows[0].pos)
+			t.Errorf("internal/group carries %d //kdlint:allow directive(s), first at %s — the coordinator must be clean without suppressions", len(allows), allows[0].Pos)
 		}
 	}
 	for _, d := range Run(pkgs, All()) {
@@ -176,7 +164,7 @@ func TestGroupPackageIsKdlintClean(t *testing.T) {
 // Like the group test, this loads one package and survives -short.
 func TestObsPackageIsKdlintClean(t *testing.T) {
 	if !simPackages["obs"] {
-		t.Error(`internal/obs missing from simPackages: simclock/maporder/shardstate no longer cover the telemetry layer`)
+		t.Error(`internal/obs missing from simPackages: simclock/maporder no longer cover the telemetry layer`)
 	}
 	pkgs, err := Load("../..", "./internal/obs/")
 	if err != nil {
@@ -190,7 +178,7 @@ func TestObsPackageIsKdlintClean(t *testing.T) {
 			t.Fatalf("%s: type error: %v", pkg.PkgPath, te)
 		}
 		if allows := collectAllows(pkg); len(allows) != 0 {
-			t.Errorf("internal/obs carries %d //kdlint:allow directive(s), first at %s — the telemetry layer must be clean without suppressions", len(allows), allows[0].pos)
+			t.Errorf("internal/obs carries %d //kdlint:allow directive(s), first at %s — the telemetry layer must be clean without suppressions", len(allows), allows[0].Pos)
 		}
 	}
 	for _, d := range Run(pkgs, All()) {

@@ -11,11 +11,11 @@ import (
 // directive suppressing nothing; one live directive with a thin
 // justification.
 func TestAuditFixture(t *testing.T) {
-	prog, err := LoadProgram(".", "./testdata/src/chaos")
+	pkgs, err := Load(".", "./testdata/src/chaos")
 	if err != nil {
 		t.Fatalf("loading chaos fixture: %v", err)
 	}
-	res := RunDetail(prog, All())
+	res := RunDetail(pkgs, All())
 	for _, d := range res.Diags {
 		t.Errorf("chaos fixture should have no surviving findings, got: %s", d)
 	}
@@ -78,11 +78,11 @@ func TestAuditFixture(t *testing.T) {
 }
 
 func TestParseBudget(t *testing.T) {
-	budget, err := ParseBudget([]byte("# ratchet file\n\nsimclock 3\nhotalloc 0\n"))
+	budget, err := ParseBudget([]byte("# ratchet file\n\nsimclock 3\nmaporder 0\n"))
 	if err != nil {
 		t.Fatalf("parsing valid budget: %v", err)
 	}
-	if budget["simclock"] != 3 || budget["hotalloc"] != 0 {
+	if budget["simclock"] != 3 || budget["maporder"] != 0 {
 		t.Errorf("parsed budget wrong: %v", budget)
 	}
 
@@ -98,20 +98,20 @@ func TestParseBudget(t *testing.T) {
 }
 
 func TestCheckBudget(t *testing.T) {
-	rep := &AuditReport{PerAnalyzer: map[string]int{"simclock": 3, "hotalloc": 0, "crossnode": 2}}
+	rep := &AuditReport{PerAnalyzer: map[string]int{"simclock": 3, "maporder": 0, "obssafe": 2}}
 
-	if msgs := rep.CheckBudget(map[string]int{"simclock": 3, "crossnode": 5, "hotalloc": 0}); len(msgs) != 0 {
+	if msgs := rep.CheckBudget(map[string]int{"simclock": 3, "obssafe": 5, "maporder": 0}); len(msgs) != 0 {
 		t.Errorf("within budget but flagged: %q", msgs)
 	}
 
-	msgs := rep.CheckBudget(map[string]int{"simclock": 2, "crossnode": 5, "hotalloc": 0})
+	msgs := rep.CheckBudget(map[string]int{"simclock": 2, "obssafe": 5, "maporder": 0})
 	if len(msgs) != 1 || !strings.Contains(msgs[0], "fix the findings instead of suppressing them") {
 		t.Errorf("over-budget simclock not flagged as ratchet violation: %q", msgs)
 	}
 
-	msgs = rep.CheckBudget(map[string]int{"simclock": 3, "hotalloc": 0})
+	msgs = rep.CheckBudget(map[string]int{"simclock": 3, "maporder": 0})
 	if len(msgs) != 1 || !strings.Contains(msgs[0], "no budget line") {
-		t.Errorf("crossnode suppressions without a budget line not flagged: %q", msgs)
+		t.Errorf("obssafe suppressions without a budget line not flagged: %q", msgs)
 	}
 }
 
@@ -163,11 +163,11 @@ func TestRepoAuditClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole repository")
 	}
-	prog, err := LoadProgram("../..", "./...")
+	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
-	res := RunDetail(prog, All())
+	res := RunDetail(pkgs, All())
 	rep := Audit(res)
 	for _, f := range rep.Failures() {
 		t.Errorf("%s", f)

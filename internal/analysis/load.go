@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,7 +30,6 @@ type Package struct {
 	// PkgPath is the import path with any test-variant suffix
 	// ("pkg [pkg.test]") stripped.
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	// Files holds the parsed syntax, with comments, for the package's
 	// non-test and in-package test files. External test packages
@@ -48,7 +48,6 @@ type Package struct {
 type listedPackage struct {
 	ImportPath  string
 	Dir         string
-	Name        string
 	Export      string
 	GoFiles     []string
 	TestGoFiles []string
@@ -56,30 +55,12 @@ type listedPackage struct {
 	Standard    bool
 	DepOnly     bool
 	ForTest     string
-	Incomplete  bool
 	Error       *listedError
 }
 
 // listedError mirrors `go list -e`'s per-package error record.
 type listedError struct {
 	Err string
-}
-
-// A Program is one full load: the packages to analyze plus the directive
-// facts scanned from in-module dependencies that are not themselves being
-// analyzed (so a partial load still sees, say, fabric's //kdlint:delivery
-// entry points).
-type Program struct {
-	Packages []*Package
-	DepFacts []Fact
-}
-
-// depSource names the parsed-but-not-typechecked sources of an in-module
-// dependency, for directive scanning.
-type depSource struct {
-	importPath string
-	dir        string
-	goFiles    []string
 }
 
 // stripTestVariant turns "pkg [pkg.test]" into "pkg".
@@ -90,26 +71,16 @@ func stripTestVariant(importPath string) string {
 	return importPath
 }
 
-// Load is LoadProgram without the dependency facts, for callers that only
-// need the analyzed packages.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	prog, err := LoadProgram(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Packages, nil
-}
-
-// LoadProgram lists patterns with the go tool (run in dir), then parses and
+// Load lists patterns with the go tool (run in dir), then parses and
 // typechecks every matched package. Test variants are folded in: a package
 // with in-package test files is loaded once, with those files included.
 // A pattern that matches a broken package — no Go files, unparseable
 // metadata — is a hard error naming the package, not a silent skip: the
 // caller was asked to check it and cannot.
-func LoadProgram(dir string, patterns ...string) (*Program, error) {
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps", "-test",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,TestGoFiles,ImportMap,Standard,DepOnly,ForTest,Incomplete,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,ImportMap,Standard,DepOnly,ForTest,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -123,7 +94,6 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	exports := make(map[string]string) // import path -> export data file
 	importMaps := make(map[string]map[string]string)
 	var candidates []*listedPackage
-	var deps []depSource
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		p := new(listedPackage)
@@ -139,11 +109,6 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 			importMaps[p.ImportPath] = p.ImportMap
 		}
 		if p.DepOnly || p.Standard {
-			// This repo vendors nothing, so every non-standard dependency
-			// is in-module and may carry directive facts.
-			if p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
-				deps = append(deps, depSource{importPath: p.ImportPath, dir: p.Dir, goFiles: p.GoFiles})
-			}
 			continue
 		}
 		if strings.HasSuffix(p.ImportPath, ".test") {
@@ -197,30 +162,20 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("no Go packages matched %s", strings.Join(patterns, " "))
 	}
-	depFacts, err := scanDepFacts(deps)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{Packages: pkgs, DepFacts: depFacts}, nil
-}
-
-// parseFileComments parses one file for declarations and comments only; the
-// result is never typechecked (dependency directive scanning).
-func parseFileComments(fset *token.FileSet, path string) (*ast.File, error) {
-	return parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+	return pkgs, nil
 }
 
 func typecheck(fset *token.FileSet, imp *exportImporter, pkgPath string, lp *listedPackage) (*Package, error) {
 	files := append([]string{}, lp.GoFiles...)
 	for _, f := range lp.TestGoFiles {
-		if !contains(files, f) {
+		if !slices.Contains(files, f) {
 			files = append(files, f)
 		}
 	}
 	if len(files) == 0 {
 		return nil, nil
 	}
-	pkg := &Package{PkgPath: pkgPath, Dir: lp.Dir, Fset: fset}
+	pkg := &Package{PkgPath: pkgPath, Fset: fset}
 	for _, name := range files {
 		af, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -243,15 +198,6 @@ func typecheck(fset *token.FileSet, imp *exportImporter, pkgPath string, lp *lis
 	// (possibly partial) type information still feeds the analyzers.
 	pkg.Types, _ = conf.Check(pkgPath, fset, pkg.Files, pkg.Info)
 	return pkg, nil
-}
-
-func contains(s []string, v string) bool {
-	for _, e := range s {
-		if e == v {
-			return true
-		}
-	}
-	return false
 }
 
 // exportImporter resolves imports from the export-data files reported by

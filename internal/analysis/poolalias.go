@@ -180,7 +180,7 @@ func checkPoolAlias(pass *Pass, body *ast.BlockStmt) {
 				break
 			}
 			if escapingStore(info, as.Lhs[i]) {
-				pass.Reportf(as.Pos(), "alias of pooled buffer %s stored in %s outlives the Recycle/Put in this function; copy the bytes or drop the reference before recycling", obj.Name(), exprString(as.Lhs[i]))
+				pass.Reportf(as.Pos(), "alias of pooled buffer %s stored in %s outlives the Recycle/Put in this function; copy the bytes or drop the reference before recycling", obj.Name(), types.ExprString(as.Lhs[i]))
 			}
 		}
 		return true
@@ -234,8 +234,110 @@ func escapingStore(info *types.Info, lhs ast.Expr) bool {
 	return false
 }
 
-// The interval/reachAfter/ancestorChain/stmtsTerminate machinery this
-// analyzer pioneered now lives in dataflow.go, shared with the v2 analyzers.
+// An interval is a half-open span of source positions (start, end].
+type interval struct{ start, end token.Pos }
+
+func inIntervals(ivs []interval, pos token.Pos) bool {
+	for _, iv := range ivs {
+		if pos > iv.start && pos <= iv.end {
+			return true
+		}
+	}
+	return false
+}
+
+// reachAfter approximates which source positions can execute after node, for
+// structured control flow: from the node to the end of its innermost block,
+// then — whenever that block falls off its end rather than ending in a
+// return/branch/panic — from the end of the statement owning the block to
+// the end of the enclosing block, and so on outward. A recycle inside
+// `if ... { Recycle(buf); continue }` therefore does not reach the rest of
+// the loop body, while one in straight-line code reaches everything below
+// it. Closures bound the walk: a node inside a FuncLit only reaches the
+// literal's own body.
+func reachAfter(body *ast.BlockStmt, node ast.Node) []interval {
+	chain := ancestorChain(body, node)
+	var ivs []interval
+	cur := node.End()
+	for i := len(chain) - 1; i >= 0; i-- {
+		switch n := chain[i].(type) {
+		case *ast.BlockStmt:
+			ivs = append(ivs, interval{cur, n.End()})
+			if stmtsTerminate(n.List) {
+				return ivs
+			}
+			cur = n.End()
+		case *ast.CaseClause:
+			ivs = append(ivs, interval{cur, n.End()})
+			if stmtsTerminate(n.Body) {
+				return ivs
+			}
+			cur = n.End()
+		case *ast.CommClause:
+			ivs = append(ivs, interval{cur, n.End()})
+			if stmtsTerminate(n.Body) {
+				return ivs
+			}
+			cur = n.End()
+		case *ast.FuncLit:
+			return ivs
+		case ast.Stmt:
+			// The statement owning the block we just fell out of (if, for,
+			// switch, ...): execution continues after it.
+			cur = n.End()
+		}
+	}
+	return ivs
+}
+
+// ancestorChain returns the path of nodes from body down to target
+// (exclusive of target), or nil if target is not under body.
+func ancestorChain(body *ast.BlockStmt, target ast.Node) []ast.Node {
+	var stack, chain []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if chain != nil {
+			return false
+		}
+		if n == target {
+			chain = append([]ast.Node{}, stack...)
+			return false
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return chain
+}
+
+// stmtsTerminate reports whether a statement list ends by leaving the
+// enclosing region: return, break/continue/goto, or a panic call.
+func stmtsTerminate(list []ast.Stmt) bool {
+	if len(list) == 0 {
+		return false
+	}
+	switch last := list[len(list)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		return true // break, continue, goto, fallthrough all divert
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	case *ast.BlockStmt:
+		return stmtsTerminate(last.List)
+	case *ast.IfStmt:
+		if elseBlock, ok := last.Else.(*ast.BlockStmt); ok {
+			return stmtsTerminate(last.Body.List) && stmtsTerminate(elseBlock.List)
+		}
+	}
+	return false
+}
 
 func reassignedBetween(positions []token.Pos, after, before token.Pos) bool {
 	for _, p := range positions {
@@ -244,24 +346,4 @@ func reassignedBetween(positions []token.Pos, after, before token.Pos) bool {
 		}
 	}
 	return false
-}
-
-func exprString(e ast.Expr) string {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		return exprString(v.X) + "." + v.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(v.X) + "[...]"
-	case *ast.StarExpr:
-		return "*" + exprString(v.X)
-	case *ast.CallExpr:
-		return exprString(v.Fun) + "(...)"
-	case *ast.SliceExpr:
-		return exprString(v.X) + "[...]"
-	case *ast.ParenExpr:
-		return exprString(v.X)
-	}
-	return "the target"
 }

@@ -27,6 +27,12 @@ func Seeded() int {
 	return r.Intn(10)
 }
 
+// Injected shows that naming the function is enough: a clock kept as a value
+// reads the host clock wherever it is called later.
+func Injected() func() time.Time {
+	return time.Now // want `time\.Now is wall clock`
+}
+
 // Profiled carries a justified suppression, so its wall-clock read is legal.
 func Profiled() time.Time {
 	//kdlint:allow simclock fixture: profiles the host process, not the simulation

@@ -38,15 +38,10 @@ var (
 func SetObsMode(metrics bool, traceCap int) {
 	obsMu.Lock()
 	defer obsMu.Unlock()
-	//kdlint:allow shardstate host-side telemetry knob guarded by obsMu; set between runs, never from simulated handlers
 	obsMetrics = metrics || traceCap > 0
-	//kdlint:allow shardstate host-side telemetry knob guarded by obsMu; set between runs, never from simulated handlers
 	obsTraceCap = traceCap
-	//kdlint:allow shardstate host-side telemetry collector guarded by obsMu; rigs fold into it at teardown, never from simulated handlers
 	obsReg = obs.NewRegistry()
-	//kdlint:allow shardstate host-side telemetry collector guarded by obsMu; rigs fold into it at teardown, never from simulated handlers
 	obsTraces = &obs.TraceSet{}
-	//kdlint:allow shardstate host-side telemetry collector guarded by obsMu; rigs fold into it at teardown, never from simulated handlers
 	obsRigSeq = 0
 }
 
@@ -73,7 +68,6 @@ func collectRigObs(o *obs.Obs) {
 	}
 	obsReg.MergeFrom(o.Reg)
 	if o.Trace != nil {
-		//kdlint:allow shardstate host-side telemetry collector guarded by obsMu; rigs fold into it at teardown, never from simulated handlers
 		obsRigSeq++
 		obsTraces.Add(fmt.Sprintf("rig-%04d", obsRigSeq), o.Trace)
 	}

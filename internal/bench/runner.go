@@ -124,11 +124,9 @@ func SetWorkers(n int) {
 	workerMu.Lock()
 	defer workerMu.Unlock()
 	if n <= 1 {
-		//kdlint:allow shardstate host-side pool knob guarded by workerMu; set between runs, never from simulated handlers
 		workerSem = nil
 		return
 	}
-	//kdlint:allow shardstate host-side pool knob guarded by workerMu; set between runs, never from simulated handlers
 	workerSem = make(chan struct{}, n)
 }
 
@@ -155,7 +153,6 @@ func SetShardParallel(n int) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	shardMu.Lock()
-	//kdlint:allow shardstate host-side parallelism knob guarded by shardMu; set between runs, never from simulated handlers
 	shardParallel = n
 	shardMu.Unlock()
 }

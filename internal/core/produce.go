@@ -348,9 +348,12 @@ func (b *Broker) handleRDMAProduce(p *sim.Proc, req *request) {
 	}
 
 	if f.mode == kwire.AccessExclusive {
-		// Completion events on one QP arrive in write order, and requests
-		// are enqueued and locked in completion order, so the data for this
-		// event starts exactly at the current append position.
+		// Completion events on one QP arrive in write order, but the
+		// partition lock (a sim.Resource, not FIFO) may be taken by two API
+		// workers in swapped order. Committing at the current append position
+		// is right only while the in-flight WRITEs are all of one size, as
+		// every figure's are: the k-th commit then still covers the k-th
+		// region. With mixed sizes it is wrong (DESIGN.md §6, known defect).
 		b.commitRDMAProduce(p, f, ev.sess, nil, ev.size)
 		return
 	}

@@ -238,8 +238,6 @@ func (nd *Node) SetDown(down bool) { nd.down = down }
 func (nd *Node) Down() bool { return nd.down }
 
 // serTime returns the serialisation delay of a message of the given size.
-//
-//kdlint:hotpath
 func (n *Network) serTime(bytes int) time.Duration {
 	if bytes < n.cfg.MinFrame {
 		bytes = n.cfg.MinFrame
@@ -255,8 +253,6 @@ func (n *Network) serTime(bytes int) time.Duration {
 // Loopback (from == to) skips the wire entirely: the paper's brokers issue
 // RDMA atomics "to themselves" (§4.2.2), which still pay NIC processing (the
 // caller models that) but no link time.
-//
-//kdlint:delivery onArrive executes at the destination node, after wire time
 func (n *Network) Deliver(from, to *Node, size int, onArrive func()) time.Duration {
 	arrive := n.reserve(from, to, size)
 	n.env.At(arrive, onArrive)
@@ -266,9 +262,6 @@ func (n *Network) Deliver(from, to *Node, size int, onArrive func()) time.Durati
 // DeliverArg is Deliver for allocation-free hot paths: onArrive is a shared
 // function applied to a pooled argument record (see sim.Env.AtArg), so no
 // closure is allocated per message.
-//
-//kdlint:delivery onArrive executes at the destination node, after wire time
-//kdlint:hotpath
 func (n *Network) DeliverArg(from, to *Node, size int, onArrive func(any), arg any) time.Duration {
 	arrive := n.reserve(from, to, size)
 	n.env.AtArg(arrive, onArrive, arg)
@@ -276,8 +269,6 @@ func (n *Network) DeliverArg(from, to *Node, size int, onArrive func(any), arg a
 }
 
 // reserve books the ports for a transfer and returns its arrival time.
-//
-//kdlint:hotpath
 func (n *Network) reserve(from, to *Node, size int) time.Duration {
 	now := n.env.Now()
 	from.txBytes += uint64(size)

@@ -191,8 +191,6 @@ func (nd *SNode) Shard() int { return nd.shard }
 
 // Env returns the node's shard environment; all of the node's processes and
 // events must run on it.
-//
-//kdlint:allow shardstate accessor for the node's OWN shard; callers schedule onto it from that shard only
 func (nd *SNode) Env() *sim.Env { return nd.net.g.Shard(nd.shard) }
 
 // Rand returns a deterministic random stream keyed by the node's identity:
@@ -210,8 +208,6 @@ func (nd *SNode) RxBytes() uint64 { return nd.rxBytes }
 func (nd *SNode) Down() bool { return nd.net.views[nd.shard].down[nd.name] }
 
 // serTime returns the serialisation delay of a message of the given size.
-//
-//kdlint:hotpath
 func (n *ShardedNet) serTime(bytes int) time.Duration {
 	if bytes < n.cfg.MinFrame {
 		bytes = n.cfg.MinFrame
@@ -240,8 +236,6 @@ func skeyFor(a, b *SNode) linkKey {
 }
 
 // take pops a delivery record from shard's free list (or allocates).
-//
-//kdlint:hotpath pool-miss allocation sits under the len guard (grow-once)
 func (n *ShardedNet) take(shard int) *snDeliver {
 	p := n.pools[shard]
 	if len(p) == 0 {
@@ -261,11 +255,8 @@ func (n *ShardedNet) take(shard int) *snDeliver {
 //
 // Loopback (from == to) skips the wire and arrives at the current instant,
 // matching Network.Deliver.
-//
-//kdlint:delivery onArrive executes on the destination node's shard at drain time
-//kdlint:hotpath
 func (n *ShardedNet) DeliverArg(from, to *SNode, size int, onArrive func(any), arg any) {
-	//kdlint:allow shardstate the caller's own shard (DeliverArg must run on from's shard); cross-shard reach is the PostArg below
+	// The caller's own shard; the only cross-shard reach is the PostArg below.
 	env := n.g.Shard(from.shard)
 	now := env.Now()
 	from.txBytes += uint64(size)
@@ -289,10 +280,7 @@ func (n *ShardedNet) DeliverArg(from, to *SNode, size int, onArrive func(any), a
 
 // Deliver is DeliverArg with a plain callback (cold paths; the closure is the
 // caller's allocation).
-//
-//kdlint:delivery onArrive executes on the destination node's shard at drain time
 func (n *ShardedNet) Deliver(from, to *SNode, size int, onArrive func()) {
-	//kdlint:allow shardstate the caller's own shard (Deliver must run on from's shard); cross-shard reach is the PostArg below
 	env := n.g.Shard(from.shard)
 	now := env.Now()
 	from.txBytes += uint64(size)
@@ -318,15 +306,12 @@ func (n *ShardedNet) Deliver(from, to *SNode, size int, onArrive func()) {
 // books the ingress port (in canonical drain order, which makes receive-side
 // contention deterministic), schedules the arrival, and recycles the record
 // into the destination's pool.
-//
-//kdlint:hotpath amortized growth of the destination's record pool
 func deliverStep(a any) {
 	d := a.(*snDeliver)
 	to := d.to
 	arrive := to.rx.Reserve(d.ready, d.ser)
 	to.rxBytes += uint64(d.size)
 	d.net.obsRxBusy[to.shard].AddDur(d.ser)
-	//kdlint:allow shardstate drain context: deliverStep runs ON to.shard between windows; this is the destination's own kernel
 	env := d.net.g.Shard(to.shard)
 	if d.fn != nil {
 		env.At(arrive, d.fn)
@@ -346,7 +331,7 @@ func deliverStep(a any) {
 func (n *ShardedNet) ScheduleBroadcast(at sim.Time, fn func(shard int)) {
 	n.fseq++
 	n.g.Broadcast(at, n.fseq, func(shard int) {
-		//kdlint:allow shardstate drain context: the broadcast callback runs ON shard between windows; scheduling here is the sanctioned handoff
+		// Runs on shard between windows, so this schedules onto its own kernel.
 		n.g.Shard(shard).At(at, func() { fn(shard) })
 	})
 }

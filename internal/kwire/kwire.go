@@ -468,28 +468,20 @@ type writer struct{ buf []byte }
 // loop; they append into (or slice from) caller-owned buffers and are part
 // of the 0 allocs/op steady-state contract pinned by alloc_test.go.
 
-//kdlint:hotpath
 func (w *writer) u8(v uint8) { w.buf = append(w.buf, v) }
 
-//kdlint:hotpath
 func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
 
-//kdlint:hotpath
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
-//kdlint:hotpath
 func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
-//kdlint:hotpath
 func (w *writer) i32(v int32) { w.u32(uint32(v)) }
 
-//kdlint:hotpath
 func (w *writer) i64(v int64) { w.u64(uint64(v)) }
 
-//kdlint:hotpath
 func (w *writer) i16(v int16) { w.u16(uint16(v)) }
 
-//kdlint:hotpath
 func (w *writer) boolean(v bool) {
 	if v {
 		w.u8(1)
@@ -498,13 +490,11 @@ func (w *writer) boolean(v bool) {
 	}
 }
 
-//kdlint:hotpath
 func (w *writer) str(s string) {
 	w.u16(uint16(len(s)))
 	w.buf = append(w.buf, s...)
 }
 
-//kdlint:hotpath
 func (w *writer) bytes(b []byte) {
 	w.u32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
@@ -515,7 +505,6 @@ type reader struct {
 	err error
 }
 
-//kdlint:hotpath
 func (r *reader) take(n int) []byte {
 	if r.err != nil || len(r.buf) < n {
 		r.err = ErrTruncated
@@ -526,7 +515,6 @@ func (r *reader) take(n int) []byte {
 	return b
 }
 
-//kdlint:hotpath
 func (r *reader) u8() uint8 {
 	b := r.take(1)
 	if b == nil {
@@ -535,7 +523,6 @@ func (r *reader) u8() uint8 {
 	return b[0]
 }
 
-//kdlint:hotpath
 func (r *reader) u16() uint16 {
 	b := r.take(2)
 	if b == nil {
@@ -544,7 +531,6 @@ func (r *reader) u16() uint16 {
 	return binary.LittleEndian.Uint16(b)
 }
 
-//kdlint:hotpath
 func (r *reader) u32() uint32 {
 	b := r.take(4)
 	if b == nil {
@@ -553,7 +539,6 @@ func (r *reader) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-//kdlint:hotpath
 func (r *reader) u64() uint64 {
 	b := r.take(8)
 	if b == nil {
@@ -562,16 +547,12 @@ func (r *reader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-//kdlint:hotpath
 func (r *reader) i16() int16 { return int16(r.u16()) }
 
-//kdlint:hotpath
 func (r *reader) i32() int32 { return int32(r.u32()) }
 
-//kdlint:hotpath
 func (r *reader) i64() int64 { return int64(r.u64()) }
 
-//kdlint:hotpath
 func (r *reader) boolean() bool {
 	return r.u8() != 0
 }
@@ -585,8 +566,6 @@ func (r *reader) str() string {
 // changed: the `*dst != string(b)` comparison does not allocate, so decoding
 // a stream of messages with a stable topic name into a pooled struct costs
 // nothing.
-//
-//kdlint:hotpath reallocates only when the decoded value changed (change-guard idiom)
 func (r *reader) strInto(dst *string) {
 	n := int(r.u16())
 	b := r.take(n)
@@ -601,8 +580,6 @@ func (r *reader) strInto(dst *string) {
 
 // bytesInto reads a byte field into *dst, reusing its capacity when the
 // payload fits. The result never aliases the wire buffer.
-//
-//kdlint:hotpath grows only when capacity is insufficient (grow-once idiom)
 func (r *reader) bytesInto(dst *[]byte) {
 	n := int(r.u32())
 	b := r.take(n)
@@ -649,7 +626,6 @@ func (*GroupCommitResp) Kind() Kind   { return KindGroupCommitResp }
 func (*CommitAccessReq) Kind() Kind   { return KindCommitAccessReq }
 func (*CommitAccessResp) Kind() Kind  { return KindCommitAccessResp }
 
-//kdlint:hotpath
 func (m *ProduceReq) encode(w *writer) {
 	w.str(m.Topic)
 	w.i32(m.Partition)
@@ -657,7 +633,6 @@ func (m *ProduceReq) encode(w *writer) {
 	w.bytes(m.Batch)
 }
 
-//kdlint:hotpath
 func (m *ProduceReq) decode(r *reader) error {
 	r.strInto(&m.Topic)
 	m.Partition = r.i32()
@@ -666,20 +641,17 @@ func (m *ProduceReq) decode(r *reader) error {
 	return r.err
 }
 
-//kdlint:hotpath
 func (m *ProduceResp) encode(w *writer) {
 	w.i16(int16(m.Err))
 	w.i64(m.BaseOffset)
 }
 
-//kdlint:hotpath
 func (m *ProduceResp) decode(r *reader) error {
 	m.Err = ErrCode(r.i16())
 	m.BaseOffset = r.i64()
 	return r.err
 }
 
-//kdlint:hotpath
 func (m *FetchReq) encode(w *writer) {
 	w.str(m.Topic)
 	w.i32(m.Partition)
@@ -689,7 +661,6 @@ func (m *FetchReq) encode(w *writer) {
 	w.i32(m.ReplicaID)
 }
 
-//kdlint:hotpath
 func (m *FetchReq) decode(r *reader) error {
 	r.strInto(&m.Topic)
 	m.Partition = r.i32()
@@ -700,7 +671,6 @@ func (m *FetchReq) decode(r *reader) error {
 	return r.err
 }
 
-//kdlint:hotpath
 func (m *FetchResp) encode(w *writer) {
 	w.i16(int16(m.Err))
 	w.i64(m.HighWatermark)
@@ -708,7 +678,6 @@ func (m *FetchResp) encode(w *writer) {
 	w.bytes(m.Data)
 }
 
-//kdlint:hotpath
 func (m *FetchResp) decode(r *reader) error {
 	m.Err = ErrCode(r.i16())
 	m.HighWatermark = r.i64()
@@ -1180,8 +1149,6 @@ var (
 // AppendEncode frames a message with its correlation id — kind(1) corr(4)
 // body(...) — appending to dst (which may be nil) and returning the extended
 // slice. When dst has enough capacity it performs no allocations.
-//
-//kdlint:hotpath
 func AppendEncode(dst []byte, corr uint32, m Message) []byte {
 	w := writerPool.Get().(*writer)
 	w.buf = dst
@@ -1208,16 +1175,12 @@ type Scratch struct{ buf []byte }
 
 // Encode frames a message into the scratch buffer, growing it on first use
 // and reusing it afterwards (0 allocs/op at steady state).
-//
-//kdlint:hotpath
 func (s *Scratch) Encode(corr uint32, m Message) []byte {
 	s.buf = AppendEncode(s.buf[:0], corr, m)
 	return s.buf
 }
 
 // PeekKind returns the kind byte of a framed message without decoding it.
-//
-//kdlint:hotpath
 func PeekKind(buf []byte) (Kind, bool) {
 	if len(buf) < 1 {
 		return 0, false
@@ -1235,8 +1198,6 @@ var ErrKindMismatch = errors.New("kwire: message kind mismatch")
 // messages into a pooled struct does 0 allocs/op at steady state. Decoded
 // fields never alias buf, which may be recycled as soon as DecodeInto
 // returns.
-//
-//kdlint:hotpath
 func DecodeInto(buf []byte, m Message) (corr uint32, err error) {
 	r := readerPool.Get().(*reader)
 	r.buf, r.err = buf, nil

@@ -44,8 +44,6 @@ func (o *Obs) Histogram(name string) *Histogram {
 }
 
 // Tracer returns the span tracer, or nil when o is nil or tracing is off.
-//
-//kdlint:hotpath
 func (o *Obs) Tracer() *Tracer {
 	if o == nil {
 		return nil

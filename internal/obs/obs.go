@@ -47,8 +47,6 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-//
-//kdlint:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -57,15 +55,11 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Inc increments the counter by one.
-//
-//kdlint:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // AddDur accumulates a duration in nanoseconds; negative durations are
 // clamped to zero (a defensive guard — stages are measured between causally
 // ordered timestamps, which cannot go backwards on one simulation clock).
-//
-//kdlint:hotpath
 func (c *Counter) AddDur(d time.Duration) {
 	if c == nil || d <= 0 {
 		return
@@ -89,8 +83,6 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value.
-//
-//kdlint:hotpath
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -102,8 +94,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add shifts the gauge by d.
-//
-//kdlint:hotpath
 func (g *Gauge) Add(d int64) {
 	if g == nil {
 		return
@@ -145,8 +135,6 @@ type Histogram struct {
 }
 
 // Observe records one observation.
-//
-//kdlint:hotpath
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
@@ -164,8 +152,6 @@ func (h *Histogram) Observe(v uint64) {
 
 // ObserveDur records a duration observation in nanoseconds (negative
 // durations clamp to zero).
-//
-//kdlint:hotpath
 func (h *Histogram) ObserveDur(d time.Duration) {
 	if h == nil {
 		return

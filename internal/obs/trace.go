@@ -58,8 +58,6 @@ func (t *Tracer) Track(name string) int32 {
 
 // Emit records a completed span. No-op on a nil tracer; drop-counted when
 // the buffer is full.
-//
-//kdlint:hotpath appends only below the preallocated capacity; at-capacity spans are drop-counted
 func (t *Tracer) Emit(track int32, name, cat string, start, end time.Duration) {
 	if t == nil {
 		return

@@ -594,9 +594,9 @@ func (qp *QP) fail(reason string) {
 		qp.recvCQ.push(CQE{QP: qp, WRID: rqe.WRID, Op: OpRecv, Status: StatusFlushed})
 	}
 	qp.dev.emitAsync(AsyncEvent{QP: qp, Reason: reason})
-	//kdlint:allow crossnode connection teardown is atomic in the model: both endpoints enter the error state at the same instant, standing in for the transport-level RST exchange
+	// Teardown is atomic in the model: both endpoints enter the error state
+	// at the same instant, standing in for the transport-level RST exchange.
 	if qp.remote != nil && qp.remote.state != QPError {
-		//kdlint:allow crossnode connection teardown is atomic in the model: both endpoints enter the error state at the same instant, standing in for the transport-level RST exchange
 		qp.remote.fail("peer disconnect: " + reason)
 	}
 }
@@ -672,7 +672,8 @@ type wrRecord struct {
 	doneAt   time.Duration
 }
 
-//kdlint:hotpath pool-miss allocation sits under the len guard (grow-once)
+// getWR takes a record from the device's free list and allocates only when
+// that is empty; putWR returns it, so a warm device posts without allocating.
 func (d *Device) getWR() *wrRecord {
 	if len(d.wrFree) == 0 {
 		return &wrRecord{}
@@ -684,7 +685,6 @@ func (d *Device) getWR() *wrRecord {
 	return rec
 }
 
-//kdlint:hotpath amortized growth of the device-owned free list
 func (d *Device) putWR(rec *wrRecord) {
 	*rec = wrRecord{}
 	d.wrFree = append(d.wrFree, rec)
@@ -725,8 +725,7 @@ func wrAtResponder(v any) {
 // obsRespDone records the responder-processing stage (arrival to response
 // emission, including any atomic-unit wait) and stamps doneAt; the *Done
 // callbacks call it just before putting the response or ack on the wire.
-//
-//kdlint:delivery called from the responder-side *Done stages, where qp.remote is the local endpoint
+// Those run at the responder, where rec.qp.remote is the local endpoint.
 func (rec *wrRecord) obsRespDone() {
 	d := rec.qp.dev
 	now := d.env.Now()
@@ -759,9 +758,8 @@ func (rec *wrRecord) obsAcked() {
 
 // execAtResponder runs in scheduler context at the time the request fully
 // arrives at the responder, performs the memory operation, and schedules the
-// acknowledgement or response back to the requester.
-//
-//kdlint:delivery runs at the responder once the request has arrived, so qp.remote is the local endpoint here
+// acknowledgement or response back to the requester. qp is the requester's
+// queue pair: at the responder, qp.remote is the local endpoint.
 func (qp *QP) execAtResponder(rec *wrRecord) {
 	remote := qp.remote
 	rdev := remote.dev

@@ -556,3 +556,31 @@ func TestConnectFailsWhenPeerUnreachable(t *testing.T) {
 		t.Fatalf("connect after restore = %v", err)
 	}
 }
+
+// TestWarmWriteAllocatesNothing pins the verb path itself — post a WRITE, run
+// the kernel until it has completed, take the CQE — at 0 allocations once the
+// device's WR free list, the event heap and the CQ ring are warm. The client
+// pin (TestPipelinedOneSidedProduceAllocatesNoBatchCopies) bounds a whole
+// produce at 2.9 allocations per record against a measured 2.0, to leave room
+// for the race detector's sync.Pool; this one has no slack and names the layer.
+func TestWarmWriteAllocatesNothing(t *testing.T) {
+	p := newPair(t)
+	mr, err := p.pb.RegisterMR(make([]byte, 4096), AccessRemoteWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr := SendWR{Op: OpWrite, Local: make([]byte, 64), RemoteAddr: mr.Addr(), RKey: mr.RKey()}
+	write := func() {
+		if err := p.qa.PostSend(wr); err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		p.env.Run()
+		if cqe, ok := p.qa.SendCQ().TryPoll(); !ok || cqe.Status != StatusOK {
+			t.Fatalf("completion %+v, %v; want one with StatusOK", cqe, ok)
+		}
+	}
+	write()
+	if avg := testing.AllocsPerRun(100, write); avg != 0 {
+		t.Fatalf("a warm WRITE allocates %.0f objects from post to CQE, want 0", avg)
+	}
+}

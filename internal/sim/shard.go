@@ -33,9 +33,10 @@
 //  2. Window boundaries are partition-independent: T is the global minimum
 //     next-event time and L is a constant, so every layout executes the same
 //     window sequence and drains the same handoff batches.
-//  3. Simulation state is shard-local (enforced statically by kdlint's
-//     shardstate analyzer), and randomness comes from KeyedRand streams
-//     keyed by node identity, never from execution order or shard layout.
+//  3. Simulation state is shard-local (held by the -race stages of
+//     scripts/check.sh, whose shard matrices run SetParallel > 1, and by the
+//     layout determinism matrices), and randomness comes from KeyedRand
+//     streams keyed by node identity, never from execution order or layout.
 //
 // Under rule 1, even a single-shard group buffers inter-node handoffs until
 // the window boundary; shards=1 is the same algorithm with no concurrency,
@@ -135,8 +136,6 @@ func NewShardGroup(nShards int, lookahead Time, seed int64) *ShardGroup {
 func (g *ShardGroup) Shards() int { return len(g.shards) }
 
 // Shard returns shard i's environment.
-//
-//kdlint:hotpath
 func (g *ShardGroup) Shard(i int) *Env { return g.shards[i] }
 
 // Lookahead returns the conservative lookahead the group was built with.
@@ -172,8 +171,6 @@ func (g *ShardGroup) Parallel() int { return g.parallel }
 // dst's scheduler context between windows; it must not block, and it must
 // only SCHEDULE work (Env.At/AtArg at a time ≥ at) and touch dst-local
 // state. at must be at least lookahead past the posting shard's clock.
-//
-//kdlint:hotpath amortized growth of the per-ring handoff buffer
 func (g *ShardGroup) Post(src, dst int, at Time, rank, seq uint64, fn func()) {
 	if at < g.windowEnd {
 		panic(fmt.Sprintf("sim: handoff at %v posted into the past (window end %v); the poster broke the lookahead contract", at, g.windowEnd))
@@ -185,8 +182,6 @@ func (g *ShardGroup) Post(src, dst int, at Time, rank, seq uint64, fn func()) {
 // PostArg is Post for allocation-free hot paths: fn is a shared function
 // applied to a pooled argument record, so no closure is materialised per
 // handoff (see Env.AtArg).
-//
-//kdlint:hotpath amortized growth of the per-ring handoff buffer
 func (g *ShardGroup) PostArg(src, dst int, at Time, rank, seq uint64, fn func(any), arg any) {
 	if at < g.windowEnd {
 		panic(fmt.Sprintf("sim: handoff at %v posted into the past (window end %v); the poster broke the lookahead contract", at, g.windowEnd))

@@ -89,8 +89,6 @@ func NewEnv(seed int64) *Env {
 }
 
 // Now returns the current virtual time.
-//
-//kdlint:hotpath
 func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic random source. It must only
@@ -114,8 +112,6 @@ type event struct {
 }
 
 // before orders events by time, then by insertion sequence (determinism).
-//
-//kdlint:hotpath
 func (ev *event) before(o *event) bool {
 	return ev.at < o.at || (ev.at == o.at && ev.seq < o.seq)
 }
@@ -129,10 +125,8 @@ type eventHeap struct {
 	a []event
 }
 
-//kdlint:hotpath
 func (h *eventHeap) len() int { return len(h.a) }
 
-//kdlint:hotpath amortized growth of the caller-owned heap slice
 func (h *eventHeap) push(ev event) {
 	h.a = append(h.a, ev)
 	a := h.a
@@ -148,7 +142,6 @@ func (h *eventHeap) push(ev event) {
 	a[i] = ev
 }
 
-//kdlint:hotpath
 func (h *eventHeap) pop() event {
 	a := h.a
 	root := a[0]
@@ -163,8 +156,6 @@ func (h *eventHeap) pop() event {
 }
 
 // siftDown places ev, displaced from the tail, into the root's subtree.
-//
-//kdlint:hotpath
 func (h *eventHeap) siftDown(ev event) {
 	a := h.a
 	n := len(a)
@@ -193,7 +184,6 @@ func (h *eventHeap) siftDown(ev event) {
 	a[i] = ev
 }
 
-//kdlint:hotpath
 func (e *Env) push(at Time, p *Proc, fn func()) {
 	e.seq++
 	e.events.push(event{at: at, seq: e.seq, proc: p, fn: fn})
@@ -202,8 +192,6 @@ func (e *Env) push(at Time, p *Proc, fn func()) {
 // At schedules fn to run inline (inside the event loop, on whichever stack
 // runs it at the time) at absolute virtual time t. fn must not block; it may
 // wake processes.
-//
-//kdlint:hotpath
 func (e *Env) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
@@ -212,16 +200,12 @@ func (e *Env) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d from now. See At.
-//
-//kdlint:hotpath
 func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // AtArg schedules fn(arg) to run inline at absolute virtual time t. It is At
 // for allocation-free hot paths: fn is a shared (package-level) function and
 // arg a pooled record, so no closure is materialised per event. fn must not
 // block.
-//
-//kdlint:hotpath
 func (e *Env) AtArg(t Time, fn func(any), arg any) {
 	if t < e.now {
 		t = e.now
@@ -231,8 +215,6 @@ func (e *Env) AtArg(t Time, fn func(any), arg any) {
 }
 
 // AfterArg schedules fn(arg) to run d from now. See AtArg.
-//
-//kdlint:hotpath
 func (e *Env) AfterArg(d Time, fn func(any), arg any) { e.AtArg(e.now+d, fn, arg) }
 
 // Proc is a simulation process: a coroutine the trampoline (Env.run) resumes.
@@ -318,8 +300,6 @@ func (p *Proc) exit() {
 // park suspends the calling process until it is woken, running the event
 // loop in the meantime. Returns true if the wakeup was a timeout (see
 // Cond.WaitTimeout).
-//
-//kdlint:hotpath
 func (p *Proc) park() bool {
 	p.parked = true
 	// Another process is next, or the run has ended: yield it to the
@@ -335,8 +315,6 @@ func (p *Proc) park() bool {
 
 // wake schedules a parked process to resume at the current time. It must only
 // be called while p is parked and not otherwise scheduled.
-//
-//kdlint:hotpath
 func (p *Proc) wake() {
 	p.waitToken++
 	p.env.push(p.env.now, p, nil)
@@ -364,8 +342,6 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // when the run ends (no events, Stop, or the next event lies beyond the
 // horizon). The caller decides what the result costs: nothing if it is the
 // returned process itself, a coroutine switch otherwise.
-//
-//kdlint:hotpath
 func (e *Env) dispatch() *Proc {
 	for e.events.len() > 0 && !e.stopped {
 		if e.events.a[0].at > e.horizon {
@@ -504,8 +480,6 @@ type Cond struct {
 }
 
 // Wait parks the calling process until Signal or Broadcast wakes it.
-//
-//kdlint:hotpath amortized growth of the cond-owned waiter list
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.park()
@@ -513,8 +487,6 @@ func (c *Cond) Wait(p *Proc) {
 
 // WaitTimeout is Wait with a timeout; it reports whether the wait timed out.
 // d < 0 waits forever.
-//
-//kdlint:hotpath amortized growth of the cond-owned waiter list
 func (c *Cond) WaitTimeout(p *Proc, d Time) (timedOut bool) {
 	c.waiters = append(c.waiters, p)
 	if d < 0 {
@@ -539,7 +511,6 @@ type timeout struct {
 	token uint64
 }
 
-//kdlint:hotpath
 func (e *Env) getTimeout() *timeout {
 	if len(e.timeoutFree) == 0 {
 		return &timeout{}
@@ -554,8 +525,6 @@ func (e *Env) getTimeout() *timeout {
 // timeoutFire runs when a WaitTimeout timer expires: unless the process was
 // woken for another reason in the meantime, it takes the process off the
 // cond's wait list and resumes it with timedOut reported true.
-//
-//kdlint:hotpath amortized growth of the env-owned free list
 func timeoutFire(a any) {
 	t := a.(*timeout)
 	p, c, token := t.p, t.c, t.token
@@ -570,7 +539,6 @@ func timeoutFire(a any) {
 	p.timedOut = true
 }
 
-//kdlint:hotpath
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
 		if w == p {
@@ -673,8 +641,6 @@ func (q *Queue[T]) Push(v T) {
 }
 
 // pop removes and returns the head item; the queue must be non-empty.
-//
-//kdlint:hotpath
 func (q *Queue[T]) pop() T {
 	var zero T
 	v := q.buf[q.head]
@@ -696,8 +662,6 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // signalled accounts for one signalled receiver resuming; every return from
 // a signalled (non-timed-out) wait must pass through here to keep the
 // Push-side wake accounting exact.
-//
-//kdlint:hotpath
 func (q *Queue[T]) signalled() {
 	if q.wakes > 0 {
 		q.wakes--
@@ -716,8 +680,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 
 // PopTimeout is Pop with a timeout. ok is false if the timeout elapsed first.
 // d < 0 waits forever.
-//
-//kdlint:hotpath
 func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := p.env.now + d
 	for q.n == 0 {
@@ -806,8 +768,6 @@ type Pacer struct {
 
 // Reserve books an interval of length d starting no earlier than now, and
 // returns the interval's end time.
-//
-//kdlint:hotpath
 func (pc *Pacer) Reserve(now, d Time) Time {
 	start := now
 	if pc.freeAt > start {

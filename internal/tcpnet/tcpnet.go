@@ -111,8 +111,6 @@ func NewStack(net *fabric.Network, cfg Config) *Stack {
 func (s *Stack) Config() Config { return s.cfg }
 
 // copyTime is the duration of copying n bytes across a kernel boundary.
-//
-//kdlint:hotpath
 func (s *Stack) copyTime(n int) time.Duration {
 	return time.Duration(float64(n) / s.cfg.CopyBandwidth * 1e9)
 }
@@ -226,7 +224,8 @@ func (c *Conn) Host() *Host { return c.host }
 // may reuse the buffer immediately — this is exactly the defensive copy the
 // kernel performs, and one of the copies RDMA avoids.
 func (c *Conn) Send(p *sim.Proc, data []byte) error {
-	//kdlint:allow crossnode peer.closed stands in for the RST the kernel would have delivered by now; a real sender learns of the close from its own stack, not the remote
+	// peer.closed stands in for the RST the kernel would have delivered by
+	// now: a real sender learns of the close from its own stack.
 	if c.closed || c.peer.closed {
 		return ErrClosed
 	}
@@ -315,8 +314,7 @@ func (c *Conn) RecvRaw(p *sim.Proc) ([]byte, error) {
 // SendRaw transmits a message without charging the caller: the caller models
 // the send-side cost itself via SendCost. Usable from scheduler context.
 func (c *Conn) SendRaw(data []byte) error {
-	//kdlint:allow crossnode peer.closed stands in for the RST the kernel would have delivered by now; a real sender learns of the close from its own stack, not the remote
-	if c.closed || c.peer.closed {
+	if c.closed || c.peer.closed { // see Send
 		return ErrClosed
 	}
 	if !c.host.stack.net.Reachable(c.host.node, c.peer.host.node) {
@@ -404,11 +402,9 @@ func (c *Conn) Close() {
 // parked on either inbox wake with ErrClosed, and in-flight data still in the
 // socket buffers is discarded by subsequent reads.
 func (c *Conn) Reset() {
-	//kdlint:allow crossnode RST-style teardown closes both sides at the same instant by design; no FIN crosses the wire to route through delivery
 	if c.closed && c.peer.closed {
 		return
 	}
-	//kdlint:allow crossnode RST-style teardown closes both sides at the same instant by design; no FIN crosses the wire to route through delivery
 	for _, side := range [2]*Conn{c, c.peer} {
 		side.closed = true
 		side.inbox.Push(message{closed: true})

@@ -19,12 +19,15 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
-# kdlint enforces the determinism / zero-copy / error-handling invariants
-# statically (see DESIGN.md §9). It needs the build above: analysis reads
-# compiled export data out of the build cache. The -audit pass inventories
-# every //kdlint:allow directive and holds the per-analyzer totals to the
-# committed budget (scripts/kdlint_budget.txt): suppressions are a ratchet
-# and may only shrink.
+# kdlint enforces statically the five rules a planted defect showed no stage
+# below catches (DESIGN.md §9): simclock, maporder, poolalias, errdrop,
+# obssafe. Allocation-free hot paths, cross-node causality and shard-local
+# state are NOT linted; the AllocsPerRun pins, the pinned client scenarios,
+# the golden tables and the race stages below hold them. It needs the build
+# above: analysis reads compiled export data out of the build cache. The
+# -audit pass inventories every //kdlint:allow directive and holds the
+# per-analyzer totals to the committed budget (scripts/kdlint_budget.txt):
+# suppressions are a ratchet and may only shrink.
 echo "== kdlint (findings + suppression audit) =="
 go run ./cmd/kdlint -audit -budget scripts/kdlint_budget.txt ./...
 
@@ -35,6 +38,9 @@ go run ./cmd/kdlint -audit -budget scripts/kdlint_budget.txt ./...
 # race would corrupt everything downstream, so they gate the full suite.
 # The shard test matrices run parallel>1 configurations, so this is the
 # shards>1 race gate: real goroutines executing shard windows concurrently.
+# This stage, not a linter, is the gate for state shared between shards under
+# SetParallel: a package-level write or a reach into another shard's kernel
+# from a shard handler passes `go test` and is reported here as a DATA RACE.
 # The kernel runs at three GOMAXPROCS settings. There are no channel handoffs
 # in it any more; what this guards is coroutines that are created on one
 # goroutine (the test's, or another process's) and resumed from another (a
