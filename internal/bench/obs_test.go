@@ -21,10 +21,12 @@ func TestObsZeroPerturbation(t *testing.T) {
 		t.Skip("runs full figures many times")
 	}
 	// One fast figure per instrumented layer family: the TCP + RDMA produce
-	// datapaths (fig18 exercises consume, fig08 the raw verbs), the group
-	// coordinator, and the sharded kernel with its per-shard registries.
+	// datapaths (fig18 exercises consume, fig08 the raw verbs), both
+	// replication datapaths (fig14: a follower's replica-write completions
+	// are spans of its RDMA module), the group coordinator, and the sharded
+	// kernel with its per-shard registries.
 	var exps []Experiment
-	for _, id := range []string{"fig08", "fig18", "groups", "scale"} {
+	for _, id := range []string{"fig08", "fig14", "fig18", "groups", "scale"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)

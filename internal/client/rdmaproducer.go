@@ -51,8 +51,10 @@ type RDMAProducer struct {
 
 	// grant is the RDMA-writable head file as the broker described it. In
 	// exclusive mode WritePos is the next write position, advanced locally.
-	grant   kwire.ProduceAccessResp
-	ackBufs [][]byte
+	grant kwire.ProduceAccessResp
+	// acks receives the broker's acknowledgements; it outlives a QP and is
+	// posted afresh on each new one.
+	acks *rdma.RecvRing
 	// faaBuf receives old atomic values in shared mode.
 	faaBuf []byte
 }
@@ -66,10 +68,7 @@ func NewRDMAProducer(p *sim.Proc, e *Endpoint, topic string, part int32, mode kw
 	}
 	pr := &RDMAProducer{topic: topic, part: part, mode: mode, faaBuf: make([]byte, 8)}
 	pr.pipeline = newPipeline(e, pr, e.cfg.MaxInFlight, true, producerID)
-	pr.ackBufs = make([][]byte, 2*e.cfg.MaxInFlight)
-	for i := range pr.ackBufs {
-		pr.ackBufs[i] = make([]byte, 64)
-	}
+	pr.acks = e.dev.NewRecvRing(2*e.cfg.MaxInFlight, 64)
 	if err := pr.open(p, broker); err != nil {
 		return nil, err
 	}
@@ -97,10 +96,8 @@ func (pr *RDMAProducer) open(p *sim.Proc, broker *core.Broker) error {
 	if err != nil {
 		return err
 	}
-	for i := range pr.ackBufs {
-		if err := qp.PostRecv(rdma.RQE{WRID: uint64(i), Buf: pr.ackBufs[i]}); err != nil {
-			return err // only a QP that already failed refuses a receive
-		}
+	if err := pr.acks.PostAll(qp); err != nil {
+		return err // only a QP that already failed refuses a receive
 	}
 	ctl, err := pr.e.host.Dial(p, broker.Host(), core.TCPPort)
 	if err != nil {
@@ -253,11 +250,10 @@ func (pr *RDMAProducer) awaitAck(p *sim.Proc, ack *kwire.ProduceResp) error {
 	if cqe.Status != rdma.StatusOK {
 		return fmt.Errorf("%w: producer ack %v", errQPFailed, cqe.Status)
 	}
-	buf := pr.ackBufs[cqe.WRID]
 	// Decode before reposting the receive: decoding copies every byte field,
 	// so the buffer can go straight back to the RQ.
-	_, err := kwire.DecodeInto(buf[:cqe.ByteLen], ack)
-	if rerr := pr.qp.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: buf}); rerr != nil {
+	_, err := kwire.DecodeInto(pr.acks.Frame(cqe), ack)
+	if rerr := pr.acks.Post(pr.qp, int(cqe.WRID)); rerr != nil {
 		// A failed repost means the QP died under us. Report it rather than
 		// silently losing an RQ slot: the produce retry path reconnects and
 		// re-sends the batch (at-least-once), whereas a shrinking RQ ends

@@ -42,14 +42,17 @@ type Broker struct {
 
 	// Free lists for the steady-state datapath: requests, responses, and
 	// decoded request messages (per wire kind). A simulation runs one
-	// process at a time, so plain slices need no locking.
+	// process at a time, so plain slices need no locking. reqMade counts the
+	// requests the pool ever allocated: once the broker is idle, every one
+	// of them is back in reqFree.
+	reqMade  int
 	reqFree  []*request
 	respFree []*response
 	msgFree  [kwire.KindMax + 1][]kwire.Message
 
-	// Scratch response messages: respond/respondZC and sendAck encode
-	// synchronously, so one instance per hot kind is reused across all
-	// handlers instead of allocating a literal per response.
+	// Scratch response messages: a handler returns one and respond encodes
+	// it before anything else runs, so one instance per hot kind is reused
+	// across all handlers instead of allocating a literal per response.
 	scratchProduceResp kwire.ProduceResp
 	scratchFetchResp   kwire.FetchResp
 	scratchCommitResp  kwire.OffsetCommitResp
@@ -127,12 +130,16 @@ type request struct {
 	obsHandoff time.Duration
 	obsQueued  time.Duration
 
-	// Pool lifecycle. gen is bumped on every release so deferred closures
-	// (fetch purgatory wake-ups and timeouts) can detect that "their"
-	// request has been recycled for a new message. queued marks a request
-	// sitting in (or scheduled for) the shared queue; dispatching marks one
-	// inside an API worker's dispatch. The holder that clears the last of
-	// these flags on a completed request returns it to the pool.
+	// Pool lifecycle. completed is set by respond, the one place a request
+	// is answered; until then a request may outlive its dispatch in fetch
+	// purgatory, on the join barrier, as a high-watermark waiter or parked
+	// on a shared file (DESIGN.md §2.4). gen is bumped on every release so
+	// deferred closures that can lose a race with another answer (purgatory
+	// wake-ups and timeouts, join replies) detect that "their" request has
+	// been recycled for a new message. queued marks a request sitting in (or
+	// scheduled for) the shared queue; dispatching marks one inside an API
+	// worker's dispatch. The holder that clears the last of these flags on a
+	// completed request returns it to the pool.
 	gen         uint32
 	queued      bool
 	dispatching bool
@@ -233,6 +240,7 @@ func (b *Broker) getRequest() *request {
 		b.reqFree = b.reqFree[:n-1]
 		return req
 	}
+	b.reqMade++
 	return &request{b: b}
 }
 
@@ -276,12 +284,9 @@ func (b *Broker) putResponse(r *response) {
 	b.respFree = append(b.respFree, r)
 }
 
-// getMsg returns a pooled message struct for a wire kind, or nil for unknown
-// kinds. Decoding overwrites every field, so structs are recycled as-is.
+// getMsg returns a pooled message struct for a request kind (ingest admits
+// no other). Decoding overwrites every field, so structs are recycled as-is.
 func (b *Broker) getMsg(k kwire.Kind) kwire.Message {
-	if int(k) >= len(b.msgFree) {
-		return nil
-	}
 	if pool := b.msgFree[k]; len(pool) > 0 {
 		m := pool[len(pool)-1]
 		b.msgFree[k] = pool[:len(pool)-1]
@@ -292,22 +297,33 @@ func (b *Broker) getMsg(k kwire.Kind) kwire.Message {
 
 func (b *Broker) putMsg(m kwire.Message) {
 	k := m.Kind()
-	if int(k) < len(b.msgFree) {
-		b.msgFree[k] = append(b.msgFree[k], m)
-	}
+	b.msgFree[k] = append(b.msgFree[k], m)
 }
 
-// produceRespMsg and friends fill the broker's scratch response structs.
-// Safe because every consumer (respond, respondZC, sendAck) encodes the
-// message into a frame before yielding control.
-func (b *Broker) produceRespMsg(m kwire.ProduceResp) *kwire.ProduceResp {
-	b.scratchProduceResp = m
+// produceResp, fetchResp and emptyFetch fill the broker's scratch response
+// structs. Safe because whoever receives one (dispatch, or a direct caller
+// of respond) encodes it into a frame before yielding control.
+func (b *Broker) produceResp(code kwire.ErrCode, base int64) *kwire.ProduceResp {
+	b.scratchProduceResp = kwire.ProduceResp{Err: code, BaseOffset: base}
 	return &b.scratchProduceResp
 }
 
-func (b *Broker) fetchRespMsg(m kwire.FetchResp) *kwire.FetchResp {
-	b.scratchFetchResp = m
+// fetchResp reports the partition's watermarks only on a served fetch; a
+// refusal (pt may be nil) carries the code alone.
+func (b *Broker) fetchResp(pt *Partition, code kwire.ErrCode, data []byte) *kwire.FetchResp {
+	b.scratchFetchResp = kwire.FetchResp{Err: code, Data: data}
+	if code == kwire.ErrNone {
+		b.scratchFetchResp.HighWatermark = pt.log.HighWatermark()
+		b.scratchFetchResp.LogEndOffset = pt.log.NextOffset()
+	}
 	return &b.scratchFetchResp
+}
+
+// emptyFetch counts and builds the answer to a fetch that found nothing.
+func (b *Broker) emptyFetch(pt *Partition) *kwire.FetchResp {
+	b.statEmptyFetches++
+	b.obsEmptyF.Inc()
+	return b.fetchResp(pt, kwire.ErrNone, nil)
 }
 
 func (b *Broker) start() {
@@ -348,29 +364,43 @@ func (b *Broker) serveTCPConn(p *sim.Proc, conn *tcpnet.Conn) {
 		recvEnd := p.Now()
 		b.stNetRecv.ObserveDur(recvEnd - recvStart)
 		b.o.Tracer().Emit(b.node.Track(), "broker.net_recv", "broker", recvStart, recvEnd)
-		k, ok := kwire.PeekKind(raw)
-		if !ok {
-			conn.Recycle(raw)
+		req := b.ingest(raw)
+		conn.Recycle(raw) // decoding copied every byte field out of the frame
+		if req == nil {
 			continue
 		}
-		msg := b.getMsg(k)
-		if msg == nil {
-			conn.Recycle(raw) // a real broker logs and drops malformed frames
-			continue
-		}
-		corr, err := kwire.DecodeInto(raw, msg)
-		conn.Recycle(raw) // decoding copies every byte field out of the frame
-		if err != nil {
-			b.putMsg(msg)
-			continue
-		}
-		req := b.getRequest()
-		req.tcp, req.corr, req.msg = conn, corr, msg
-		req.obsHandoff = p.Now()
-		// Forwarding to an API worker costs 11 µs of latency (§5.1) but
-		// does not occupy either thread.
-		b.env.AfterArg(b.cfg.HandoffDelay, enqueueRequest, req)
+		req.tcp = conn
+		b.handoff(req)
 	}
+}
+
+// ingest turns a received frame into a pooled request carrying its decoded
+// message, for either framed transport (TCP, OSU). It returns nil for a frame
+// to drop, as a real broker logs and drops one: truncated, malformed, or of a
+// kind that is not a request — a response kind would otherwise be decoded in
+// full into a struct this broker's pool then keeps.
+func (b *Broker) ingest(frame []byte) *request {
+	k, ok := kwire.PeekKind(frame)
+	if !ok || !k.IsRequest() {
+		return nil
+	}
+	msg := b.getMsg(k)
+	corr, err := kwire.DecodeInto(frame, msg)
+	if err != nil {
+		b.putMsg(msg)
+		return nil
+	}
+	req := b.getRequest()
+	req.corr, req.msg = corr, msg
+	return req
+}
+
+// handoff forwards a request from whichever module received it — a network
+// processor or the RDMA module — to the API workers. It costs 11 µs of
+// latency (§5.1) but occupies neither thread.
+func (b *Broker) handoff(req *request) {
+	req.obsHandoff = b.env.Now()
+	b.env.AfterArg(b.cfg.HandoffDelay, enqueueRequest, req)
 }
 
 // responder drains the response queue, charging send costs against the
@@ -403,26 +433,33 @@ func (b *Broker) responder(p *sim.Proc) {
 	}
 }
 
-// respond queues a response for a request's origin transport.
+// respond answers a request over whatever brought it, and is the only place
+// an answer leaves the broker: a frame on the response queue for a TCP or OSU
+// connection, the acknowledgement Send for an RDMA producer's QP. A fetch
+// response's payload is served from mapped files via sendfile, so its bytes
+// are exempt from the send-side copy cost. The frame is encoded into a
+// recycled wire buffer (the responder returns it to the pool after the
+// send-side copy), and the request is released here if no worker or queue
+// still holds it.
 func (b *Broker) respond(req *request, msg kwire.Message) {
-	b.respondZC(req, msg, 0)
-}
-
-// respondZC is respond with zeroCopy payload bytes exempted from send cost.
-// The frame is encoded into a recycled wire buffer (the responder returns it
-// to the pool after the send-side copy), and the request is released here if
-// no worker or queue still holds it.
-func (b *Broker) respondZC(req *request, msg kwire.Message, zcBytes int) {
 	if req.completed {
 		return
 	}
 	req.completed = true
-	wire := b.node.Network().WireBufs()
-	frame := kwire.AppendEncode(wire.Get(64 + zcBytes)[:0], req.corr, msg)
-	resp := b.getResponse()
-	resp.tcp, resp.osu, resp.frame, resp.zeroCopy = req.tcp, req.osu, frame, zcBytes
-	resp.obsPushed = b.env.Now()
-	b.respQ.Push(resp)
+	if sess := req.rdma.sess; sess != nil {
+		sess.sendAck(msg.(*kwire.ProduceResp))
+	} else {
+		zcBytes := 0
+		if f, ok := msg.(*kwire.FetchResp); ok {
+			zcBytes = len(f.Data)
+		}
+		wire := b.node.Network().WireBufs()
+		frame := kwire.AppendEncode(wire.Get(64 + zcBytes)[:0], req.corr, msg)
+		resp := b.getResponse()
+		resp.tcp, resp.osu, resp.frame, resp.zeroCopy = req.tcp, req.osu, frame, zcBytes
+		resp.obsPushed = b.env.Now()
+		b.respQ.Push(resp)
+	}
 	if !req.dispatching && !req.queued {
 		b.releaseRequest(req)
 	}
@@ -450,39 +487,50 @@ func (b *Broker) apiWorker(p *sim.Proc) {
 	}
 }
 
+// dispatch runs a request's handler and is the one place a synchronous answer
+// is sent. A handler returns its answer; nil means the request is answered
+// later (a parked fetch or join, a produce waiting for the high watermark or
+// for its predecessors on a shared file) or elsewhere (a replica write acks
+// on its leader's link).
 func (b *Broker) dispatch(p *sim.Proc, req *request) {
-	switch {
-	case req.rdma.sess != nil:
-		b.handleRDMAProduce(p, req)
-		req.completed = true // acked over the QP, not via respond
-		return
-	case req.repl.sess != nil:
-		b.handleReplicaWrite(p, req)
-		req.completed = true // acked over the QP, not via respond
-		return
+	if resp := b.handle(p, req); resp != nil {
+		b.respond(req, resp)
 	}
+}
+
+func (b *Broker) handle(p *sim.Proc, req *request) kwire.Message {
 	switch m := req.msg.(type) {
+	case nil: // a completion event of the RDMA module, not a frame
+		if req.rdma.sess != nil {
+			return b.handleRDMAProduce(p, req)
+		}
+		b.handleReplicaWrite(p, req)
+		return nil
 	case *kwire.ProduceReq:
-		b.handleProduce(p, req, m)
+		return b.handleProduce(p, req, m)
 	case *kwire.FetchReq:
-		b.handleFetch(p, req, m)
+		return b.handleFetch(p, req, m)
+	}
+	// The rest is control plane: general-purpose RPC processing is all it
+	// costs. (The datapath handlers above fold that charge into the one Sleep
+	// they take under their partition's lock.)
+	p.Sleep(b.cfg.APIFixedCost)
+	switch m := req.msg.(type) {
 	case *kwire.MetadataReq:
-		b.handleMetadata(p, req, m)
+		return b.cluster.metadata(m.Topics)
 	case *kwire.CreateTopicReq:
-		b.handleCreateTopic(p, req, m)
+		return b.handleCreateTopic(m)
 	case *kwire.ProduceAccessReq:
-		b.handleProduceAccess(p, req, m)
+		return b.handleProduceAccess(p, m)
 	case *kwire.ConsumeAccessReq:
-		b.handleConsumeAccess(p, req, m)
+		return b.handleConsumeAccess(p, m)
 	case *kwire.ReleaseFileReq:
-		b.handleReleaseFile(p, req, m)
+		return b.handleReleaseFile(p, m)
 	case *kwire.OffsetCommitReq:
-		p.Sleep(b.cfg.APIFixedCost)
 		b.offsets[offsetID{m.Group, m.Topic, m.Partition}] = m.Offset
 		b.scratchCommitResp = kwire.OffsetCommitResp{Err: kwire.ErrNone}
-		b.respond(req, &b.scratchCommitResp)
+		return &b.scratchCommitResp
 	case *kwire.OffsetFetchReq:
-		p.Sleep(b.cfg.APIFixedCost)
 		off, ok := b.offsets[offsetID{m.Group, m.Topic, m.Partition}]
 		if !ok {
 			off = -1
@@ -490,29 +538,27 @@ func (b *Broker) dispatch(p *sim.Proc, req *request) {
 		// A group managed by the coordinator answers from its committed
 		// map (backed by __consumer_offsets) rather than the per-broker
 		// legacy store.
-		if co, isCoord := b.groupCoordinator(m.Group); isCoord {
+		if co, ec := b.groupCoordinator(m.Group); ec == kwire.ErrNone {
 			if v := co.Committed(m.Group, group.TP{Topic: m.Topic, Partition: m.Partition}); v >= 0 {
 				off = v
 			}
 		}
 		b.scratchOffsetResp = kwire.OffsetFetchResp{Err: kwire.ErrNone, Offset: off}
-		b.respond(req, &b.scratchOffsetResp)
+		return &b.scratchOffsetResp
 	case *kwire.JoinGroupReq:
-		b.handleJoinGroup(p, req, m)
+		return b.handleJoinGroup(req, m)
 	case *kwire.SyncGroupReq:
-		b.handleSyncGroup(p, req, m)
+		return b.handleSyncGroup(m)
 	case *kwire.HeartbeatReq:
-		b.handleHeartbeat(p, req, m)
+		return b.handleHeartbeat(m)
 	case *kwire.LeaveGroupReq:
-		b.handleLeaveGroup(p, req, m)
+		return b.handleLeaveGroup(m)
 	case *kwire.GroupCommitReq:
-		b.handleGroupCommit(p, req, m)
+		return b.handleGroupCommit(p, m)
 	case *kwire.CommitAccessReq:
-		b.handleCommitAccess(p, req, m)
-	default:
-		// Unknown request kinds are dropped, like unsupported API versions.
-		req.completed = true
+		return b.handleCommitAccess(m)
 	}
+	panic(fmt.Sprintf("core: request kind %d admitted by ingest has no handler", req.msg.Kind()))
 }
 
 // offsetID keys the consumer-offset store without string formatting.
@@ -534,6 +580,16 @@ func (b *Broker) partition(topic string, idx int32) (*Partition, kwire.ErrCode) 
 	return ts.parts[idx], kwire.ErrNone
 }
 
+// ledPartition resolves a topic partition this broker leads: the check every
+// datapath and access request opens with.
+func (b *Broker) ledPartition(topic string, idx int32) (*Partition, kwire.ErrCode) {
+	pt, ec := b.partition(topic, idx)
+	if ec == kwire.ErrNone && !pt.IsLeader() {
+		return nil, kwire.ErrNotLeader
+	}
+	return pt, ec
+}
+
 // Partition exposes partition state for tests and measurement harnesses.
 func (b *Broker) Partition(topic string, idx int32) *Partition {
 	pt, _ := b.partition(topic, idx)
@@ -553,15 +609,10 @@ func (b *Broker) rpcByteTime(n int) time.Duration {
 
 // handleProduce implements the TCP produce datapath (§4.2.1): validate,
 // append (the second copy), replicate, acknowledge per acks.
-func (b *Broker) handleProduce(p *sim.Proc, req *request, m *kwire.ProduceReq) {
-	pt, ec := b.partition(m.Topic, m.Partition)
+func (b *Broker) handleProduce(p *sim.Proc, req *request, m *kwire.ProduceReq) kwire.Message {
+	pt, ec := b.ledPartition(m.Topic, m.Partition)
 	if ec != kwire.ErrNone {
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: ec}))
-		return
-	}
-	if !pt.IsLeader() {
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrNotLeader}))
-		return
+		return b.produceResp(ec, 0)
 	}
 	pt.acquire(p)
 	// General-purpose RPC processing + checksum verification + the copy
@@ -571,111 +622,85 @@ func (b *Broker) handleProduce(p *sim.Proc, req *request, m *kwire.ProduceReq) {
 	batch, _, err := krecord.Parse(m.Batch)
 	if err != nil || batch.Validate() != nil {
 		pt.release()
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrInvalidRecord}))
-		return
+		return b.produceResp(kwire.ErrInvalidRecord, 0)
 	}
-
-	if pf := pt.produceFile; pf != nil && pf.mode == kwire.AccessExclusive && !pf.revoked {
-		// An exclusive RDMA grant makes the broker the sole gatekeeper:
-		// no other writer may touch the file (§4.2.2).
-		pt.release()
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrAccessDenied}))
-		return
+	if pf := pt.produceFile; pf != nil && !pf.revoked {
+		switch pf.mode {
+		case kwire.AccessExclusive:
+			// An exclusive RDMA grant makes the broker the sole gatekeeper:
+			// no other writer may touch the file (§4.2.2).
+			pt.release()
+			return b.produceResp(kwire.ErrAccessDenied, 0)
+		case kwire.AccessShared:
+			// The file is shared with RDMA producers: the broker must reserve
+			// its region through the same atomic word, issuing an RDMA FAA to
+			// itself (§4.2.2), and commit through the ordering machinery,
+			// which answers when the batch's turn comes (releasing the lock).
+			return b.produceViaSharedFileAsync(p, pt, pf, m.Batch, req)
+		}
 	}
-	if pf := pt.produceFile; pf != nil && pf.mode == kwire.AccessShared && !pf.revoked {
-		// The file is shared with RDMA producers: the broker must reserve
-		// its region through the same atomic word, issuing an RDMA FAA to
-		// itself (§4.2.2), and commit through the ordering machinery, which
-		// responds asynchronously (releasing the lock).
-		b.produceViaSharedFileAsync(p, pt, pf, m.Batch, req)
-		return
-	}
-	base, seg, err := pt.log.Append(batch)
-	if err == klog.ErrBatchTooLarge {
-		pt.release()
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrInvalidRecord}))
-		return
-	}
-	if err != nil {
-		pt.release()
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrInternal}))
-		return
-	}
-	if seg != pt.log.Head() { // the append rolled the segment
-		pt.sealHead()
-	}
-	pt.onAppend()
-	b.notifyReplication(pt)
-	target := base + int64(batch.Count())
+	base, err := pt.append(batch)
+	// The lock goes before the answer does, on every outcome.
 	pt.release()
+	switch err {
+	case nil:
+		b.ackProduce(pt, req, m.Acks < 0, base, base+int64(batch.Count()))
+		return nil
+	case klog.ErrBatchTooLarge:
+		return b.produceResp(kwire.ErrInvalidRecord, 0)
+	default:
+		return b.produceResp(kwire.ErrInternal, 0)
+	}
+}
 
-	if m.Acks < 0 && len(pt.replicas) > 1 {
-		pt.waitForHW(target, func() {
-			b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrNone, BaseOffset: base}))
-		})
+// ackProduce answers a produce that is in the log at base: at once, or, when
+// every replica must have it first (acks=all over TCP, always for a one-sided
+// produce), once the high watermark reaches target.
+func (b *Broker) ackProduce(pt *Partition, req *request, allReplicas bool, base, target int64) {
+	if allReplicas && len(pt.replicas) > 1 {
+		pt.waitForHW(target, func() { b.respond(req, b.produceResp(kwire.ErrNone, base)) })
 		return
 	}
-	b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrNone, BaseOffset: base}))
+	b.respond(req, b.produceResp(kwire.ErrNone, base))
 }
 
 // handleFetch implements the TCP consume datapath (§4.4.1) and the pull
 // replication fetch (§4.3.1). Consumers see committed data only; replicas
 // read to the log end and their fetch offset doubles as a replication ack.
-func (b *Broker) handleFetch(p *sim.Proc, req *request, m *kwire.FetchReq) {
-	pt, ec := b.partition(m.Topic, m.Partition)
+func (b *Broker) handleFetch(p *sim.Proc, req *request, m *kwire.FetchReq) kwire.Message {
+	pt, ec := b.ledPartition(m.Topic, m.Partition)
 	if ec != kwire.ErrNone {
-		b.respond(req, b.fetchRespMsg(kwire.FetchResp{Err: ec}))
-		return
-	}
-	if !pt.IsLeader() {
-		b.respond(req, b.fetchRespMsg(kwire.FetchResp{Err: kwire.ErrNotLeader}))
-		return
+		return b.fetchResp(nil, ec, nil)
 	}
 	p.Sleep(b.cfg.APIFixedCost + b.cfg.FetchExtra)
 
 	isReplica := m.ReplicaID >= 0
+	var data []byte
+	var err error
 	if isReplica {
 		pt.acquire(p)
 		pt.recordFollowerLEO(b.cluster.brokerName(m.ReplicaID), m.Offset)
 		pt.release()
-	}
-
-	var data []byte
-	var err error
-	if isReplica {
 		data, err = pt.log.ReadUncommitted(m.Offset, int(m.MaxBytes))
 	} else {
 		data, err = pt.log.ReadCommitted(m.Offset, int(m.MaxBytes))
 	}
-	if err != nil {
-		b.respond(req, b.fetchRespMsg(kwire.FetchResp{Err: kwire.ErrOffsetOutOfRange}))
-		return
+	switch {
+	case err != nil:
+		return b.fetchResp(pt, kwire.ErrOffsetOutOfRange, nil)
+	case data == nil:
+		return b.parkFetch(req, m, pt, isReplica)
 	}
-	if data == nil {
-		b.parkFetch(req, m, pt, isReplica)
-		return
-	}
-	b.respondZC(req, b.fetchRespMsg(kwire.FetchResp{
-		Err:           kwire.ErrNone,
-		HighWatermark: pt.log.HighWatermark(),
-		LogEndOffset:  pt.log.NextOffset(),
-		Data:          data,
-	}), len(data))
+	return b.fetchResp(pt, kwire.ErrNone, data)
 }
 
 // parkFetch implements fetch purgatory: the request waits for new data (LEO
-// for replicas, HW for consumers) or its long-poll deadline.
-func (b *Broker) parkFetch(req *request, m *kwire.FetchReq, pt *Partition, isReplica bool) {
+// for replicas, HW for consumers) or its long-poll deadline. A fetch that
+// may not wait is answered empty at once.
+func (b *Broker) parkFetch(req *request, m *kwire.FetchReq, pt *Partition, isReplica bool) kwire.Message {
 	wait := time.Duration(m.MaxWaitMicros) * time.Microsecond
 	if wait <= 0 {
-		b.statEmptyFetches++
-		b.obsEmptyF.Inc()
-		b.respond(req, b.fetchRespMsg(kwire.FetchResp{
-			Err:           kwire.ErrNone,
-			HighWatermark: pt.log.HighWatermark(),
-			LogEndOffset:  pt.log.NextOffset(),
-		}))
-		return
+		return b.emptyFetch(pt)
 	}
 	if wait > b.cfg.FetchLongPollMax {
 		wait = b.cfg.FetchLongPollMax
@@ -698,34 +723,22 @@ func (b *Broker) parkFetch(req *request, m *kwire.FetchReq, pt *Partition, isRep
 	}
 	b.env.After(wait, func() {
 		if req.gen == gen && !req.completed {
-			b.statEmptyFetches++
-			b.obsEmptyF.Inc()
-			b.respond(req, b.fetchRespMsg(kwire.FetchResp{
-				Err:           kwire.ErrNone,
-				HighWatermark: pt.log.HighWatermark(),
-				LogEndOffset:  pt.log.NextOffset(),
-			}))
+			b.respond(req, b.emptyFetch(pt))
 		}
 	})
+	return nil
 }
 
-func (b *Broker) handleMetadata(p *sim.Proc, req *request, m *kwire.MetadataReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	b.respond(req, b.cluster.metadata(m.Topics))
-}
-
-func (b *Broker) handleCreateTopic(p *sim.Proc, req *request, m *kwire.CreateTopicReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	err := b.cluster.CreateTopic(m.Topic, int(m.Partitions), int(m.ReplicationFactor))
+func (b *Broker) handleCreateTopic(m *kwire.CreateTopicReq) kwire.Message {
 	code := kwire.ErrNone
-	switch err {
+	switch b.cluster.CreateTopic(m.Topic, int(m.Partitions), int(m.ReplicationFactor)) {
 	case nil:
 	case errTopicExists:
 		code = kwire.ErrTopicExists
 	default:
 		code = kwire.ErrInternal
 	}
-	b.respond(req, &kwire.CreateTopicResp{Err: code})
+	return &kwire.CreateTopicResp{Err: code}
 }
 
 // onQPEvent reacts to QP failures (§4.2.2 "client failure can be detected

@@ -210,7 +210,7 @@ func (c *Cluster) CreateTopic(name string, partitions, replicationFactor int) er
 		pt := leaderBroker.Partition(name, int32(pi))
 		if replicationFactor > 1 {
 			if c.cfg.RDMAReplication {
-				pt.pushRepl = newPushReplicator(leaderBroker, pt)
+				pt.pushRepl = newPushReplicator(leaderBroker, pt, false)
 			} else {
 				for _, id := range replicas[1:] {
 					f := c.broker(id)

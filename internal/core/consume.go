@@ -137,28 +137,17 @@ func (s *consumerSession) teardown() {
 // handleConsumeAccess serves the consumer's "get RDMA access" request
 // (§4.4.2): it registers the file containing the requested offset for RDMA
 // Reads and, for a mutable file, assigns a metadata slot.
-func (b *Broker) handleConsumeAccess(p *sim.Proc, req *request, m *kwire.ConsumeAccessReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	fail := func(code kwire.ErrCode) {
-		b.respond(req, &kwire.ConsumeAccessResp{Err: code})
-	}
+func (b *Broker) handleConsumeAccess(p *sim.Proc, m *kwire.ConsumeAccessReq) kwire.Message {
 	if !b.cfg.RDMAConsume {
-		fail(kwire.ErrAccessDenied)
-		return
+		return &kwire.ConsumeAccessResp{Err: kwire.ErrAccessDenied}
 	}
-	pt, ec := b.partition(m.Topic, m.Partition)
+	pt, ec := b.ledPartition(m.Topic, m.Partition)
 	if ec != kwire.ErrNone {
-		fail(ec)
-		return
-	}
-	if !pt.IsLeader() {
-		fail(kwire.ErrNotLeader)
-		return
+		return &kwire.ConsumeAccessResp{Err: ec}
 	}
 	sess := b.consumerRDMASessions[m.Session]
 	if sess == nil {
-		fail(kwire.ErrAccessDenied)
-		return
+		return &kwire.ConsumeAccessResp{Err: kwire.ErrAccessDenied}
 	}
 	pt.acquire(p)
 	defer pt.release()
@@ -175,14 +164,12 @@ func (b *Broker) handleConsumeAccess(p *sim.Proc, req *request, m *kwire.Consume
 		var err error
 		seg, startPos, err = pt.log.Locate(m.Offset)
 		if err != nil {
-			fail(kwire.ErrOffsetOutOfRange)
-			return
+			return &kwire.ConsumeAccessResp{Err: kwire.ErrOffsetOutOfRange}
 		}
 	}
 	mr, err := pt.segReadMR(seg)
 	if err != nil {
-		fail(kwire.ErrInternal)
-		return
+		return &kwire.ConsumeAccessResp{Err: kwire.ErrInternal}
 	}
 	pt.segReaders[seg.ID()]++
 
@@ -199,25 +186,22 @@ func (b *Broker) handleConsumeAccess(p *sim.Proc, req *request, m *kwire.Consume
 	if !seg.Sealed() {
 		ref, ok := sess.slotFor(pt, seg)
 		if !ok {
-			fail(kwire.ErrInternal)
-			return
+			return &kwire.ConsumeAccessResp{Err: kwire.ErrInternal}
 		}
 		resp.SlotRegionAddr = sess.regionMR.Addr()
 		resp.SlotRegionRKey = sess.regionMR.RKey()
 		resp.SlotIndex = int32(ref.idx)
 	}
-	b.respond(req, resp)
+	return resp
 }
 
 // handleReleaseFile lets a consumer drop a fully-read file: its slot is
 // freed and, when no reader or producer needs the segment, the registration
 // is removed to cut memory usage (§4.4.2, §7 "Memory usage").
-func (b *Broker) handleReleaseFile(p *sim.Proc, req *request, m *kwire.ReleaseFileReq) {
-	p.Sleep(b.cfg.APIFixedCost)
+func (b *Broker) handleReleaseFile(p *sim.Proc, m *kwire.ReleaseFileReq) kwire.Message {
 	pt, ec := b.partition(m.Topic, m.Partition)
 	if ec != kwire.ErrNone {
-		b.respond(req, &kwire.ReleaseFileResp{Err: ec})
-		return
+		return &kwire.ReleaseFileResp{Err: ec}
 	}
 	pt.acquire(p)
 	defer pt.release()
@@ -232,5 +216,5 @@ func (b *Broker) handleReleaseFile(p *sim.Proc, req *request, m *kwire.ReleaseFi
 	if seg != nil && seg.Sealed() && pt.segReaders[segID] == 0 {
 		pt.dropReadMR(segID)
 	}
-	b.respond(req, &kwire.ReleaseFileResp{Err: kwire.ErrNone})
+	return &kwire.ReleaseFileResp{Err: kwire.ErrNone}
 }

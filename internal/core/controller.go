@@ -71,7 +71,7 @@ func (c *Cluster) RestartBroker(id string) {
 		}
 		if pt.IsLeader() {
 			if c.cfg.RDMAReplication {
-				c.rebuildPushLinks(pt)
+				pt.pushRepl = newPushReplicator(b, pt, true)
 			}
 			continue
 		}
@@ -161,7 +161,7 @@ func (c *Cluster) electLeader(topic string, pm *kwire.PartitionMeta) {
 	}
 	lpt := newLeader.Partition(topic, pm.Partition)
 	if c.cfg.RDMAReplication {
-		c.rebuildPushLinks(lpt)
+		lpt.pushRepl = newPushReplicator(newLeader, lpt, true)
 	}
 	// Pull-mode survivors resync on their own: their fetchers observed the
 	// connection reset, and on redial they truncate to their high watermark
@@ -170,20 +170,6 @@ func (c *Cluster) electLeader(topic string, pm *kwire.PartitionMeta) {
 	// With every other replica down the ISR is just the leader, whose whole
 	// log commits; otherwise the watermark re-advances as survivors report.
 	lpt.recomputeHW()
-}
-
-// rebuildPushLinks gives a partition leader a fresh push replicator with a
-// resyncing link to every live follower (after failover or restart, the old
-// links' QPs are dead).
-func (c *Cluster) rebuildPushLinks(lpt *Partition) {
-	pr := &pushReplicator{b: lpt.broker, pt: lpt}
-	lpt.pushRepl = pr
-	for _, id := range lpt.replicas {
-		if id == lpt.broker.id || c.down[id] {
-			continue
-		}
-		pr.addLink(c.broker(id), true)
-	}
 }
 
 // sortedPartitions returns the broker's partitions in deterministic order.

@@ -38,7 +38,8 @@ type groupRuntime struct {
 	// harvester process.
 	swapQ *sim.Queue[string]
 
-	// batchScratch and valScratch are reused across offsets-record appends.
+	// valScratch holds the encoded offsets-record value, reused across
+	// appendGroupCommit calls.
 	valScratch []byte
 
 	// o gates the harvester's telemetry: the lag walk only runs when a
@@ -143,14 +144,18 @@ func (c *Cluster) CoordinatorBroker(groupName string) *Broker {
 	return c.LeaderOf(group.OffsetsTopic, pi)
 }
 
-// groupCoordinator resolves the coordinator for handlers on broker b:
-// ok only when groups are enabled and b currently holds the role.
-func (b *Broker) groupCoordinator(groupName string) (*group.Coordinator, bool) {
+// groupCoordinator resolves the coordinator for handlers on broker b: the
+// code is ErrNone only when groups are enabled (else ErrInternal) and b
+// currently holds the role for the group (else ErrNotCoordinator).
+func (b *Broker) groupCoordinator(groupName string) (*group.Coordinator, kwire.ErrCode) {
 	rt := b.cluster.groups
-	if rt == nil {
-		return nil, false
+	switch {
+	case rt == nil:
+		return nil, kwire.ErrInternal
+	case b.cluster.CoordinatorBroker(groupName) != b:
+		return rt.co, kwire.ErrNotCoordinator
 	}
-	return rt.co, b.cluster.CoordinatorBroker(groupName) == b
+	return rt.co, kwire.ErrNone
 }
 
 // appendGroupCommit makes one committed offset durable in the group's
@@ -179,19 +184,13 @@ func (c *Cluster) appendGroupCommit(p *sim.Proc, name string, gen int32, tp grou
 		panic(fmt.Sprintf("core: parse offsets record: %v", err))
 	}
 	pt.acquire(p)
-	_, seg, err := pt.log.Append(batch)
+	_, err = pt.append(batch)
+	pt.release()
 	if err != nil {
 		// A ~60-byte batch can only fail on log corruption — deterministic
 		// bug territory, not an operational condition.
-		pt.release()
 		panic(fmt.Sprintf("core: append offsets record: %v", err))
 	}
-	if seg != pt.log.Head() {
-		pt.sealHead()
-	}
-	pt.onAppend()
-	b.notifyReplication(pt)
-	pt.release()
 }
 
 // GroupOffset is one replayed __consumer_offsets entry.
@@ -361,12 +360,10 @@ func (c *Cluster) swapGroupTable(p *sim.Proc, name string) {
 // handleJoinGroup parks the response on the coordinator's join barrier: the
 // reply fires when the rebalance completes (or fails the member), which is
 // the revoke→reassign barrier as seen by the client.
-func (b *Broker) handleJoinGroup(p *sim.Proc, req *request, m *kwire.JoinGroupReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	co, ok := b.groupCoordinator(m.Group)
-	if !ok {
-		b.respond(req, &kwire.JoinGroupResp{Err: b.coordErr(co)})
-		return
+func (b *Broker) handleJoinGroup(req *request, m *kwire.JoinGroupReq) kwire.Message {
+	co, ec := b.groupCoordinator(m.Group)
+	if ec != kwire.ErrNone {
+		return &kwire.JoinGroupResp{Err: ec}
 	}
 	gen := req.gen
 	co.Join(m.Group, m.MemberID, m.Topics, group.Strategy(m.Strategy),
@@ -382,64 +379,48 @@ func (b *Broker) handleJoinGroup(p *sim.Proc, req *request, m *kwire.JoinGroupRe
 				Members:    res.Members,
 			})
 		})
+	return nil
 }
 
-// coordErr distinguishes "groups disabled" from "wrong broker".
-func (b *Broker) coordErr(co *group.Coordinator) kwire.ErrCode {
-	if co == nil {
-		return kwire.ErrInternal
-	}
-	return kwire.ErrNotCoordinator
-}
-
-func (b *Broker) handleSyncGroup(p *sim.Proc, req *request, m *kwire.SyncGroupReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	co, ok := b.groupCoordinator(m.Group)
-	if !ok {
-		b.respond(req, &kwire.SyncGroupResp{Err: b.coordErr(co)})
-		return
+func (b *Broker) handleSyncGroup(m *kwire.SyncGroupReq) kwire.Message {
+	co, ec := b.groupCoordinator(m.Group)
+	if ec != kwire.ErrNone {
+		return &kwire.SyncGroupResp{Err: ec}
 	}
 	res := co.Sync(m.Group, m.MemberID, m.Generation)
 	resp := &kwire.SyncGroupResp{Err: res.Err, Generation: res.Generation}
 	for _, tp := range res.Assigned {
 		resp.Assigned = append(resp.Assigned, kwire.TPAssign{Topic: tp.Topic, Partition: tp.Partition})
 	}
-	b.respond(req, resp)
+	return resp
 }
 
-func (b *Broker) handleHeartbeat(p *sim.Proc, req *request, m *kwire.HeartbeatReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	co, ok := b.groupCoordinator(m.Group)
-	if !ok {
-		b.scratchBeatResp = kwire.HeartbeatResp{Err: b.coordErr(co)}
-	} else {
-		b.scratchBeatResp = kwire.HeartbeatResp{Err: co.Heartbeat(m.Group, m.MemberID, m.Generation)}
+func (b *Broker) handleHeartbeat(m *kwire.HeartbeatReq) kwire.Message {
+	co, ec := b.groupCoordinator(m.Group)
+	if ec == kwire.ErrNone {
+		ec = co.Heartbeat(m.Group, m.MemberID, m.Generation)
 	}
-	b.respond(req, &b.scratchBeatResp)
+	b.scratchBeatResp = kwire.HeartbeatResp{Err: ec}
+	return &b.scratchBeatResp
 }
 
-func (b *Broker) handleLeaveGroup(p *sim.Proc, req *request, m *kwire.LeaveGroupReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	co, ok := b.groupCoordinator(m.Group)
-	if !ok {
-		b.scratchLeaveResp = kwire.LeaveGroupResp{Err: b.coordErr(co)}
-	} else {
-		b.scratchLeaveResp = kwire.LeaveGroupResp{Err: co.Leave(m.Group, m.MemberID)}
+func (b *Broker) handleLeaveGroup(m *kwire.LeaveGroupReq) kwire.Message {
+	co, ec := b.groupCoordinator(m.Group)
+	if ec == kwire.ErrNone {
+		ec = co.Leave(m.Group, m.MemberID)
 	}
-	b.respond(req, &b.scratchLeaveResp)
+	b.scratchLeaveResp = kwire.LeaveGroupResp{Err: ec}
+	return &b.scratchLeaveResp
 }
 
-func (b *Broker) handleGroupCommit(p *sim.Proc, req *request, m *kwire.GroupCommitReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	co, ok := b.groupCoordinator(m.Group)
-	if !ok {
-		b.scratchGCommitResp = kwire.GroupCommitResp{Err: b.coordErr(co)}
-	} else {
-		code := co.Commit(p, m.Group, m.MemberID, m.Generation,
+func (b *Broker) handleGroupCommit(p *sim.Proc, m *kwire.GroupCommitReq) kwire.Message {
+	co, ec := b.groupCoordinator(m.Group)
+	if ec == kwire.ErrNone {
+		ec = co.Commit(p, m.Group, m.MemberID, m.Generation,
 			group.TP{Topic: m.Topic, Partition: m.Partition}, m.Offset)
-		b.scratchGCommitResp = kwire.GroupCommitResp{Err: code}
 	}
-	b.respond(req, &b.scratchGCommitResp)
+	b.scratchGCommitResp = kwire.GroupCommitResp{Err: ec}
+	return &b.scratchGCommitResp
 }
 
 // handleCommitAccess grants a member one-sided WRITE access to its cell
@@ -447,31 +428,27 @@ func (b *Broker) handleGroupCommit(p *sim.Proc, req *request, m *kwire.GroupComm
 // table matches the member's generation on this broker. A table that is
 // stale (pending swap) or stranded on a previous coordinator is re-queued
 // for the harvester and the client told to retry.
-func (b *Broker) handleCommitAccess(p *sim.Proc, req *request, m *kwire.CommitAccessReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	co, ok := b.groupCoordinator(m.Group)
-	if !ok {
-		b.respond(req, &kwire.CommitAccessResp{Err: b.coordErr(co)})
-		return
+func (b *Broker) handleCommitAccess(m *kwire.CommitAccessReq) kwire.Message {
+	co, ec := b.groupCoordinator(m.Group)
+	if ec != kwire.ErrNone {
+		return &kwire.CommitAccessResp{Err: ec}
 	}
 	base, count, code := co.MemberCells(m.Group, m.MemberID, m.Generation)
 	if code != kwire.ErrNone {
-		b.respond(req, &kwire.CommitAccessResp{Err: code})
-		return
+		return &kwire.CommitAccessResp{Err: code}
 	}
 	rt := b.cluster.groups
 	t := rt.tables[m.Group]
 	if t == nil || t.gen != m.Generation || t.broker != b {
 		rt.swapQ.Push(m.Group)
-		b.respond(req, &kwire.CommitAccessResp{Err: kwire.ErrRebalanceInProgress})
-		return
+		return &kwire.CommitAccessResp{Err: kwire.ErrRebalanceInProgress}
 	}
-	b.respond(req, &kwire.CommitAccessResp{
+	return &kwire.CommitAccessResp{
 		Err:        kwire.ErrNone,
 		Generation: m.Generation,
 		Addr:       t.mr.Addr() + uint64(base*group.CellSize),
 		RKey:       t.mr.RKey(),
 		SlotBase:   int64(base),
 		Cells:      int32(count),
-	})
+	}
 }

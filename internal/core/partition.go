@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kafkadirect/internal/klog"
+	"kafkadirect/internal/krecord"
 	"kafkadirect/internal/rdma"
 	"kafkadirect/internal/sim"
 )
@@ -109,38 +110,56 @@ func (pt *Partition) cachedMR(cache map[int]*rdma.MR, seg *klog.Segment, access 
 	return mr, nil
 }
 
-// dropWriteMR revokes a segment's write registration (produce revocation).
-func (pt *Partition) dropWriteMR(segID int) {
-	if mr, ok := pt.segWriteMRs[segID]; ok {
+// dropWriteMR revokes a segment's write registration (produce revocation);
+// dropReadMR drops its read registration (consumer ReleaseFile).
+func (pt *Partition) dropWriteMR(segID int) { dropMR(pt.segWriteMRs, segID) }
+func (pt *Partition) dropReadMR(segID int)  { dropMR(pt.segReadMRs, segID) }
+
+func dropMR(cache map[int]*rdma.MR, segID int) {
+	if mr, ok := cache[segID]; ok {
 		mr.Deregister()
-		delete(pt.segWriteMRs, segID)
+		delete(cache, segID)
 	}
 }
 
-// releaseStorage returns the partition's segment buffers to the shared pool
-// once the owning simulation has shut down. RDMA write grants bypass the
-// log's append position, so each cached write MR's high-water mark is folded
-// into its segment before the log computes dirty extents.
-func (pt *Partition) releaseStorage() {
+// foldWriteExtents tells each segment how far its buffer was physically
+// written: RDMA write grants bypass the log's append position, so each cached
+// write MR's high-water mark is folded into its segment before the log
+// computes dirty extents (to re-zero on truncation, or to clear on release).
+func (pt *Partition) foldWriteExtents() {
 	for segID, mr := range pt.segWriteMRs {
 		if seg := pt.log.Segment(segID); seg != nil {
 			seg.NoteDirty(mr.Touched())
 		}
 	}
+}
+
+// releaseStorage returns the partition's segment buffers to the shared pool
+// once the owning simulation has shut down.
+func (pt *Partition) releaseStorage() {
+	pt.foldWriteExtents()
 	pt.log.Release()
 }
 
-// dropReadMR drops a segment's read registration (consumer ReleaseFile).
-func (pt *Partition) dropReadMR(segID int) {
-	if mr, ok := pt.segReadMRs[segID]; ok {
-		mr.Deregister()
-		delete(pt.segReadMRs, segID)
+// append copies a batch onto the leader's log at the next offset (the TCP
+// produce path and the coordinator's offsets records). A head segment without
+// room is sealed and rolled by klog.Append itself, which returns the head it
+// wrote into, so nothing here seals; slots mirroring the sealed segment flip
+// their mutable bit with the next high-watermark advance. Lock held.
+func (pt *Partition) append(batch krecord.Batch) (int64, error) {
+	base, _, err := pt.log.Append(batch)
+	if err != nil {
+		return 0, err
 	}
+	pt.appended()
+	return base, nil
 }
 
-// onAppend runs after the leader log end advances: wakes replica long-polls
-// and, for an unreplicated partition, commits immediately.
-func (pt *Partition) onAppend() {
+// appended runs after the leader log end advances, by a copied append or by
+// an in-place commit: an unreplicated partition commits immediately, parked
+// replica long-polls wake (the pull path needs no other notification), and
+// so do the partition's push-replication links, if any. Lock held.
+func (pt *Partition) appended() {
 	if len(pt.replicas) <= 1 {
 		pt.advanceHW(pt.log.NextOffset())
 	}
@@ -148,6 +167,11 @@ func (pt *Partition) onAppend() {
 	pt.leoWaiters = nil
 	for _, fn := range waiters {
 		fn()
+	}
+	if pt.pushRepl != nil {
+		for _, link := range pt.pushRepl.links {
+			link.cond.Broadcast()
+		}
 	}
 }
 
@@ -187,14 +211,10 @@ func (pt *Partition) recomputeHW() {
 // leader — and purges per-segment caches of retired segment ids, which later
 // rolls will reuse. The caller holds the partition lock.
 func (pt *Partition) truncateToHW() {
-	// Fold RNIC write extents into the segments first: truncation re-zeroes
-	// the discarded extent of the surviving head and retires later segments,
-	// so the log must know how far their buffers were physically written.
-	for segID, mr := range pt.segWriteMRs {
-		if seg := pt.log.Segment(segID); seg != nil {
-			seg.NoteDirty(mr.Touched())
-		}
-	}
+	// Truncation re-zeroes the discarded extent of the surviving head and
+	// retires later segments, so the log must first know how far their
+	// buffers were physically written.
+	pt.foldWriteExtents()
 	removed, err := pt.log.TruncateTo(pt.log.HighWatermark())
 	if err != nil {
 		return // HW always sits on a batch boundary; nothing to do

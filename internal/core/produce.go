@@ -113,13 +113,12 @@ type rdmaFile struct {
 	pending map[uint16]*produceEntry
 }
 
-// produceEntry is one produce awaiting in-order commit on a shared file.
+// produceEntry is one produce awaiting in-order commit on a shared file. req
+// is the request that brought it — an RDMA producer's completion or a TCP/OSU
+// produce routed through the shared word — and respond knows which.
 type produceEntry struct {
-	order uint16
-	size  int
-	// sess is set for RDMA producers (ack goes back over the QP);
-	// req is set for TCP/OSU produces routed through the shared word.
-	sess      *rdmaProducerSession
+	order     uint16
+	size      int
 	req       *request
 	processed bool
 }
@@ -159,28 +158,17 @@ type rdmaProduceEvent struct {
 
 // handleProduceAccess serves the "get RDMA produce address" control request
 // (§4.2.2 "Getting RDMA access"), arriving over TCP.
-func (b *Broker) handleProduceAccess(p *sim.Proc, req *request, m *kwire.ProduceAccessReq) {
-	p.Sleep(b.cfg.APIFixedCost)
-	fail := func(code kwire.ErrCode) {
-		b.respond(req, &kwire.ProduceAccessResp{Err: code})
-	}
+func (b *Broker) handleProduceAccess(p *sim.Proc, m *kwire.ProduceAccessReq) kwire.Message {
 	if !b.cfg.RDMAProduce {
-		fail(kwire.ErrAccessDenied)
-		return
+		return &kwire.ProduceAccessResp{Err: kwire.ErrAccessDenied}
 	}
-	pt, ec := b.partition(m.Topic, m.Partition)
+	pt, ec := b.ledPartition(m.Topic, m.Partition)
 	if ec != kwire.ErrNone {
-		fail(ec)
-		return
+		return &kwire.ProduceAccessResp{Err: ec}
 	}
-	if !pt.IsLeader() {
-		fail(kwire.ErrNotLeader)
-		return
-	}
-	sess := b.sessionByID(m.Session)
+	sess := b.producerSessions[m.Session]
 	if sess == nil {
-		fail(kwire.ErrAccessDenied)
-		return
+		return &kwire.ProduceAccessResp{Err: kwire.ErrAccessDenied}
 	}
 	pt.acquire(p)
 	defer pt.release()
@@ -195,8 +183,7 @@ func (b *Broker) handleProduceAccess(p *sim.Proc, req *request, m *kwire.Produce
 				pt.sealHead()
 			} else {
 				// Shared grants are handed to any number of producers.
-				b.respond(req, pf.accessResp())
-				return
+				return pf.accessResp()
 			}
 		case pf.mode == kwire.AccessExclusive && pf.owner == sess:
 			// The owner re-requests access: it ran out of space in the head
@@ -206,17 +193,15 @@ func (b *Broker) handleProduceAccess(p *sim.Proc, req *request, m *kwire.Produce
 		default:
 			// "The broker never grants exclusive access to the same file to
 			// two producers" (§4.2.2) — and never mixes modes on one file.
-			fail(kwire.ErrAccessDenied)
-			return
+			return &kwire.ProduceAccessResp{Err: kwire.ErrAccessDenied}
 		}
 	}
 
 	f, err := b.grantProduceFile(pt, sess, m.Mode)
 	if err != nil {
-		fail(kwire.ErrInternal)
-		return
+		return &kwire.ProduceAccessResp{Err: kwire.ErrInternal}
 	}
-	b.respond(req, f.accessResp())
+	return f.accessResp()
 }
 
 // grantProduceFile registers the head segment for RDMA write access and
@@ -303,20 +288,11 @@ func (b *Broker) revokeFile(f *rdmaFile, code kwire.ErrCode) {
 			continue
 		}
 		e.processed = true
-		b.abortEntry(e, code)
+		b.respond(e.req, b.produceResp(code, 0))
 	}
 	f.pending = nil
 	if f.owner != nil {
 		f.owner.removeGrant(f)
-	}
-}
-
-func (b *Broker) abortEntry(e *produceEntry, code kwire.ErrCode) {
-	if e.sess != nil {
-		e.sess.sendAck(b.produceRespMsg(kwire.ProduceResp{Err: code}))
-	}
-	if e.req != nil {
-		b.respond(e.req, b.produceRespMsg(kwire.ProduceResp{Err: code}))
 	}
 }
 
@@ -329,37 +305,35 @@ func (b *Broker) revokeSessionGrants(sess *rdmaProducerSession) {
 }
 
 // handleRDMAProduce processes one WriteWithImm completion (➌→➎→➍ in
-// Figure 2): map the file ID, enforce ordering, validate, and commit.
-func (b *Broker) handleRDMAProduce(p *sim.Proc, req *request) {
+// Figure 2): map the file ID, enforce ordering, validate, and commit. Under
+// the partition lock every answer is sent before the lock is released, so it
+// goes through respond here instead of being returned.
+func (b *Broker) handleRDMAProduce(p *sim.Proc, req *request) kwire.Message {
 	ev := &req.rdma
 	b.statRDMAProduces++
 	order, fileID := DecodeImm(ev.imm)
 	f := b.produceFiles.get(fileID)
 	if f == nil || f.revoked {
-		ev.sess.sendAck(b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrRevoked}))
-		return
+		return b.produceResp(kwire.ErrRevoked, 0)
 	}
 	pt := f.pt
 	pt.acquire(p)
 	defer pt.release()
-	if f.revoked { // may have been revoked while we waited for the lock
-		ev.sess.sendAck(b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrRevoked}))
-		return
-	}
-
-	if f.mode == kwire.AccessExclusive {
+	switch {
+	case f.revoked: // while we waited for the lock
+		b.respond(req, b.produceResp(kwire.ErrRevoked, 0))
+	case f.mode == kwire.AccessExclusive:
 		// Completion events on one QP arrive in write order, but the
 		// partition lock (a sim.Resource, not FIFO) may be taken by two API
 		// workers in swapped order. Committing at the current append position
 		// is right only while the in-flight WRITEs are all of one size, as
 		// every figure's are: the k-th commit then still covers the k-th
 		// region. With mixed sizes it is wrong (DESIGN.md §6, known defect).
-		b.commitRDMAProduce(p, f, ev.sess, nil, ev.size)
-		return
+		b.commitInPlace(p, f, req, ev.size)
+	default:
+		b.deliverShared(p, f, &produceEntry{order: order, size: ev.size, req: req})
 	}
-
-	entry := &produceEntry{order: order, size: ev.size, sess: ev.sess}
-	b.deliverShared(p, f, entry)
+	return nil
 }
 
 // deliverShared runs the shared-access ordering machine: commit the entry if
@@ -391,11 +365,11 @@ func (b *Broker) processSharedEntry(p *sim.Proc, f *rdmaFile, e *produceEntry) {
 		// written (well-behaved producers check the offset they fetched).
 		// Every later reservation is displaced too, so the whole grant is
 		// retired; producers re-request access and land on the next file.
-		b.abortEntry(e, kwire.ErrRevoked)
+		b.respond(e.req, b.produceResp(kwire.ErrRevoked, 0))
 		b.revokeFile(f, kwire.ErrRevoked)
 		return
 	}
-	b.commitRDMAProduce(p, f, e.sess, e.req, e.size)
+	b.commitInPlace(p, f, e.req, e.size)
 	f.nextPos += int64(e.size)
 }
 
@@ -412,63 +386,42 @@ func (b *Broker) armHoleTimeout(f *rdmaFile, e *produceEntry) {
 	})
 }
 
-// commitRDMAProduce validates and commits one batch already present in the
-// file buffer at the current append position; zero data copies happen here.
-// Partition lock held.
-func (b *Broker) commitRDMAProduce(p *sim.Proc, f *rdmaFile, sess *rdmaProducerSession, tcpReq *request, size int) {
+// commitInPlace validates and commits one batch already present in the file
+// buffer at the current append position — written there by a producer's RNIC,
+// or copied into its reservation by produceViaSharedFileAsync — and answers
+// req; zero data copies happen here. Partition lock held.
+func (b *Broker) commitInPlace(p *sim.Proc, f *rdmaFile, req *request, size int) {
 	pt := f.pt
 	seg := pt.log.Segment(f.segID)
 	p.Sleep(b.cfg.APIFixedCost + b.crcTime(size))
-
-	ackErr := func(code kwire.ErrCode) {
-		if sess != nil {
-			sess.sendAck(b.produceRespMsg(kwire.ProduceResp{Err: code}))
-		}
-		if tcpReq != nil {
-			b.respond(tcpReq, b.produceRespMsg(kwire.ProduceResp{Err: code}))
-		}
-	}
 
 	start := seg.Len()
 	batch, _, err := krecord.Parse(seg.Bytes()[start : start+size])
 	if err != nil || batch.Validate() != nil {
 		// Garbage in the reserved region: fence the file off entirely —
-		// offsets cannot be assigned past a corrupt region.
+		// offsets cannot be assigned past a corrupt region — and only then
+		// fail the produce.
 		b.revokeFile(f, kwire.ErrInvalidRecord)
-		ackErr(kwire.ErrInvalidRecord)
+		b.respond(req, b.produceResp(kwire.ErrInvalidRecord, 0))
 		return
 	}
 	base, err := pt.log.CommitReserved(seg, start, size)
 	if err != nil {
 		b.revokeFile(f, kwire.ErrInternal)
-		ackErr(kwire.ErrInternal)
+		b.respond(req, b.produceResp(kwire.ErrInternal, 0))
 		return
 	}
-	pt.onAppend()
-	b.notifyReplication(pt)
-
-	target := base + int64(batch.Count())
-	deliver := func() {
-		if sess != nil {
-			sess.sendAck(b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrNone, BaseOffset: base}))
-		}
-		if tcpReq != nil {
-			b.respond(tcpReq, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrNone, BaseOffset: base}))
-		}
-	}
-	if len(pt.replicas) > 1 {
-		pt.waitForHW(target, deliver)
-		return
-	}
-	deliver()
+	pt.appended()
+	b.ackProduce(pt, req, true, base, base+int64(batch.Count()))
 }
 
 // produceViaSharedFileAsync routes a TCP produce through the shared-access
 // machinery: the broker reserves a region by issuing an RDMA FAA to itself
 // (§4.2.2), copies the already-validated batch into the reservation, and
-// commits through the same ordering path as RDMA producers. Responds
-// asynchronously. Partition lock held by the caller and released here.
-func (b *Broker) produceViaSharedFileAsync(p *sim.Proc, pt *Partition, f *rdmaFile, data []byte, req *request) {
+// commits through the same ordering path as RDMA producers, which answers
+// when the batch's turn comes; only a failed reservation is answered by
+// return. Partition lock held by the caller and released here.
+func (b *Broker) produceViaSharedFileAsync(p *sim.Proc, pt *Partition, f *rdmaFile, data []byte, req *request) kwire.Message {
 	qp := b.loopbackQP()
 	// Serialise post+poll pairs: concurrent workers on different partitions
 	// share the loopback QP and must not steal each other's completions.
@@ -483,30 +436,26 @@ func (b *Broker) produceViaSharedFileAsync(p *sim.Proc, pt *Partition, f *rdmaFi
 		RKey:       f.atomicMR.RKey(),
 		Add:        SharedDelta(len(data)),
 	})
-	if err != nil {
-		b.loopRes.Release()
-		pt.release()
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrInternal}))
-		return
+	var cqe rdma.CQE
+	if err == nil {
+		cqe = qp.SendCQ().Poll(p)
 	}
-	cqe := qp.SendCQ().Poll(p)
 	b.loopRes.Release()
-	if cqe.Status != rdma.StatusOK {
+	if err != nil || cqe.Status != rdma.StatusOK {
 		pt.release()
-		b.respond(req, b.produceRespMsg(kwire.ProduceResp{Err: kwire.ErrInternal}))
-		return
+		return b.produceResp(kwire.ErrInternal, 0)
 	}
 	order, offset := UnpackShared(cqe.Old)
 	seg := pt.log.Segment(f.segID)
-	entry := &produceEntry{order: order, size: len(data), req: req}
 	if offset+int64(len(data)) <= int64(seg.Capacity()) {
 		copy(seg.Bytes()[offset:], data)
 		// This copy bypasses both the log append position and the RNIC's MR
 		// write tracking; record it so buffer recycling re-zeroes it.
 		seg.NoteDirty(int(offset) + len(data))
 	}
-	b.deliverShared(p, f, entry)
+	b.deliverShared(p, f, &produceEntry{order: order, size: len(data), req: req})
 	pt.release()
+	return nil
 }
 
 // loopbackQP lazily builds the broker's QP pair to itself, rebuilding it

@@ -26,7 +26,8 @@ const (
 )
 
 // producerMetaBufSize sizes the receive buffers on producer QPs: they carry
-// Write+Send metadata frames (the paper sweeps up to 512 B sends).
+// Write+Send metadata frames (the paper sweeps up to 512 B sends);
+// WriteWithImm consumes a receive but leaves its buffer untouched.
 const producerMetaBufSize = 576
 
 // rdmaProducerSession is the broker-side state for one RDMA producer client.
@@ -34,7 +35,7 @@ type rdmaProducerSession struct {
 	b      *Broker
 	id     uint32
 	qp     *rdma.QP
-	bufs   [][]byte
+	ring   *rdma.RecvRing
 	grants []*rdmaFile
 }
 
@@ -49,7 +50,8 @@ func (s *rdmaProducerSession) removeGrant(f *rdmaFile) {
 
 // sendAck posts the produce acknowledgement back to the producer over the
 // same QP (Figure 3): a small RDMA Send the client matches FIFO, since both
-// the writes and their processing are ordered.
+// the writes and their processing are ordered. Broker.respond is its only
+// caller.
 func (s *rdmaProducerSession) sendAck(resp *kwire.ProduceResp) {
 	if s.qp.State() != rdma.QPReady {
 		return
@@ -82,11 +84,13 @@ type replAckSession struct {
 	b    *Broker
 	qp   *rdma.QP
 	link *followerLink
-	bufs [][]byte
+	ring *rdma.RecvRing
 }
 
-// ackPayload is the fixed-size follower→leader acknowledgement.
-const ackPayloadSize = 12 // fileID u16 pad u16 leo u64... packed as u32+u64
+// ackPayloadSize is the size of the fixed follower→leader acknowledgement:
+// the replica file id widened to a little-endian u32 (bytes 0-3), then the
+// follower's log end offset as a little-endian u64 (bytes 4-11).
+const ackPayloadSize = 12
 
 func encodeAck(fileID uint16, leo int64) []byte {
 	buf := make([]byte, ackPayloadSize)
@@ -124,10 +128,6 @@ type replWriteEvent struct {
 	size int
 }
 
-func (b *Broker) sessionByID(id uint32) *rdmaProducerSession {
-	return b.producerSessions[id]
-}
-
 // ConnectProducer establishes the QP pair for an RDMA producer client: the
 // broker side feeds the shared completion queue, the returned client-side QP
 // belongs to the caller's device. This models the connection-manager
@@ -137,16 +137,11 @@ func (b *Broker) sessionByID(id uint32) *rdmaProducerSession {
 func (b *Broker) ConnectProducer(clientDev *rdma.Device) (*rdma.QP, uint32, error) {
 	brokerQP := b.dev.CreateQP(rdma.QPConfig{RecvCQ: b.rdmaCQ, SendDepth: 512})
 	b.nextSessionID++
-	sess := &rdmaProducerSession{b: b, id: b.nextSessionID, qp: brokerQP}
+	sess := &rdmaProducerSession{b: b, id: b.nextSessionID, qp: brokerQP,
+		ring: b.dev.NewRecvRing(producerRecvDepth, producerMetaBufSize)}
 	brokerQP.SetUserData(sess)
-	sess.bufs = make([][]byte, producerRecvDepth)
-	for i := 0; i < producerRecvDepth; i++ {
-		// Buffers carry Write+Send metadata frames; WriteWithImm leaves
-		// them untouched.
-		sess.bufs[i] = make([]byte, producerMetaBufSize)
-		if err := brokerQP.PostRecv(rdma.RQE{WRID: uint64(i), Buf: sess.bufs[i]}); err != nil {
-			return nil, 0, err
-		}
+	if err := sess.ring.PostAll(brokerQP); err != nil {
+		return nil, 0, err
 	}
 	clientQP := clientDev.CreateQP(rdma.QPConfig{SendDepth: 512})
 	if err := rdma.Connect(brokerQP, clientQP); err != nil {
@@ -202,70 +197,48 @@ func (b *Broker) rdmaPoller(p *sim.Proc) {
 		if cqe.Status != rdma.StatusOK {
 			continue
 		}
+		var req *request
 		switch sess := cqe.QP.UserData().(type) {
 		case *rdmaProducerSession:
-			// Keep the receive queue topped up, then turn the completion
-			// into a produce request, ordered by arrival. Two notification
-			// styles land here (§4.2.2): WriteWithImm carries everything in
-			// the immediate value; Write+Send delivers a metadata frame
-			// whose Write has, by in-order delivery, already landed.
-			req := b.getRequest()
-			req.rdma = rdmaProduceEvent{sess: sess, imm: cqe.Imm, size: cqe.ByteLen}
+			// Turn the completion into a produce request, ordered by arrival,
+			// and keep the receive queue topped up. Two notification styles
+			// land here (§4.2.2): WriteWithImm carries everything in the
+			// immediate value; Write+Send delivers a metadata frame whose
+			// Write has, by in-order delivery, already landed.
+			imm, size, ok := cqe.Imm, cqe.ByteLen, true
 			if !cqe.HasImm {
-				order, fileID, length, ok := DecodeWriteSendMeta(sess.bufs[cqe.WRID][:cqe.ByteLen])
-				if !ok {
-					_ = cqe.QP.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: sess.bufs[cqe.WRID]})
-					b.releaseRequest(req)
-					continue
-				}
-				req.rdma.imm = EncodeImm(order, fileID)
-				req.rdma.size = length
+				var order, fileID uint16
+				order, fileID, size, ok = DecodeWriteSendMeta(sess.ring.Frame(cqe))
+				imm = EncodeImm(order, fileID)
 			}
-			_ = cqe.QP.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: sess.bufs[cqe.WRID]})
-			pollEnd := p.Now()
-			b.stRDMAPoll.ObserveDur(pollEnd - popNow)
-			b.o.Tracer().Emit(b.node.Track(), "broker.rdma_poll", "broker", popNow, pollEnd)
-			req.obsHandoff = pollEnd
-			b.env.AfterArg(b.cfg.HandoffDelay, enqueueRequest, req)
+			_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
+			if ok {
+				req = b.getRequest()
+				req.rdma = rdmaProduceEvent{sess: sess, imm: imm, size: size}
+			}
 		case *replFollowerSession:
-			req := b.getRequest()
+			req = b.getRequest()
 			req.repl = replWriteEvent{sess: sess, imm: cqe.Imm, size: cqe.ByteLen}
-			pollEnd := p.Now()
-			b.stRDMAPoll.ObserveDur(pollEnd - popNow)
-			req.obsHandoff = pollEnd
-			b.env.AfterArg(b.cfg.HandoffDelay, enqueueRequest, req)
 		case *replAckSession:
-			buf := sess.bufs[cqe.WRID]
-			fileID, leo := decodeAck(buf[:ackPayloadSize])
-			_ = cqe.QP.PostRecv(rdma.RQE{WRID: cqe.WRID, Buf: buf})
+			fileID, leo := decodeAck(sess.ring.Frame(cqe))
+			_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
 			sess.link.onAck(fileID, leo)
 		case *osuSession:
 			p.Sleep(b.cfg.OSURecvCost)
 			// Decode straight out of the receive buffer (every byte field is
 			// copied during decode), then hand the buffer back to the RQ.
-			frame := sess.ring.Frame(cqe)
-			k, ok := kwire.PeekKind(frame)
-			var msg kwire.Message
-			if ok {
-				msg = b.getMsg(k)
-			}
-			if msg == nil {
-				_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
-				continue
-			}
-			corr, err := kwire.DecodeInto(frame, msg)
+			req = b.ingest(sess.ring.Frame(cqe))
 			_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
-			if err != nil {
-				b.putMsg(msg)
-				continue
+			if req != nil {
+				req.osu = sess
 			}
-			req := b.getRequest()
-			req.osu, req.corr, req.msg = sess, corr, msg
-			pollEnd := p.Now()
-			b.stRDMAPoll.ObserveDur(pollEnd - popNow)
-			b.o.Tracer().Emit(b.node.Track(), "broker.rdma_poll", "broker", popNow, pollEnd)
-			req.obsHandoff = pollEnd
-			b.env.AfterArg(b.cfg.HandoffDelay, enqueueRequest, req)
 		}
+		if req == nil {
+			continue // an ack, or a frame to drop: nothing for the API workers
+		}
+		pollEnd := p.Now()
+		b.stRDMAPoll.ObserveDur(pollEnd - popNow)
+		b.o.Tracer().Emit(b.node.Track(), "broker.rdma_poll", "broker", popNow, pollEnd)
+		b.handoff(req)
 	}
 }

@@ -33,18 +33,6 @@ const (
 	pullRetryMax = 32 * time.Millisecond
 )
 
-// notifyReplication wakes the push-replication links of a partition, if any.
-// The pull path needs no notification: followers long-poll and the leader's
-// fetch purgatory wakes them on append.
-func (b *Broker) notifyReplication(pt *Partition) {
-	if pt.pushRepl == nil {
-		return
-	}
-	for _, link := range pt.pushRepl.links {
-		link.cond.Broadcast()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // TCP pull replication (follower side)
 // ---------------------------------------------------------------------------
@@ -208,15 +196,17 @@ type followerLink struct {
 	statBytes   uint64
 }
 
-// newPushReplicator wires QP pairs and initial replica-file grants to every
-// follower and starts one replication worker per link.
-func newPushReplicator(b *Broker, pt *Partition) *pushReplicator {
+// newPushReplicator wires a QP pair to every live follower and starts one
+// replication worker per link: on fresh replica-file grants for a new
+// partition, resyncing with each follower's surviving log after a failover or
+// a restart (the old replicator's QPs are dead).
+func newPushReplicator(b *Broker, pt *Partition, resync bool) *pushReplicator {
 	pr := &pushReplicator{b: b, pt: pt}
 	for _, id := range pt.replicas {
-		if id == b.id {
+		if id == b.id || b.cluster.down[id] {
 			continue
 		}
-		pr.addLink(b.cluster.broker(id), false)
+		pr.addLink(b.cluster.broker(id), resync)
 	}
 	return pr
 }
@@ -249,14 +239,11 @@ func (pr *pushReplicator) addLink(follower *Broker, resync bool) {
 	}
 	// Leader-side QP: follower acks land on the leader's shared CQ.
 	leaderQP := b.dev.CreateQP(rdma.QPConfig{RecvCQ: b.rdmaCQ, SendDepth: 2 * b.cfg.PushCredits})
-	ack := &replAckSession{b: b, qp: leaderQP, link: link}
+	ack := &replAckSession{b: b, qp: leaderQP, link: link,
+		ring: b.dev.NewRecvRing(2*b.cfg.PushCredits, ackPayloadSize)}
 	leaderQP.SetUserData(ack)
-	ack.bufs = make([][]byte, 2*b.cfg.PushCredits)
-	for i := range ack.bufs {
-		ack.bufs[i] = make([]byte, ackPayloadSize)
-		if err := leaderQP.PostRecv(rdma.RQE{WRID: uint64(i), Buf: ack.bufs[i]}); err != nil {
-			return // freshly created QP died already: give up on the link
-		}
+	if err := ack.ring.PostAll(leaderQP); err != nil {
+		return // freshly created QP died already: give up on the link
 	}
 	// Follower-side QP: WriteWithImm completions land on the follower's
 	// shared CQ, exactly like RDMA produces.
@@ -295,13 +282,22 @@ func (l *followerLink) onAck(fileID uint16, leo int64) {
 
 // grantReplicaFile (re)acquires the follower-side replica file. It models
 // the "get RDMA produce address" control request of §4.3.2 with an
-// in-process grant plus a TCP round trip of latency. On a re-grant the
-// follower seals its head and rolls, mirroring the leader's roll. It reports
-// whether the grant succeeded; on failure the link is abandoned.
-func (l *followerLink) grantReplicaFile(p *sim.Proc, roll bool) bool {
+// in-process grant plus a TCP round trip of latency. On a re-grant after the
+// leader rolled, the follower seals its head and rolls too. On a resync — a
+// link (re)established with a follower that already has data — the follower
+// first truncates to its high watermark and reports its log end, which
+// becomes the push position, since leader and follower layouts are
+// byte-identical below it; the reported log end also seeds the leader's
+// replication progress for the follower, so the high watermark can re-advance
+// before any new write flows. It reports whether the grant succeeded; on
+// failure the link is abandoned.
+func (l *followerLink) grantReplicaFile(p *sim.Proc, roll, resync bool) bool {
 	p.Sleep(controlRTT)
 	fpt := l.sess.pt
 	fpt.acquire(p)
+	if resync {
+		fpt.truncateToHW()
+	}
 	if roll {
 		fpt.sealHead()
 	}
@@ -315,48 +311,18 @@ func (l *followerLink) grantReplicaFile(p *sim.Proc, roll bool) bool {
 	// segment id doubles as the file id in the immediate data.
 	rf := &replicaFile{id: uint16(head.ID()), segID: head.ID(), mr: mr}
 	l.sess.file = rf
+	leo, pos := fpt.log.NextOffset(), head.Len()
 	fpt.release()
 
 	l.fileID = rf.id
 	l.addr = mr.Addr()
 	l.rkey = mr.RKey()
 	l.capacity = head.Capacity()
-	return true
-}
-
-// syncToFollower (re)establishes a link with a follower that already has
-// data, modeling the grant handshake of a rejoin: the follower truncates to
-// its high watermark, grants its current head as the replica file, and
-// reports its log end — which becomes the push position, since leader and
-// follower layouts are byte-identical below it. The reported log end also
-// seeds the leader's replication progress for the follower, so the high
-// watermark can re-advance before any new write flows.
-func (l *followerLink) syncToFollower(p *sim.Proc) bool {
-	p.Sleep(controlRTT)
-	fpt := l.sess.pt
-	fpt.acquire(p)
-	fpt.truncateToHW()
-	head := fpt.log.Head()
-	mr, err := fpt.segWriteMR(head)
-	if err != nil {
-		fpt.release()
-		return false
+	if resync {
+		l.segID, l.pos, l.base = rf.segID, pos, 0
+		l.ackedLEO = leo
+		l.repl.pt.recordFollowerLEO(l.follower.id, leo)
 	}
-	rf := &replicaFile{id: uint16(head.ID()), segID: head.ID(), mr: mr}
-	l.sess.file = rf
-	leo := fpt.log.NextOffset()
-	pos := head.Len()
-	fpt.release()
-
-	l.fileID = rf.id
-	l.addr = mr.Addr()
-	l.rkey = mr.RKey()
-	l.capacity = head.Capacity()
-	l.segID = rf.segID
-	l.pos = pos
-	l.base = 0
-	l.ackedLEO = leo
-	l.repl.pt.recordFollowerLEO(l.follower.id, leo)
 	return true
 }
 
@@ -365,11 +331,7 @@ func (l *followerLink) syncToFollower(p *sim.Proc) bool {
 // (§4.3.2 "Batching of RDMA Writes"), and pushes them with WriteWithImm.
 func (l *followerLink) run(p *sim.Proc) {
 	pt := l.repl.pt
-	if l.resync {
-		if !l.syncToFollower(p) {
-			return
-		}
-	} else if !l.grantReplicaFile(p, false) {
+	if !l.grantReplicaFile(p, false, l.resync) {
 		return
 	}
 	for {
@@ -385,7 +347,7 @@ func (l *followerLink) run(p *sim.Proc) {
 				l.segID++
 				l.pos = 0
 				l.base = 0
-				if !l.grantReplicaFile(p, true) {
+				if !l.grantReplicaFile(p, true, false) {
 					return
 				}
 				continue
@@ -484,7 +446,9 @@ func (b *Broker) handleReplicaWrite(p *sim.Proc, req *request) {
 	}
 	leo := pt.log.NextOffset()
 	pt.release()
-	// Return the credit, then ack.
+	// Return the credit, then ack: on the link, which is this request's
+	// answer (respond has no transport for it).
 	_ = ev.sess.qp.PostRecv(rdma.RQE{})
 	_ = ev.sess.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: encodeAck(ev.sess.file.id, leo)})
+	req.completed = true
 }

@@ -229,19 +229,27 @@ func (c *Coordinator) Join(name, memberID string, topics []string, strategy Stra
 	g.checkBarrier()
 }
 
+// member finds a group's member and, as every RPC a member sends does,
+// refreshes its session. m is nil for an unknown member; g is nil too when
+// the group has never been joined.
+func (c *Coordinator) member(name, memberID string) (g *Group, m *Member) {
+	if g = c.groups[name]; g == nil {
+		return nil, nil
+	}
+	if m = g.members[memberID]; m != nil {
+		m.lastBeat = c.env.Now()
+		c.armExpiry(g, m)
+	}
+	return g, m
+}
+
 // Sync returns the member's assignment for the given generation. Members
 // call it after their Join reply fires, so it never parks.
 func (c *Coordinator) Sync(name, memberID string, gen int32) SyncResult {
-	g := c.groups[name]
-	if g == nil {
-		return SyncResult{Err: kwire.ErrUnknownMember}
-	}
-	m := g.members[memberID]
+	g, m := c.member(name, memberID)
 	if m == nil {
 		return SyncResult{Err: kwire.ErrUnknownMember}
 	}
-	m.lastBeat = c.env.Now()
-	c.armExpiry(g, m)
 	if gen != g.generation {
 		return SyncResult{Err: kwire.ErrIllegalGeneration}
 	}
@@ -262,16 +270,10 @@ func (c *Coordinator) Sync(name, memberID string, gen int32) SyncResult {
 // Heartbeat refreshes a member's session and reports whether it must
 // rejoin (a rebalance is in progress) or has been fenced.
 func (c *Coordinator) Heartbeat(name, memberID string, gen int32) kwire.ErrCode {
-	g := c.groups[name]
-	if g == nil {
-		return kwire.ErrUnknownMember
-	}
-	m := g.members[memberID]
+	g, m := c.member(name, memberID)
 	if m == nil {
 		return kwire.ErrUnknownMember
 	}
-	m.lastBeat = c.env.Now()
-	c.armExpiry(g, m)
 	if g.state == StatePreparing && !m.rejoined {
 		return kwire.ErrRebalanceInProgress
 	}
@@ -299,18 +301,15 @@ func (c *Coordinator) Leave(name, memberID string) kwire.ErrCode {
 // Commit applies one RPC offset commit. Stale generations and unknown
 // members are fenced.
 func (c *Coordinator) Commit(p *sim.Proc, name, memberID string, gen int32, tp TP, offset int64) kwire.ErrCode {
-	g := c.groups[name]
+	g, m := c.member(name, memberID)
 	if g == nil {
 		return kwire.ErrUnknownMember
 	}
-	m := g.members[memberID]
 	if m == nil {
 		g.stats.FencedRPC++
 		c.obsFencedRPC.Inc()
 		return kwire.ErrUnknownMember
 	}
-	m.lastBeat = c.env.Now()
-	c.armExpiry(g, m)
 	if gen != g.generation {
 		g.stats.FencedRPC++
 		c.obsFencedRPC.Inc()
@@ -332,16 +331,10 @@ func (c *Coordinator) Committed(name string, tp TP) int64 {
 // MemberCells validates a one-sided commit-table access request and
 // returns the member's cell range in the current generation's table.
 func (c *Coordinator) MemberCells(name, memberID string, gen int32) (base, count int, code kwire.ErrCode) {
-	g := c.groups[name]
-	if g == nil {
-		return 0, 0, kwire.ErrUnknownMember
-	}
-	m := g.members[memberID]
+	g, m := c.member(name, memberID)
 	if m == nil {
 		return 0, 0, kwire.ErrUnknownMember
 	}
-	m.lastBeat = c.env.Now()
-	c.armExpiry(g, m)
 	if gen != g.generation {
 		return 0, 0, kwire.ErrIllegalGeneration
 	}

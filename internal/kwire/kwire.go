@@ -66,6 +66,11 @@ const (
 	KindMax = KindCommitAccessResp
 )
 
+// IsRequest reports whether k is an assigned request kind. Requests are the
+// odd kinds and each one's response is the kind after it, so a server admits
+// a frame, or refuses it, on its first byte.
+func (k Kind) IsRequest() bool { return k&1 == 1 && k <= KindMax }
+
 // ErrCode is a protocol-level error code.
 type ErrCode int16
 

@@ -3,6 +3,7 @@ package kwire
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -65,6 +66,37 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 	for i, m := range msgs {
 		roundTrip(t, uint32(i*13+1), m)
+	}
+}
+
+// TestKindParity pins the numbering the broker's admission check stands on
+// (Kind.IsRequest): every assigned kind constructs its own message, requests
+// are the odd kinds, and a request's response is the kind after it.
+func TestKindParity(t *testing.T) {
+	if KindMax%2 != 0 {
+		t.Fatalf("KindMax = %d is a request without a response", KindMax)
+	}
+	for k := Kind(1); k <= KindMax; k++ {
+		m := NewMessage(k)
+		if m == nil || m.Kind() != k {
+			t.Fatalf("NewMessage(%d) = %T", k, m)
+		}
+		name := reflect.TypeOf(m).Elem().Name()
+		wantReq := k%2 == 1
+		if k.IsRequest() != wantReq || strings.HasSuffix(name, "Req") != wantReq || strings.HasSuffix(name, "Resp") == wantReq {
+			t.Errorf("kind %d is %s: IsRequest() = %v", k, name, k.IsRequest())
+		}
+		if wantReq {
+			resp := reflect.TypeOf(NewMessage(k + 1)).Elem().Name()
+			if strings.TrimSuffix(name, "Req") != strings.TrimSuffix(resp, "Resp") {
+				t.Errorf("kind %d is %s but kind %d is %s", k, name, k+1, resp)
+			}
+		}
+	}
+	for _, k := range []Kind{0, KindMax + 1, KindMax + 2, 255} {
+		if k.IsRequest() || NewMessage(k) != nil {
+			t.Errorf("unassigned kind %d: IsRequest() = %v, NewMessage = %T", k, k.IsRequest(), NewMessage(k))
+		}
 	}
 }
 
