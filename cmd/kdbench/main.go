@@ -58,6 +58,7 @@ type jsonFigure struct {
 	Title        string  `json:"title"`
 	WallMS       float64 `json:"wall_ms"`
 	Events       uint64  `json:"events"`
+	Switches     uint64  `json:"switches"` // coroutine switches: deterministic, like events
 	EventsPerSec float64 `json:"events_per_sec"`
 	// Allocs/AllocBytes are process-wide allocation deltas while the figure
 	// ran: exact at workers=1, an upper bound when figures run concurrently.
@@ -185,6 +186,7 @@ func main() {
 				Title:        r.Title,
 				WallMS:       float64(r.Wall) / float64(time.Millisecond),
 				Events:       r.Events,
+				Switches:     r.Switches,
 				EventsPerSec: r.EventsPerSec(),
 				Allocs:       r.Allocs,
 				AllocBytes:   r.AllocBytes,

@@ -57,7 +57,7 @@ func (r *microRig) run(deadline time.Duration, fn func(p *sim.Proc)) {
 	})
 	r.env.RunUntil(deadline)
 	r.env.Shutdown()
-	r.st.AddEvents(r.env.Executed())
+	r.st.AddEvents(r.env.Executed(), r.env.Switches())
 	r.net.Release()
 }
 

@@ -17,11 +17,12 @@ import (
 // byte-identical to a sequential run; only the wall clock changes.
 
 // Stats accumulates performance counters for one experiment run: simulator
-// events executed across all of its data points, and the allocations made
-// while it ran. A nil *Stats discards updates, so rig helpers can be called
-// without a collector.
+// events executed and coroutine switches made across all of its data points,
+// and the allocations made while it ran. A nil *Stats discards updates, so
+// rig helpers can be called without a collector.
 type Stats struct {
-	events atomic.Uint64
+	events   atomic.Uint64
+	switches atomic.Uint64
 
 	// allocs/allocBytes are process-wide allocation deltas bracketing the
 	// experiment, filled in once by runExperiment. Exact with workers=1;
@@ -71,10 +72,12 @@ func (s *Stats) Points() []PerfPoint {
 	return append([]PerfPoint(nil), s.points...)
 }
 
-// AddEvents adds n executed simulator events (rigs call this at teardown).
-func (s *Stats) AddEvents(n uint64) {
+// AddEvents adds the events a simulation executed and the coroutine switches
+// it made (rigs call this at teardown). Both depend on the simulation alone.
+func (s *Stats) AddEvents(events, switches uint64) {
 	if s != nil {
-		s.events.Add(n)
+		s.events.Add(events)
+		s.switches.Add(switches)
 	}
 }
 
@@ -93,6 +96,7 @@ type Result struct {
 	Table      *Table
 	Wall       time.Duration
 	Events     uint64 // simulator events executed
+	Switches   uint64 // coroutine switches between simulation processes
 	Allocs     uint64 // heap allocations during the run (see Stats)
 	AllocBytes uint64 // bytes allocated during the run (see Stats)
 	Points     []PerfPoint
@@ -266,6 +270,7 @@ func runExperiment(e Experiment) Result {
 		Table:      tbl,
 		Wall:       wall,
 		Events:     st.Events(),
+		Switches:   st.switches.Load(),
 		Allocs:     st.allocs,
 		AllocBytes: st.allocBytes,
 		Points:     st.Points(),

@@ -168,7 +168,7 @@ func TestGridDeclarationOrder(t *testing.T) {
 
 func TestStatsNilSafe(t *testing.T) {
 	var st *Stats
-	st.AddEvents(10) // must not panic
+	st.AddEvents(10, 4) // must not panic
 	if st.Events() != 0 {
 		t.Fatal("nil Stats returned nonzero")
 	}

@@ -51,6 +51,7 @@ type scaleCell struct {
 	acked    uint64
 	snapshot uint64
 	events   uint64
+	switches uint64
 	handoffs uint64
 	wall     time.Duration
 }
@@ -93,7 +94,7 @@ func runScale(st *Stats) *Table {
 			fmt.Sprint(c.produced), fmt.Sprint(c.acked),
 			fmt.Sprintf("%.0f", float64(c.acked)/simSec),
 			fmt.Sprintf("%016x", c.snapshot), match)
-		st.AddEvents(c.events)
+		st.AddEvents(c.events, c.switches)
 		st.AddPoint(PerfPoint{
 			Label:    fmt.Sprintf("brokers=%d/shards=%d", c.brokers, c.shards),
 			Shards:   c.shards,
@@ -140,7 +141,7 @@ func runScaleCell(c *scaleCell) {
 	c.produced = sc.Produced()
 	c.acked = sc.Acked()
 	c.snapshot = sc.Snapshot()
-	c.events = g.Executed()
+	c.events, c.switches = g.Executed(), g.Switches()
 	c.handoffs = g.Handoffs()
 	if carrier != nil {
 		carrier.Reg.MergeFrom(sc.Net().MergedRegistry())

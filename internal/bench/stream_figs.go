@@ -44,7 +44,7 @@ func fig21(st *Stats) *Table {
 		cfg.Replicas = pt.replicas
 		cfg.Duration = 40 * time.Second
 		results[i] = stream.Run(cfg)
-		st.AddEvents(results[i].SimEvents)
+		st.AddEvents(results[i].SimEvents, results[i].SimSwitches)
 	})
 	for i, pt := range points {
 		res := results[i]

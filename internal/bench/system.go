@@ -148,7 +148,7 @@ func (r *sysRig) run(fn func(p *sim.Proc)) {
 	})
 	r.env.RunUntil(600 * time.Second)
 	r.env.Shutdown()
-	r.st.AddEvents(r.env.Executed())
+	r.st.AddEvents(r.env.Executed(), r.env.Switches())
 	if r.collect {
 		collectRigObs(r.o)
 	}

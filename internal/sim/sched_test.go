@@ -175,8 +175,13 @@ func progRun(seed int64) uint64 {
 	// A few deadline slices (one repeated, one that usually lands between
 	// events), then run to completion; Stop ends a Run early, so go again
 	// until nothing is left. The per-slice record pins where each Run
-	// returned: clock, dispatch count, backlog, live processes.
+	// returned: clock, dispatch count, backlog, live processes. Whatever ended
+	// it — the horizon, a Stop from a process or a callback, the last event,
+	// with processes spawned and returned mid-chain — the chain has unwound.
 	slice := func() {
+		if n := r.e.chainLen(); n != 0 {
+			panic(fmt.Sprintf("seed %d: Run returned with %d processes still in the chain", seed, n))
+		}
 		r.rec('R', "", int(r.e.Executed()))
 		r.rec('r', "", r.e.Pending()<<8|r.e.Live())
 	}
@@ -291,47 +296,65 @@ func TestShutdownReturnsEveryGoroutine(t *testing.T) {
 
 // TestFailNowInsideProcessEndsRun: t.FailNow is runtime.Goexit on the calling
 // stack. Inside a process — or inside a callback a parked process is running —
-// that is the process's coroutine, and iter.Pull carries the exit on to the
-// goroutine that called Run: the process dies, Run never returns, and that
-// goroutine's deferred calls (a test's Shutdown) unwind whatever is left.
+// that is the process's coroutine, and iter.Pull carries the exit on to
+// whoever resumed it: the process dies, then every process driving it, Run
+// never returns, and its goroutine's deferred calls (a test's Shutdown) unwind
+// whatever is left — the processes suspended outside the chain, untouched
+// until then.
 func TestFailNowInsideProcessEndsRun(t *testing.T) {
 	inner := &testing.T{}
+	tick := func(ticks *int) func(*Proc) {
+		return func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(us)
+				*ticks++
+			}
+		}
+	}
+	fail := func(p *Proc) { p.Sleep(3*us + 250); inner.FailNow() }
 	for _, tc := range []struct {
 		name string
-		// arm plants the Goexit and returns the process it will end.
-		arm   func(e *Env, ticker *Proc) *Proc
+		// build spawns everything but the waiter, in the order that shapes the
+		// chain: a process drives the ones spawned after it until one of them
+		// wakes it.
+		build func(e *Env, ticks *int)
+		dead  string // the chain when the Goexit is raised, origin last
 		ticks int
 		at    Time
 	}{
-		{"process body", func(e *Env, _ *Proc) *Proc {
-			return e.Go("failing", func(p *Proc) { p.Sleep(3*us + 250); inner.FailNow() })
-		}, 3, 3*us + 250},
+		// The ticker resumed the failing process, and goes with it.
+		{"process body", func(e *Env, ticks *int) {
+			e.Go("ticker", tick(ticks))
+			e.Go("failing", fail)
+		}, "ticker failing", 3, 3*us + 250},
+		// outer and middle never wake: they drive the failing process, which
+		// drives the ticker until the ticker hands its wake-up back to it.
+		{"process body, three levels up the chain", func(e *Env, ticks *int) {
+			var c Cond
+			e.Go("outer", c.Wait)
+			e.Go("middle", c.Wait)
+			e.Go("failing", fail)
+			e.Go("ticker", tick(ticks))
+		}, "outer middle failing", 3, 3*us + 250},
 		// The ticker, parked in Sleep, is the one running the loop at 5.5 us.
-		{"callback on a parked process", func(e *Env, ticker *Proc) *Proc {
+		{"callback on a parked process", func(e *Env, ticks *int) {
+			e.Go("ticker", tick(ticks))
 			e.At(5*us+500, runtime.Goexit)
-			return ticker
-		}, 5, 5*us + 500},
+		}, "ticker", 5, 5*us + 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			e := NewEnv(1)
 			q := NewQueue[int]()
 			ticks, cleaned := 0, 0
-			ticker := e.Go("ticker", func(p *Proc) {
-				for i := 0; i < 10; i++ {
-					p.Sleep(us)
-					ticks++
-				}
-			})
+			tc.build(e, &ticks)
 			e.Go("waiter", func(p *Proc) { defer func() { cleaned++ }(); q.Pop(p) })
-			dying := tc.arm(e, ticker)
-			spawned := e.Live()
-			returned, liveAtExit := false, -1
+			returned, deadAtExit := false, ""
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
 				defer e.Shutdown()
-				defer func() { liveAtExit = e.Live() }()
+				defer func() { deadAtExit = deadNames(e) }()
 				e.Run()
 				returned = true
 			}()
@@ -339,8 +362,8 @@ func TestFailNowInsideProcessEndsRun(t *testing.T) {
 			if returned {
 				t.Fatal("Run returned to a goroutine that should have exited")
 			}
-			if !dying.dead || liveAtExit != spawned-1 {
-				t.Fatalf("%s dead = %v, %d of %d processes live when Run's goroutine exited", dying.name, dying.dead, liveAtExit, spawned)
+			if deadAtExit != tc.dead {
+				t.Fatalf("dead when Run's goroutine exited: %q, want %q", deadAtExit, tc.dead)
 			}
 			if ticks != tc.ticks || e.Now() != tc.at {
 				t.Fatalf("run ended after %d ticks at %v, want %d at %v", ticks, e.Now(), tc.ticks, tc.at)
@@ -365,15 +388,18 @@ func catchPanic(fn func()) (r any) {
 
 // TestPanicSurfacesOnRunCaller: a panic raised on a process's stack — in the
 // process body, or in an inline callback the process ran while parked — must
-// unwind the caller of Run, wrapped with the process name and the stack it
-// came from, and must leave the environment in a state Shutdown can still
-// unwind. A callback the trampoline runs (before any process, or after one
-// returned) is already on Run's caller and arrives untouched.
+// unwind the processes driving it and then the caller of Run, wrapped once
+// with the name of the process it started on and the stack it came from, and
+// must leave the environment in a state Shutdown can still unwind. A driver
+// that recovers it ends the run no less. A callback Run's caller runs (before
+// any process, or after the last one it drove returned) is already on the
+// caller's stack and arrives untouched.
 func TestPanicSurfacesOnRunCaller(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func(e *Env)
 		from  string // process whose stack the panic unwinds ("" = Run's caller)
+		dead  string // the processes it ended on its way
 		// cleanups is how many of the two bystanders' deferred cleanups must
 		// have run after Shutdown: a process stopped before it ever started
 		// has none to run.
@@ -381,17 +407,39 @@ func TestPanicSurfacesOnRunCaller(t *testing.T) {
 	}{
 		{"process body", func(e *Env) {
 			e.Go("bad", func(p *Proc) { p.Sleep(2 * us); panic("boom") })
-		}, "bad", 2},
+		}, "bad", "bad", 2},
+		// outer and middle drive bad from start to finish: the panic leaves
+		// through both and is wrapped by neither.
+		{"process body, three levels up the chain", func(e *Env) {
+			var c Cond
+			e.Go("outer", c.Wait)
+			e.Go("middle", c.Wait)
+			e.Go("bad", func(p *Proc) { p.Sleep(2 * us); panic("boom") })
+		}, "bad", "outer middle bad", 2},
+		// A driver that swallows what crosses its blocking call loses the
+		// process it was driving and the run all the same.
+		{"process body, recovered by a driver", func(e *Env) {
+			var c Cond
+			e.Go("outer", c.Wait)
+			e.Go("swallower", func(p *Proc) {
+				for i := 0; i < 2; i++ {
+					func() { defer func() { recover() }(); c.Wait(p) }()
+				}
+			})
+			e.Go("bad", func(p *Proc) { p.Sleep(2 * us); panic("boom") })
+			e.At(3*us, func() { panic("the run went on") })
+		}, "bad", "bad", 2},
 		{"callback on the Run caller", func(e *Env) {
 			e.At(0, func() { panic("boom") }) // runs before any process has started
-		}, "", 0},
+		}, "", "", 0},
+		// The last process to park runs it, driven by the one before.
 		{"callback on a parked process", func(e *Env) {
-			e.At(2*us, func() { panic("boom") }) // the last process to park runs it
-		}, "sleeper", 2},
+			e.At(2*us, func() { panic("boom") })
+		}, "sleeper", "waiter sleeper", 2},
 		{"callback on an exiting process", func(e *Env) {
 			e.Go("short", func(p *Proc) { p.Sleep(90 * us) })
 			e.At(95*us, func() { panic("boom") }) // short has returned: the loop is back on Run's caller
-		}, "", 2},
+		}, "", "short", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -417,6 +465,12 @@ func TestPanicSurfacesOnRunCaller(t *testing.T) {
 				if !strings.Contains(rp.Error(), "boom") || !strings.Contains(rp.Error(), "sched_test.go") {
 					t.Fatalf("relayed panic lost its message or origin stack:\n%v", rp)
 				}
+				if n := strings.Count(rp.Error(), "re-raised from Run"); n != 1 {
+					t.Fatalf("panic wrapped %d times on its way down the chain:\n%v", n, rp)
+				}
+			}
+			if dead := deadNames(e); dead != tc.dead {
+				t.Fatalf("dead when Run panicked: %q, want %q", dead, tc.dead)
 			}
 			e.Shutdown()
 			if e.Live() != 0 {
@@ -486,8 +540,11 @@ func TestShutdownRefusesBlockingCleanup(t *testing.T) {
 // TestRunSlicesFromDifferentGoroutines: coroutines are created on one
 // goroutine and resumed from whichever calls Run next — what ShardGroup's
 // workers do with a shard's windows. Consecutive slices issued from fresh
-// goroutines must observe exactly what one goroutine observes (and, under
-// -race, without a report: each slice happens before the next).
+// goroutines, and windows of runBefore, must observe exactly what one
+// goroutine observes (and, under -race, without a report: each slice happens
+// before the next), switch as often, and leave no process in the chain when
+// they return: a process resumed by one slice's goroutine yields to it before
+// the slice ends, never to the next one.
 func TestRunSlicesFromDifferentGoroutines(t *testing.T) {
 	run := func(slice func(e *Env, d Time)) (log []string) {
 		e := NewEnv(1)
@@ -511,19 +568,124 @@ func TestRunSlicesFromDifferentGoroutines(t *testing.T) {
 				pong.Push(v)
 			}
 		})
-		for d := 5 * us; d <= 100*us; d += 5 * us {
+		for d := us; d <= 100*us; d += us {
 			slice(e, d)
+			if n := e.chainLen(); n != 0 {
+				t.Fatalf("slice to %v returned with %d processes still in the chain", d, n)
+			}
 		}
-		return log
+		return append(log, fmt.Sprintf("%d events, %d switches", e.Executed(), e.Switches()))
 	}
 	want := run(func(e *Env, d Time) { e.RunUntil(d) })
-	got := run(func(e *Env, d Time) {
-		done := make(chan struct{})
-		go func() { defer close(done); e.RunUntil(d) }()
-		<-done
+	for name, slice := range map[string]func(e *Env, d Time){
+		"fresh goroutines": func(e *Env, d Time) {
+			done := make(chan struct{})
+			go func() { defer close(done); e.RunUntil(d) }()
+			<-done
+		},
+		"runBefore windows": func(e *Env, d Time) { e.runBefore(d + 1) },
+	} {
+		if got := run(slice); len(want) < 30 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("slices from %s observed\n%s\nwant (%d lines)\n%s", name, strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// The shape of the chain, pinned by what it costs. Every count below is
+// exact: Switches depends on the program alone.
+
+// TestPingPongSwitchesOncePerHandoff: two processes that wake each other. The
+// one that parks resumes its peer directly, the peer hands the next wake-up
+// back by yielding: one switch per handoff, where the trampoline paid two.
+func TestPingPongSwitchesOncePerHandoff(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	ping, pong := NewQueue[int](), NewQueue[int]()
+	const warm, rounds = 3, 100
+	var from, to uint64
+	e.Go("ping", func(p *Proc) {
+		for i := 0; i < warm+rounds; i++ {
+			if i == warm {
+				from = e.Switches()
+			}
+			ping.Push(i)
+			pong.Pop(p)
+		}
+		to = e.Switches()
 	})
-	if len(want) < 30 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("slices from fresh goroutines observed\n%s\nwant (%d lines)\n%s", strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
+	e.Go("pong", func(p *Proc) {
+		for {
+			pong.Push(ping.Pop(p))
+		}
+	})
+	e.Run()
+	if got := to - from; got != 2*rounds {
+		t.Fatalf("%d round trips (two handoffs each) took %d switches, want %d", rounds, got, 2*rounds)
+	}
+}
+
+// TestRingSwitches: BenchmarkKernelProcessFanIn's shape, eight sleepers with
+// one period at distinct phases. Each resumes the next, and the last one's
+// yield of the first passes through the six between: 2N-2 switches a lap, not
+// the trampoline's 2N.
+func TestRingSwitches(t *testing.T) {
+	const sleepers, laps = 8, 20
+	e := NewEnv(1)
+	defer e.Shutdown()
+	var at []uint64 // Switches each time sleeper 0 wakes
+	for s := 0; s < sleepers; s++ {
+		e.Go(fmt.Sprintf("sleeper%d", s), func(p *Proc) {
+			p.Sleep(Time(s) * us)
+			for i := 0; i < laps; i++ {
+				if s == 0 {
+					at = append(at, e.Switches())
+				}
+				p.Sleep(sleepers * us)
+			}
+		})
+	}
+	e.Run()
+	for i := 1; i < len(at); i++ {
+		if got := at[i] - at[i-1]; got != 2*sleepers-2 {
+			t.Fatalf("lap %d of a ring of %d took %d switches, want %d", i, sleepers, got, 2*sleepers-2)
+		}
+	}
+}
+
+// TestWakeFromBelowCostsTheDistance: a process woken by one it is driving k
+// levels below is reached by k yields, each undoing one resume; it then
+// resumes whoever is next directly, however deep that one had been.
+func TestWakeFromBelowCostsTheDistance(t *testing.T) {
+	for k := 1; k <= 5; k++ {
+		e := NewEnv(1)
+		var top, idle Cond
+		var signalled, woken, resumed uint64
+		e.Go("top", func(p *Proc) {
+			top.Wait(p)
+			woken = e.Switches()
+			p.Sleep(2 * us) // the waker sleeps 1 us: next, and k levels away no longer
+		})
+		for i := 1; i < k; i++ {
+			e.Go(fmt.Sprintf("between%d", i), idle.Wait)
+		}
+		e.Go("waker", func(p *Proc) {
+			if n := e.chainLen(); n != k {
+				t.Fatalf("k=%d: the waker runs with %d processes driving it", k, n)
+			}
+			top.Signal()
+			signalled = e.Switches()
+			p.Sleep(us)
+			resumed = e.Switches()
+		})
+		e.Run()
+		if woken-signalled != uint64(k) || resumed-woken != 1 {
+			t.Fatalf("k=%d: waking the top took %d switches, resuming the waker from there %d; want %d and 1",
+				k, woken-signalled, resumed-woken, k)
+		}
+		if n := e.chainLen(); n != 0 {
+			t.Fatalf("k=%d: Run returned with %d processes still in the chain", k, n)
+		}
+		e.Shutdown()
 	}
 }
 

@@ -451,6 +451,15 @@ func (g *ShardGroup) Executed() uint64 {
 	return n
 }
 
+// Switches reports the total coroutine switches made across all shards.
+func (g *ShardGroup) Switches() uint64 {
+	var n uint64
+	for _, e := range g.shards {
+		n += e.switches
+	}
+	return n
+}
+
 // ExecutedOn reports the events dispatched by shard i (per-shard rates show
 // load balance across the partition).
 func (g *ShardGroup) ExecutedOn(i int) uint64 { return g.shards[i].executed }

@@ -10,19 +10,30 @@
 // bit-for-bit reproducible for a given seed.
 //
 // Concurrency model: exactly one stack runs simulation code at a time. Every
-// process is an iter.Pull coroutine, and the goroutine that called Run resumes
-// them one after another from a trampoline (Env.run). A process runs until it
-// blocks (Sleep, Queue.Pop, Cond.Wait, Resource.Acquire, ...) or returns. A
-// blocked process runs the event loop itself (Env.dispatch), on its own
-// stack: it pops events from a time-ordered heap and invokes inline callbacks
-// in place until an event resumes a process. If that process is the one
-// running the loop, it simply returns from its blocking call — a self-wake is
-// a heap push and pop, no switch of any kind. If it is another process, or the
-// run has ended, the loop yields that process (or nil) to the trampoline,
-// which resumes it: two coroutine switches on one thread, with no channel, no
-// trip through the Go scheduler and no system call. A process that returns
-// leaves the loop to the trampoline, which runs it on Run's caller's stack
-// until the next process is due.
+// process is an iter.Pull coroutine. A process runs until it blocks (Sleep,
+// Queue.Pop, Cond.Wait, Resource.Acquire, ...) or returns. A blocked process
+// runs the event loop itself (Env.dispatch), on its own stack: it pops events
+// from a time-ordered heap and invokes inline callbacks in place until an
+// event resumes a process. If that process is the one running the loop, it
+// simply returns from its blocking call — a self-wake is a heap push and pop,
+// no switch of any kind. If it is another process, the loop resumes it on the
+// spot (Env.drive) and stays blocked in that call, driving it, until it gets a
+// process back. Run's caller runs the same loop with no process of its own.
+//
+// The processes blocked in such calls form a chain from Run's caller to the
+// one process that is running; every other process is suspended in a yield.
+// The chain invariant: a process is resumed only by the stack that popped its
+// event, and yields only to the stack that resumed it. The running process
+// resumes the next one directly unless that one is itself driving, higher in
+// the chain; then — and when the run has ended (nil) — it yields the result
+// upward, each driver passing it on until it reaches the process it names, or
+// Run's caller. Two processes waking each other pay one coroutine
+// switch per wake, a ring of N pays 2N-2 per lap, and nothing pays more than
+// two per wake, because every yield undoes one earlier resume. The switch
+// stays on one thread, with no channel, no trip through the Go scheduler and
+// no system call. A process that returns leaves the loop to its driver. When
+// Run returns the chain is empty: every live process is suspended in a yield
+// and any goroutine may call Run next.
 //
 // Events with equal timestamps are ordered by insertion sequence, and every
 // stack executes the same loop over the same heap, so the order of events —
@@ -30,11 +41,14 @@
 // of which stack happens to run the loop.
 //
 // Inline callbacks therefore run on whatever stack is current. A panic in one
-// (or in a process body) unwinds that stack and then Run's caller, wrapped
-// with the stack it was raised on when that was a process's; runtime.Goexit
-// (t.FailNow) likewise ends the process and then the goroutine that called
-// Run, running its deferred calls. Shutdown stops every coroutine still
-// alive, so deferred cleanups run and nothing is left behind.
+// (or in a process body) unwinds that stack, then every process driving it,
+// then Run's caller, wrapped once with the stack it was raised on when that
+// was a process's; runtime.Goexit (t.FailNow) likewise ends the process, its
+// drivers and then the goroutine that called Run, running their deferred
+// calls. So a process must not swallow a panic that crosses its blocking
+// call: it is another process's, and a recover() there only delays it — the
+// run stops and Run re-raises it all the same. Shutdown stops every coroutine
+// still alive, so deferred cleanups run and nothing is left behind.
 //
 // iter is why this file needs a Go 1.23 toolchain although go.mod says 1.22
 // (ROADMAP item 2(b)); there is no channel-based fallback for older ones.
@@ -62,6 +76,12 @@ type Env struct {
 	// executed counts dispatched events (timer callbacks and process
 	// resumptions); the benchmark harness reads it to report events/sec.
 	executed uint64
+	// switches counts coroutine switches (one per next or yield): like
+	// executed it depends on the simulation alone, never on the host.
+	switches uint64
+	// failed is the panic that ended the current run, kept in case a process
+	// it passes through recovers it (see run).
+	failed *relayedPanic
 
 	stopped bool
 	// horizon is the last virtual time the current run may execute
@@ -217,8 +237,8 @@ func (e *Env) AtArg(t Time, fn func(any), arg any) {
 // AfterArg schedules fn(arg) to run d from now. See AtArg.
 func (e *Env) AfterArg(d Time, fn func(any), arg any) { e.AtArg(e.now+d, fn, arg) }
 
-// Proc is a simulation process: a coroutine the trampoline (Env.run) resumes.
-// All blocking operations take the process as receiver so that misuse
+// Proc is a simulation process: a coroutine resumed by whichever stack pops
+// its event (Env.drive). All blocking operations take the process as receiver so that misuse
 // (blocking outside a process) is impossible to write.
 type Proc struct {
 	env  *Env
@@ -232,6 +252,9 @@ type Proc struct {
 	yield  func(*Proc) bool
 	parked bool
 	dead   bool
+	// driving is set while the process runs the loop or is blocked in the
+	// next of a process it resumed: it is in the chain and cannot be resumed.
+	driving bool
 	// waitToken guards against stale timeout events waking a process that
 	// has already been woken for another reason and moved on.
 	waitToken uint64
@@ -284,28 +307,43 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // exit is deferred on every started process, so it runs when the body
 // returns, when it aborts via runtime.Goexit (t.Fatal inside a process), when
 // Shutdown unwinds it, and when it — or an inline callback it ran while
-// parked — panics. iter.Pull carries a Goexit or a panic on to the caller of
-// next or stop (Run's or Shutdown's), the panic without its stack: it is
-// wrapped here, where the stack still stands.
+// parked, or a process it was driving — panics. iter.Pull carries a Goexit or
+// a panic on to the caller of next or stop (the driver, Run's caller or
+// Shutdown's), the panic without its stack: it is wrapped here, where the
+// stack still stands, once — a driver passes on what it was handed. The run
+// is stopped and the panic recorded, should a driver's recover() catch it.
 func (p *Proc) exit() {
 	p.dead = true
 	p.env.live--
 	if r := recover(); r != nil {
 		if _, kill := r.(killSentinel); !kill {
-			panic(&relayedPanic{val: r, proc: p.name, stack: debug.Stack()})
+			rp, relayed := r.(*relayedPanic)
+			if !relayed {
+				rp = &relayedPanic{val: r, proc: p.name, stack: debug.Stack()}
+			}
+			p.env.failed, p.env.stopped = rp, true
+			panic(rp)
 		}
 	}
 }
 
-// park suspends the calling process until it is woken, running the event
+// park suspends the calling process until it is woken, driving the event
 // loop in the meantime. Returns true if the wakeup was a timeout (see
 // Cond.WaitTimeout).
 func (p *Proc) park() bool {
 	p.parked = true
-	// Another process is next, or the run has ended: yield it to the
-	// trampoline and wait there until this one is resumed — or stopped.
-	if q := p.env.dispatch(); q != p && !p.yield(q) {
-		panic(killSentinel{})
+	if q := p.env.dispatch(); q != p {
+		p.driving = true
+		q = p.env.drive(p, q)
+		p.driving = false
+		// A process higher in the chain is next, or the run has ended: yield
+		// it upward and wait until this one is resumed — or stopped.
+		if q != p {
+			p.env.switches++
+			if !p.yield(q) {
+				panic(killSentinel{})
+			}
+		}
 	}
 	p.parked = false
 	to := p.timedOut
@@ -336,12 +374,11 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // dispatch is the event loop. Whichever stack is current runs it: a parked
-// process, or the trampoline on Run's caller. It pops events in (at, seq)
-// order and runs inline callbacks in place until an event resumes a live
-// process, which it returns with the clock at that event; it returns nil
-// when the run ends (no events, Stop, or the next event lies beyond the
-// horizon). The caller decides what the result costs: nothing if it is the
-// returned process itself, a coroutine switch otherwise.
+// process, or Run's caller. It pops events in (at, seq) order and runs inline
+// callbacks in place until an event resumes a live process, which it returns
+// with the clock at that event; it returns nil when the run ends (no events,
+// Stop, or the next event lies beyond the horizon). What the result costs is
+// drive's business: nothing if it is the process running the loop itself.
 func (e *Env) dispatch() *Proc {
 	for e.events.len() > 0 && !e.stopped {
 		if e.events.a[0].at > e.horizon {
@@ -367,16 +404,31 @@ func (e *Env) dispatch() *Proc {
 	return nil
 }
 
-// run executes events up to the horizon from the calling goroutine. It is the
-// trampoline: it resumes the process the loop reached and gets back the one
-// that process's own loop reached next, until one reports the end of the run
-// (nil). A process that returned instead leaves the loop to be run here.
-func (e *Env) run() {
-	for q := e.dispatch(); q != nil; {
+// drive is what a stack does with q, the process its dispatch reached; self is
+// the parked process on that stack, nil on Run's caller. Unless q is self, nil
+// (the run has ended) or driving higher in the chain — all three for the
+// caller to deal with — it resumes q on the spot and takes back the process
+// q's own drive stopped at. A q that returned instead leaves the loop to be
+// run here.
+func (e *Env) drive(self, q *Proc) *Proc {
+	for q != nil && q != self && !q.driving {
+		e.switches++
 		var parked bool
 		if q, parked = q.next(); !parked {
 			q = e.dispatch()
 		}
+	}
+	return q
+}
+
+// run executes events up to the horizon from the calling goroutine, the root
+// of the chain. A panic that unwound the chain has already passed through
+// here; one that a process on its way recovered is re-raised now.
+func (e *Env) run() {
+	e.failed = nil
+	e.drive(nil, e.dispatch())
+	if e.failed != nil {
+		panic(e.failed)
 	}
 }
 
@@ -443,6 +495,9 @@ func (e *Env) Shutdown() {
 		if p.dead {
 			continue
 		}
+		if p.driving {
+			panic("sim: Shutdown inside Run: process " + p.name + " is driving")
+		}
 		p.stop()
 		if !p.dead { // never started: there was no exit to run
 			p.dead = true
@@ -458,6 +513,10 @@ func (e *Env) Pending() int { return e.events.len() }
 // far (timer callbacks and process resumptions). The benchmark harness sums
 // it across environments to report simulator events/sec.
 func (e *Env) Executed() uint64 { return e.executed }
+
+// Switches reports the total number of coroutine switches so far: the host
+// cost Executed does not show, and as deterministic.
+func (e *Env) Switches() uint64 { return e.switches }
 
 // Live reports the number of spawned processes that have not exited.
 func (e *Env) Live() int { return e.live }

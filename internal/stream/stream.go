@@ -98,9 +98,10 @@ type Result struct {
 	P99     time.Duration
 	Max     time.Duration
 	Buckets []Bucket // per-second mean delay, for the time-series view
-	// SimEvents is the number of simulator events the run executed
-	// (performance accounting, not part of the delay distribution).
-	SimEvents uint64
+	// SimEvents and SimSwitches are the simulator events the run executed
+	// and the coroutine switches it made (performance accounting, not part
+	// of the delay distribution).
+	SimEvents, SimSwitches uint64
 }
 
 // Bucket is one second of the run.
@@ -206,7 +207,7 @@ func Run(cfg Config) Result {
 	cl.Release() // return the rig's pooled buffers; the cluster is done
 
 	res := summarise(delays, bucketSum, bucketN)
-	res.SimEvents = env.Executed()
+	res.SimEvents, res.SimSwitches = env.Executed(), env.Switches()
 	return res
 }
 

@@ -81,17 +81,21 @@ if [ "$allocated" -le 0 ] || [ "$allocated" -gt "$budget" ]; then
     exit 1
 fi
 
-# Nothing is renumbered: the events each figure executed in the run above,
-# exactly, against the committed counts (scripts/figs_events.txt). The count
-# depends on neither the host nor -workers. A table can stay byte-identical
-# over a different count (an operation or a rig added or dropped, a wake-up
-# that now costs two events); a refactor that claims to move nothing must
-# leave both alone. A change that means to move a figure regenerates its line
-# and says why in CHANGES.md.
-echo "== per-figure events (BENCH_figs.json vs scripts/figs_events.txt) =="
-awk '/^      "id":/ { gsub(/[",]/, "", $2); id = $2 } /^      "events":/ { gsub(/,/, "", $2); print id, $2 }' \
+# Nothing is renumbered: the events each figure executed in the run above and
+# the coroutine switches it made, exactly, against the committed counts
+# (scripts/figs_events.txt). Neither depends on the host or on -workers. A
+# table can stay byte-identical over a different event count (an operation or
+# a rig added or dropped, a wake-up that now costs two events), and events can
+# stay put over a different switch count (who resumes whom changed in
+# internal/sim); a refactor that claims to move nothing must leave all three
+# alone. A change that means to move a figure regenerates its line and says
+# why in CHANGES.md.
+echo "== per-figure events and switches (BENCH_figs.json vs scripts/figs_events.txt) =="
+awk '/^      "id":/ { gsub(/[",]/, "", $2); id = $2 }
+     /^      "events":/ { gsub(/,/, "", $2); events = $2 }
+     /^      "switches":/ { gsub(/,/, "", $2); print id, events, $2 }' \
     "$figs_dir/BENCH_figs.json" | diff - <(grep -v '^#' scripts/figs_events.txt) \
-    || { echo "per-figure event counts differ from scripts/figs_events.txt: simulated behaviour changed" >&2; exit 1; }
+    || { echo "per-figure event or switch counts differ from scripts/figs_events.txt: simulated behaviour, or the process chain, changed" >&2; exit 1; }
 
 echo "== go test -bench (1 iteration, compile + smoke) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
