@@ -246,8 +246,7 @@ func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Recor
 	// paper attributes to Kafka's consumer API requiring on-heap buffers
 	// (§5.3) — then validate integrity and decode. Returned records alias
 	// the stable copy, never the reused partial buffer.
-	stable := make([]byte, consumed)
-	copy(stable, cur.partial[:consumed])
+	stable := append([]byte(nil), cur.partial[:consumed]...) // exactly consumed bytes, not zeroed first
 	p.Sleep(s.e.copyTime(consumed) + s.e.crcTime(consumed))
 	cur.partial = append(cur.partial[:0], cur.partial[consumed:]...)
 	return decodeBatches(stable, &cur.offset)

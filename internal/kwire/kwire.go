@@ -593,10 +593,9 @@ func (r *reader) bytesInto(dst *[]byte) {
 		return
 	}
 	if cap(*dst) < n {
-		*dst = make([]byte, n)
+		*dst = nil // a fresh buffer of n bytes, not doubled and not zeroed first
 	}
-	*dst = (*dst)[:n]
-	copy(*dst, b)
+	*dst = append((*dst)[:0], b...)
 }
 
 // Kind implementations.
