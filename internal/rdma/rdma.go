@@ -698,6 +698,15 @@ func (rec *wrRecord) finish(e CQE) {
 	qp.dev.putWR(rec)
 }
 
+// span emits one stage of the WR as a span on node's track. The tracer is
+// tested before the arguments are built: with tracing off a stage pays for
+// the test alone, not for the opcode's name and the track.
+func (rec *wrRecord) span(node *fabric.Node, stage string, start, end sim.Time) {
+	if t := rec.qp.dev.o.Tracer(); t != nil {
+		t.Emit(node.Track(), stage, rec.wr.Op.String(), start, end)
+	}
+}
+
 // wrOnWire runs when the requester engine finishes processing: the request
 // goes on the wire towards the responder.
 func wrOnWire(v any) {
@@ -706,7 +715,7 @@ func wrOnWire(v any) {
 	remote := rec.qp.remote
 	now := d.env.Now()
 	d.stReqNIC.ObserveDur(now - rec.postedAt)
-	d.o.Tracer().Emit(d.node.Track(), "wr.req_nic", rec.wr.Op.String(), rec.postedAt, now)
+	rec.span(d.node, "wr.req_nic", rec.postedAt, now)
 	rec.onWireAt = now
 	d.node.Network().DeliverArg(d.node, remote.dev.node, rec.wireBytes, wrAtResponder, rec)
 }
@@ -717,7 +726,7 @@ func wrAtResponder(v any) {
 	d := rec.qp.dev
 	now := d.env.Now()
 	d.stWire.ObserveDur(now - rec.onWireAt)
-	d.o.Tracer().Emit(d.node.Track(), "wr.wire", rec.wr.Op.String(), rec.onWireAt, now)
+	rec.span(d.node, "wr.wire", rec.onWireAt, now)
 	rec.arriveAt = now
 	rec.qp.execAtResponder(rec)
 }
@@ -730,7 +739,7 @@ func (rec *wrRecord) obsRespDone() {
 	d := rec.qp.dev
 	now := d.env.Now()
 	d.stRespNIC.ObserveDur(now - rec.arriveAt)
-	d.o.Tracer().Emit(rec.qp.remote.dev.node.Track(), "wr.resp_nic", rec.wr.Op.String(), rec.arriveAt, now)
+	rec.span(rec.qp.remote.dev.node, "wr.resp_nic", rec.arriveAt, now)
 	rec.doneAt = now
 }
 
@@ -749,10 +758,10 @@ func (rec *wrRecord) obsAcked() {
 	switch rec.wr.Op {
 	case OpRead, OpCompSwap, OpFetchAdd:
 		d.stRespWire.ObserveDur(now - rec.doneAt)
-		d.o.Tracer().Emit(d.node.Track(), "wr.resp_wire", rec.wr.Op.String(), rec.doneAt, now)
+		rec.span(d.node, "wr.resp_wire", rec.doneAt, now)
 	default:
 		d.stAckWire.ObserveDur(now - rec.doneAt)
-		d.o.Tracer().Emit(d.node.Track(), "wr.ack_wire", rec.wr.Op.String(), rec.doneAt, now)
+		rec.span(d.node, "wr.ack_wire", rec.doneAt, now)
 	}
 }
 
