@@ -126,7 +126,7 @@ func benchShardGroup(b *testing.B, shards, parallel int) {
 // runs the event loop itself, pops its own resume and returns from Sleep — a
 // heap push and pop, no switch. perf's sim.switch rung is this shape; despite
 // both names, nothing switches here. The cross-process cost is the two
-// benchmarks below.
+// benchmarks below: the cheapest shape a chain can take, and the dearest.
 func BenchmarkKernelProcessSwitch(b *testing.B) {
 	e := NewEnv(1)
 	b.ReportAllocs()
@@ -140,10 +140,11 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 }
 
 // BenchmarkKernelProcessHandoff measures a cross-process wake through a
-// Queue: two processes ping-pong a token, so every Pop parks, finds the other
-// process next in the heap and yields it to the trampoline — two coroutine
-// switches per op. perf's sim.queue_wake rung is the same path (it pushes
-// from a callback instead of from a peer).
+// Queue: two processes ping-pong a token, so every Pop parks and finds the
+// other process next in the heap. One of the two drives the other: it resumes
+// it directly, and gets its own wake-up back as a yield — one coroutine switch
+// per op. perf's sim.queue_wake rung is the same path (it pushes from a
+// callback instead of from a peer).
 func BenchmarkKernelProcessHandoff(b *testing.B) {
 	e := NewEnv(1)
 	ping, pong := NewQueue[int](), NewQueue[int]()
@@ -166,8 +167,10 @@ func BenchmarkKernelProcessHandoff(b *testing.B) {
 // BenchmarkKernelProcessFanIn measures timer-driven cross-process wakes:
 // eight sleepers with the same period at distinct phases, so the process
 // that parks is never the one whose timer expires next and every resume is
-// a switch. The stream workload's publishers and pollers have this shape;
-// no perf rung isolates it (sim.switch has a single sleeper).
+// a switch. They form a ring, the longest chain eight processes can make:
+// seven resumes down and seven yields back up per lap, 1.75 switches per op
+// (TestRingSwitches pins it). The stream workload's publishers and pollers
+// have this shape; no perf rung isolates it (sim.switch has a single sleeper).
 func BenchmarkKernelProcessFanIn(b *testing.B) {
 	const sleepers = 8
 	e := NewEnv(1)

@@ -596,7 +596,8 @@ func TestRunSlicesFromDifferentGoroutines(t *testing.T) {
 
 // TestPingPongSwitchesOncePerHandoff: two processes that wake each other. The
 // one that parks resumes its peer directly, the peer hands the next wake-up
-// back by yielding: one switch per handoff, where the trampoline paid two.
+// back by yielding: one switch per handoff, not a yield to Run's caller and a
+// resume from there.
 func TestPingPongSwitchesOncePerHandoff(t *testing.T) {
 	e := NewEnv(1)
 	defer e.Shutdown()
@@ -626,8 +627,8 @@ func TestPingPongSwitchesOncePerHandoff(t *testing.T) {
 
 // TestRingSwitches: BenchmarkKernelProcessFanIn's shape, eight sleepers with
 // one period at distinct phases. Each resumes the next, and the last one's
-// yield of the first passes through the six between: 2N-2 switches a lap, not
-// the trampoline's 2N.
+// yield of the first passes through the six between: N-1 resumes and N-1
+// yields a lap.
 func TestRingSwitches(t *testing.T) {
 	const sleepers, laps = 8, 20
 	e := NewEnv(1)

@@ -20,20 +20,20 @@
 // spot (Env.drive) and stays blocked in that call, driving it, until it gets a
 // process back. Run's caller runs the same loop with no process of its own.
 //
-// The processes blocked in such calls form a chain from Run's caller to the
-// one process that is running; every other process is suspended in a yield.
-// The chain invariant: a process is resumed only by the stack that popped its
-// event, and yields only to the stack that resumed it. The running process
-// resumes the next one directly unless that one is itself driving, higher in
-// the chain; then — and when the run has ended (nil) — it yields the result
-// upward, each driver passing it on until it reaches the process it names, or
-// Run's caller. Two processes waking each other pay one coroutine
-// switch per wake, a ring of N pays 2N-2 per lap, and nothing pays more than
-// two per wake, because every yield undoes one earlier resume. The switch
-// stays on one thread, with no channel, no trip through the Go scheduler and
-// no system call. A process that returns leaves the loop to its driver. When
-// Run returns the chain is empty: every live process is suspended in a yield
-// and any goroutine may call Run next.
+// The processes blocked in such calls form a chain from Run's caller down to
+// the one process that is running; every other process is suspended in a
+// yield. The chain invariant: a process is resumed only by the stack that
+// popped its event, and yields only to the stack that resumed it. So the
+// running process resumes the next one directly unless that one is itself
+// driving, higher in the chain; then — and when the run has ended (nil) — it
+// yields the result upward, each driver passing it on until it reaches the
+// process it names, or Run's caller. Two processes waking each other pay one
+// coroutine switch per wake, a ring of N pays 2N-2 per lap, and no pattern
+// pays more than two per wake, because every yield undoes one earlier resume.
+// A switch stays on one thread, with no channel, no trip through the Go
+// scheduler and no system call. A process that returns leaves the loop to its
+// driver. When Run returns the chain is empty: every live process is
+// suspended in a yield, and any goroutine may call Run next.
 //
 // Events with equal timestamps are ordered by insertion sequence, and every
 // stack executes the same loop over the same heap, so the order of events —
@@ -76,11 +76,11 @@ type Env struct {
 	// executed counts dispatched events (timer callbacks and process
 	// resumptions); the benchmark harness reads it to report events/sec.
 	executed uint64
-	// switches counts coroutine switches (one per next or yield): like
+	// switches counts coroutine switches, one per next or yield: like
 	// executed it depends on the simulation alone, never on the host.
 	switches uint64
-	// failed is the panic that ended the current run, kept in case a process
-	// it passes through recovers it (see run).
+	// failed is the panic that ended the current run, for run to re-raise
+	// should a process it passes through recover it.
 	failed *relayedPanic
 
 	stopped bool
@@ -238,8 +238,8 @@ func (e *Env) AtArg(t Time, fn func(any), arg any) {
 func (e *Env) AfterArg(d Time, fn func(any), arg any) { e.AtArg(e.now+d, fn, arg) }
 
 // Proc is a simulation process: a coroutine resumed by whichever stack pops
-// its event (Env.drive). All blocking operations take the process as receiver so that misuse
-// (blocking outside a process) is impossible to write.
+// its event (Env.drive). All blocking operations take the process as receiver
+// so that misuse (blocking outside a process) is impossible to write.
 type Proc struct {
 	env  *Env
 	name string
@@ -252,8 +252,8 @@ type Proc struct {
 	yield  func(*Proc) bool
 	parked bool
 	dead   bool
-	// driving is set while the process runs the loop or is blocked in the
-	// next of a process it resumed: it is in the chain and cannot be resumed.
+	// driving is set while the process is in drive, blocked in the next of a
+	// process it resumed: it is in the chain and cannot be resumed itself.
 	driving bool
 	// waitToken guards against stale timeout events waking a process that
 	// has already been woken for another reason and moved on.
