@@ -466,7 +466,7 @@ func TestPanicSurfacesOnRunCaller(t *testing.T) {
 					t.Fatalf("relayed panic lost its message or origin stack:\n%v", rp)
 				}
 				if n := strings.Count(rp.Error(), "re-raised from Run"); n != 1 {
-					t.Fatalf("panic wrapped %d times on its way down the chain:\n%v", n, rp)
+					t.Fatalf("panic wrapped %d times on its way up the chain:\n%v", n, rp)
 				}
 			}
 			if dead := deadNames(e); dead != tc.dead {

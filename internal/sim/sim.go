@@ -332,17 +332,18 @@ func (p *Proc) exit() {
 // Cond.WaitTimeout).
 func (p *Proc) park() bool {
 	p.parked = true
-	if q := p.env.dispatch(); q != p {
+	q := p.env.dispatch()
+	if q != p { // not a self-wake
 		p.driving = true
 		q = p.env.drive(p, q)
 		p.driving = false
-		// A process higher in the chain is next, or the run has ended: yield
-		// it upward and wait until this one is resumed — or stopped.
-		if q != p {
-			p.env.switches++
-			if !p.yield(q) {
-				panic(killSentinel{})
-			}
+	}
+	// A process higher in the chain is next, or the run has ended: yield it
+	// upward and wait until this one is resumed — or stopped.
+	if q != p {
+		p.env.switches++
+		if !p.yield(q) {
+			panic(killSentinel{})
 		}
 	}
 	p.parked = false
@@ -514,8 +515,7 @@ func (e *Env) Pending() int { return e.events.len() }
 // it across environments to report simulator events/sec.
 func (e *Env) Executed() uint64 { return e.executed }
 
-// Switches reports the total number of coroutine switches so far: the host
-// cost Executed does not show, and as deterministic.
+// Switches reports the coroutine switches made so far; exact, like Executed.
 func (e *Env) Switches() uint64 { return e.switches }
 
 // Live reports the number of spawned processes that have not exited.
