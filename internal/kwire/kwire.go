@@ -141,8 +141,8 @@ func (e ErrCode) Err() error {
 // Message is implemented by every protocol message.
 type Message interface {
 	Kind() Kind
-	encode(w *writer)
-	decode(r *reader) error
+	// fields walks the message body in wire order.
+	fields(c *codec)
 }
 
 // AccessMode selects the RDMA produce protocol (§4.2.2).
@@ -467,135 +467,214 @@ var ErrTruncated = errors.New("kwire: truncated message")
 // ErrUnknownKind reports an unrecognised message kind byte.
 var ErrUnknownKind = errors.New("kwire: unknown message kind")
 
-type writer struct{ buf []byte }
-
-// The fixed-width writer and reader helpers below are the codec's inner
-// loop; they append into (or slice from) caller-owned buffers and are part
-// of the 0 allocs/op steady-state contract pinned by alloc_test.go.
-
-func (w *writer) u8(v uint8) { w.buf = append(w.buf, v) }
-
-func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-func (w *writer) i32(v int32) { w.u32(uint32(v)) }
-
-func (w *writer) i64(v int64) { w.u64(uint64(v)) }
-
-func (w *writer) i16(v int16) { w.u16(uint16(v)) }
-
-func (w *writer) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-func (w *writer) str(s string) {
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-type reader struct {
+// codec walks a message's fields in wire order, in either direction: encoding
+// appends each field to buf, decoding (dec) consumes it from the front of buf
+// and stores it through the same pointer, so a message names its fields once
+// (its fields method) and the two directions cannot drift apart. The first
+// short read sets err and every later one is a no-op: a failed decode leaves
+// the fields it did not reach as they were, and callers must not read them.
+type codec struct {
 	buf []byte
 	err error
+	dec bool
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil || len(r.buf) < n {
-		r.err = ErrTruncated
+func (c *codec) take(n int) []byte {
+	if c.err != nil || len(c.buf) < n {
+		c.err = ErrTruncated
 		return nil
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
 	return b
 }
 
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
+// The fixed-width helpers below are the codec's inner loop; they append into
+// (or slice from) caller-owned buffers and are part of the 0 allocs/op
+// steady-state contract pinned by alloc_test.go. Integers are little-endian.
 
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) i16() int16 { return int16(r.u16()) }
-
-func (r *reader) i32() int32 { return int32(r.u32()) }
-
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-func (r *reader) boolean() bool {
-	return r.u8() != 0
-}
-func (r *reader) str() string {
-	n := int(r.u16())
-	b := r.take(n)
-	return string(b)
-}
-
-// strInto reads a string field into *dst, rewriting it only when the value
-// changed: the `*dst != string(b)` comparison does not allocate, so decoding
-// a stream of messages with a stable topic name into a pooled struct costs
-// nothing.
-func (r *reader) strInto(dst *string) {
-	n := int(r.u16())
-	b := r.take(n)
-	if r.err != nil {
-		*dst = ""
-		return
-	}
-	if *dst != string(b) {
-		*dst = string(b)
+func (c *codec) u8(v *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
 }
 
-// bytesInto reads a byte field into *dst, reusing its capacity when the
-// payload fits. The result never aliases the wire buffer.
-func (r *reader) bytesInto(dst *[]byte) {
-	n := int(r.u32())
-	b := r.take(n)
-	if r.err != nil {
-		*dst = nil
-		return
+func (c *codec) u16(v *uint16) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	} else if b := c.take(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
 	}
-	if cap(*dst) < n {
-		*dst = nil // a fresh buffer of n bytes, not doubled and not zeroed first
+}
+
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
 	}
-	*dst = append((*dst)[:0], b...)
+}
+
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+func (c *codec) i8(v *int8) {
+	if !c.dec {
+		c.buf = append(c.buf, uint8(*v))
+	} else if b := c.take(1); b != nil {
+		*v = int8(b[0])
+	}
+}
+
+func (c *codec) i32(v *int32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+	} else if b := c.take(4); b != nil {
+		*v = int32(binary.LittleEndian.Uint32(b))
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	} else if b := c.take(8); b != nil {
+		*v = int64(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// code walks an error code, a signed 16-bit field.
+func (c *codec) code(v *ErrCode) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(*v))
+	} else if b := c.take(2); b != nil {
+		*v = ErrCode(binary.LittleEndian.Uint16(b))
+	}
+}
+
+// boolean writes 0 or 1 and reads any non-zero byte as true.
+func (c *codec) boolean(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
+	}
+	c.u8(&u)
+	if c.dec {
+		*v = u != 0
+	}
+}
+
+// count walks the 16-bit length prefix of a string or a list of n elements
+// and returns the length to walk: n when encoding, what the peer wrote when
+// decoding (0 after an error). It is the one place a length is checked: a
+// longer field would be framed under its length mod 65536, followed by all of
+// its bytes, and decode without error as a different message, so encoding one
+// panics instead — a programming error, reported where it is made.
+func (c *codec) count(n int) int {
+	if c.dec {
+		n = 0
+	} else if n > 0xffff {
+		panic(fmt.Sprintf("kwire: field of length %d does not fit its 16-bit length prefix", n))
+	}
+	v := uint16(n)
+	c.u16(&v)
+	return int(v)
+}
+
+// str walks a string field. Decoding rewrites *s only when the value changed:
+// the `*s != string(b)` comparison does not allocate, so decoding a stream of
+// messages with a stable topic name into a pooled struct costs nothing.
+func (c *codec) str(s *string) {
+	n := c.count(len(*s))
+	if !c.dec {
+		c.buf = append(c.buf, *s...)
+	} else if b := c.take(n); c.err == nil && *s != string(b) {
+		*s = string(b)
+	}
+}
+
+// bytes walks a byte field behind a 32-bit length. Decoding reuses *b's
+// capacity when the payload fits; the result never aliases the wire buffer.
+func (c *codec) bytes(b *[]byte) {
+	n := uint32(len(*b))
+	c.u32(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *b...)
+	} else if src := c.take(int(n)); c.err == nil {
+		if cap(*b) < len(src) {
+			*b = nil // a fresh buffer of n bytes, not doubled and not zeroed first
+		}
+		*b = append((*b)[:0], src...)
+	}
+}
+
+// list walks a counted list, each element through elem. Decoding refills *s
+// from its start, appending one zero element at a time and walking it in
+// place, and stops at the first error: the count a peer wrote never sizes
+// anything, so a short frame that claims 65,535 elements costs one.
+func list[T any](c *codec, s *[]T, elem func(*codec, *T)) {
+	n := c.count(len(*s))
+	if c.dec {
+		*s = (*s)[:0]
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.dec {
+			var zero T
+			*s = append(*s, zero)
+		}
+		elem(c, &(*s)[i])
+	}
+}
+
+// constructors is the kind table: each kind's empty message. TestKindParity
+// holds it to the Kind methods below.
+var constructors = [KindMax + 1]func() Message{
+	KindProduceReq:        func() Message { return new(ProduceReq) },
+	KindProduceResp:       func() Message { return new(ProduceResp) },
+	KindFetchReq:          func() Message { return new(FetchReq) },
+	KindFetchResp:         func() Message { return new(FetchResp) },
+	KindMetadataReq:       func() Message { return new(MetadataReq) },
+	KindMetadataResp:      func() Message { return new(MetadataResp) },
+	KindCreateTopicReq:    func() Message { return new(CreateTopicReq) },
+	KindCreateTopicResp:   func() Message { return new(CreateTopicResp) },
+	KindProduceAccessReq:  func() Message { return new(ProduceAccessReq) },
+	KindProduceAccessResp: func() Message { return new(ProduceAccessResp) },
+	KindConsumeAccessReq:  func() Message { return new(ConsumeAccessReq) },
+	KindConsumeAccessResp: func() Message { return new(ConsumeAccessResp) },
+	KindReleaseFileReq:    func() Message { return new(ReleaseFileReq) },
+	KindReleaseFileResp:   func() Message { return new(ReleaseFileResp) },
+	KindOffsetCommitReq:   func() Message { return new(OffsetCommitReq) },
+	KindOffsetCommitResp:  func() Message { return new(OffsetCommitResp) },
+	KindOffsetFetchReq:    func() Message { return new(OffsetFetchReq) },
+	KindOffsetFetchResp:   func() Message { return new(OffsetFetchResp) },
+	KindJoinGroupReq:      func() Message { return new(JoinGroupReq) },
+	KindJoinGroupResp:     func() Message { return new(JoinGroupResp) },
+	KindSyncGroupReq:      func() Message { return new(SyncGroupReq) },
+	KindSyncGroupResp:     func() Message { return new(SyncGroupResp) },
+	KindHeartbeatReq:      func() Message { return new(HeartbeatReq) },
+	KindHeartbeatResp:     func() Message { return new(HeartbeatResp) },
+	KindLeaveGroupReq:     func() Message { return new(LeaveGroupReq) },
+	KindLeaveGroupResp:    func() Message { return new(LeaveGroupResp) },
+	KindGroupCommitReq:    func() Message { return new(GroupCommitReq) },
+	KindGroupCommitResp:   func() Message { return new(GroupCommitResp) },
+	KindCommitAccessReq:   func() Message { return new(CommitAccessReq) },
+	KindCommitAccessResp:  func() Message { return new(CommitAccessResp) },
+}
+
+// NewMessage returns an empty message struct of the given kind, or nil for
+// an unknown kind. Callers that pool decoded messages per kind (the broker's
+// request free lists) use it to seed their pools.
+func NewMessage(k Kind) Message {
+	if k == 0 || k > KindMax {
+		return nil
+	}
+	return constructors[k]()
 }
 
 // Kind implementations.
@@ -630,538 +709,218 @@ func (*GroupCommitResp) Kind() Kind   { return KindGroupCommitResp }
 func (*CommitAccessReq) Kind() Kind   { return KindCommitAccessReq }
 func (*CommitAccessResp) Kind() Kind  { return KindCommitAccessResp }
 
-func (m *ProduceReq) encode(w *writer) {
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.u8(uint8(m.Acks))
-	w.bytes(m.Batch)
+func (m *ProduceReq) fields(c *codec) {
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.i8(&m.Acks)
+	c.bytes(&m.Batch)
 }
 
-func (m *ProduceReq) decode(r *reader) error {
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.Acks = int8(r.u8())
-	r.bytesInto(&m.Batch)
-	return r.err
+func (m *ProduceResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i64(&m.BaseOffset)
 }
 
-func (m *ProduceResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i64(m.BaseOffset)
+func (m *FetchReq) fields(c *codec) {
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.i64(&m.Offset)
+	c.i32(&m.MaxBytes)
+	c.i64(&m.MaxWaitMicros)
+	c.i32(&m.ReplicaID)
 }
 
-func (m *ProduceResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.BaseOffset = r.i64()
-	return r.err
+func (m *FetchResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i64(&m.HighWatermark)
+	c.i64(&m.LogEndOffset)
+	c.bytes(&m.Data)
 }
 
-func (m *FetchReq) encode(w *writer) {
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.i64(m.Offset)
-	w.i32(m.MaxBytes)
-	w.i64(m.MaxWaitMicros)
-	w.i32(m.ReplicaID)
+func (m *MetadataReq) fields(c *codec) { list(c, &m.Topics, (*codec).str) }
+
+func (m *MetadataResp) fields(c *codec) { list(c, &m.Topics, (*codec).topicMeta) }
+
+func (c *codec) topicMeta(t *TopicMeta) {
+	c.str(&t.Name)
+	c.code(&t.Err)
+	list(c, &t.Partitions, (*codec).partitionMeta)
 }
 
-func (m *FetchReq) decode(r *reader) error {
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.Offset = r.i64()
-	m.MaxBytes = r.i32()
-	m.MaxWaitMicros = r.i64()
-	m.ReplicaID = r.i32()
-	return r.err
+func (c *codec) partitionMeta(p *PartitionMeta) {
+	c.i32(&p.Partition)
+	c.str(&p.Leader)
+	list(c, &p.Replicas, (*codec).str)
 }
 
-func (m *FetchResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i64(m.HighWatermark)
-	w.i64(m.LogEndOffset)
-	w.bytes(m.Data)
+func (m *CreateTopicReq) fields(c *codec) {
+	c.str(&m.Topic)
+	c.i32(&m.Partitions)
+	c.i32(&m.ReplicationFactor)
 }
 
-func (m *FetchResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.HighWatermark = r.i64()
-	m.LogEndOffset = r.i64()
-	r.bytesInto(&m.Data)
-	return r.err
+func (m *CreateTopicResp) fields(c *codec) { c.code(&m.Err) }
+
+func (m *ProduceAccessReq) fields(c *codec) {
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.u8((*uint8)(&m.Mode))
+	c.u32(&m.Session)
 }
 
-func (m *MetadataReq) encode(w *writer) {
-	w.u16(uint16(len(m.Topics)))
-	for _, t := range m.Topics {
-		w.str(t)
-	}
-}
-func (m *MetadataReq) decode(r *reader) error {
-	n := int(r.u16())
-	m.Topics = m.Topics[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Topics = append(m.Topics, r.str())
-	}
-	return r.err
+func (m *ProduceAccessResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.u16(&m.FileID)
+	c.u64(&m.Addr)
+	c.u32(&m.RKey)
+	c.i64(&m.FileLen)
+	c.i64(&m.WritePos)
+	c.u64(&m.AtomicAddr)
+	c.u32(&m.AtomicRKey)
 }
 
-func (m *MetadataResp) encode(w *writer) {
-	w.u16(uint16(len(m.Topics)))
-	for _, t := range m.Topics {
-		w.str(t.Name)
-		w.i16(int16(t.Err))
-		w.u16(uint16(len(t.Partitions)))
-		for _, p := range t.Partitions {
-			w.i32(p.Partition)
-			w.str(p.Leader)
-			w.u16(uint16(len(p.Replicas)))
-			for _, rep := range p.Replicas {
-				w.str(rep)
-			}
-		}
-	}
-}
-func (m *MetadataResp) decode(r *reader) error {
-	nt := int(r.u16())
-	m.Topics = m.Topics[:0]
-	for i := 0; i < nt && r.err == nil; i++ {
-		var t TopicMeta
-		t.Name = r.str()
-		t.Err = ErrCode(r.i16())
-		np := int(r.u16())
-		for j := 0; j < np && r.err == nil; j++ {
-			var p PartitionMeta
-			p.Partition = r.i32()
-			p.Leader = r.str()
-			nr := int(r.u16())
-			for k := 0; k < nr && r.err == nil; k++ {
-				p.Replicas = append(p.Replicas, r.str())
-			}
-			t.Partitions = append(t.Partitions, p)
-		}
-		m.Topics = append(m.Topics, t)
-	}
-	return r.err
+func (m *ConsumeAccessReq) fields(c *codec) {
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.i64(&m.Offset)
+	c.u32(&m.Session)
 }
 
-func (m *CreateTopicReq) encode(w *writer) {
-	w.str(m.Topic)
-	w.i32(m.Partitions)
-	w.i32(m.ReplicationFactor)
-}
-func (m *CreateTopicReq) decode(r *reader) error {
-	r.strInto(&m.Topic)
-	m.Partitions = r.i32()
-	m.ReplicationFactor = r.i32()
-	return r.err
-}
-
-func (m *CreateTopicResp) encode(w *writer) { w.i16(int16(m.Err)) }
-func (m *CreateTopicResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	return r.err
+func (m *ConsumeAccessResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i32(&m.FileID)
+	c.u64(&m.Addr)
+	c.u32(&m.RKey)
+	c.i64(&m.StartPos)
+	c.i64(&m.LastReadable)
+	c.boolean(&m.Mutable)
+	c.u64(&m.SlotRegionAddr)
+	c.u32(&m.SlotRegionRKey)
+	c.i32(&m.SlotIndex)
 }
 
-func (m *ProduceAccessReq) encode(w *writer) {
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.u8(uint8(m.Mode))
-	w.u32(m.Session)
-}
-func (m *ProduceAccessReq) decode(r *reader) error {
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.Mode = AccessMode(r.u8())
-	m.Session = r.u32()
-	return r.err
+func (m *ReleaseFileReq) fields(c *codec) {
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.i32(&m.FileID)
+	c.u32(&m.Session)
 }
 
-func (m *ProduceAccessResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.u16(m.FileID)
-	w.u64(m.Addr)
-	w.u32(m.RKey)
-	w.i64(m.FileLen)
-	w.i64(m.WritePos)
-	w.u64(m.AtomicAddr)
-	w.u32(m.AtomicRKey)
-}
-func (m *ProduceAccessResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.FileID = r.u16()
-	m.Addr = r.u64()
-	m.RKey = r.u32()
-	m.FileLen = r.i64()
-	m.WritePos = r.i64()
-	m.AtomicAddr = r.u64()
-	m.AtomicRKey = r.u32()
-	return r.err
+func (m *ReleaseFileResp) fields(c *codec) { c.code(&m.Err) }
+
+func (m *OffsetCommitReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.i64(&m.Offset)
 }
 
-func (m *ConsumeAccessReq) encode(w *writer) {
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.i64(m.Offset)
-	w.u32(m.Session)
-}
-func (m *ConsumeAccessReq) decode(r *reader) error {
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.Offset = r.i64()
-	m.Session = r.u32()
-	return r.err
+func (m *OffsetCommitResp) fields(c *codec) { c.code(&m.Err) }
+
+func (m *OffsetFetchReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
 }
 
-func (m *ConsumeAccessResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i32(m.FileID)
-	w.u64(m.Addr)
-	w.u32(m.RKey)
-	w.i64(m.StartPos)
-	w.i64(m.LastReadable)
-	w.boolean(m.Mutable)
-	w.u64(m.SlotRegionAddr)
-	w.u32(m.SlotRegionRKey)
-	w.i32(m.SlotIndex)
-}
-func (m *ConsumeAccessResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.FileID = r.i32()
-	m.Addr = r.u64()
-	m.RKey = r.u32()
-	m.StartPos = r.i64()
-	m.LastReadable = r.i64()
-	m.Mutable = r.boolean()
-	m.SlotRegionAddr = r.u64()
-	m.SlotRegionRKey = r.u32()
-	m.SlotIndex = r.i32()
-	return r.err
+func (m *OffsetFetchResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i64(&m.Offset)
 }
 
-func (m *ReleaseFileReq) encode(w *writer) {
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.i32(m.FileID)
-	w.u32(m.Session)
-}
-func (m *ReleaseFileReq) decode(r *reader) error {
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.FileID = r.i32()
-	m.Session = r.u32()
-	return r.err
+func (m *JoinGroupReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.MemberID)
+	list(c, &m.Topics, (*codec).str)
+	c.u8(&m.Strategy)
+	c.i64(&m.SessionTimeoutMicros)
 }
 
-func (m *ReleaseFileResp) encode(w *writer) { w.i16(int16(m.Err)) }
-func (m *ReleaseFileResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	return r.err
+func (m *JoinGroupResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i32(&m.Generation)
+	c.str(&m.MemberID)
+	list(c, &m.Members, (*codec).str)
 }
 
-func (m *OffsetCommitReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.i64(m.Offset)
-}
-func (m *OffsetCommitReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.Offset = r.i64()
-	return r.err
+func (m *SyncGroupReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.MemberID)
+	c.i32(&m.Generation)
 }
 
-func (m *OffsetCommitResp) encode(w *writer) { w.i16(int16(m.Err)) }
-func (m *OffsetCommitResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	return r.err
+func (m *SyncGroupResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i32(&m.Generation)
+	list(c, &m.Assigned, (*codec).tpAssign)
 }
 
-func (m *OffsetFetchReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.Topic)
-	w.i32(m.Partition)
-}
-func (m *OffsetFetchReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	return r.err
+func (c *codec) tpAssign(a *TPAssign) {
+	c.str(&a.Topic)
+	c.i32(&a.Partition)
 }
 
-func (m *OffsetFetchResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i64(m.Offset)
-}
-func (m *OffsetFetchResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.Offset = r.i64()
-	return r.err
+func (m *HeartbeatReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.MemberID)
+	c.i32(&m.Generation)
 }
 
-func (m *JoinGroupReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.MemberID)
-	w.u16(uint16(len(m.Topics)))
-	for _, t := range m.Topics {
-		w.str(t)
-	}
-	w.u8(m.Strategy)
-	w.i64(m.SessionTimeoutMicros)
-}
-func (m *JoinGroupReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.MemberID)
-	n := int(r.u16())
-	m.Topics = m.Topics[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Topics = append(m.Topics, r.str())
-	}
-	m.Strategy = r.u8()
-	m.SessionTimeoutMicros = r.i64()
-	return r.err
+func (m *HeartbeatResp) fields(c *codec) { c.code(&m.Err) }
+
+func (m *LeaveGroupReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.MemberID)
 }
 
-func (m *JoinGroupResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i32(m.Generation)
-	w.str(m.MemberID)
-	w.u16(uint16(len(m.Members)))
-	for _, id := range m.Members {
-		w.str(id)
-	}
-}
-func (m *JoinGroupResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.Generation = r.i32()
-	r.strInto(&m.MemberID)
-	n := int(r.u16())
-	m.Members = m.Members[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Members = append(m.Members, r.str())
-	}
-	return r.err
+func (m *LeaveGroupResp) fields(c *codec) { c.code(&m.Err) }
+
+func (m *GroupCommitReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.MemberID)
+	c.i32(&m.Generation)
+	c.str(&m.Topic)
+	c.i32(&m.Partition)
+	c.i64(&m.Offset)
 }
 
-func (m *SyncGroupReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.MemberID)
-	w.i32(m.Generation)
-}
-func (m *SyncGroupReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.MemberID)
-	m.Generation = r.i32()
-	return r.err
+func (m *GroupCommitResp) fields(c *codec) { c.code(&m.Err) }
+
+func (m *CommitAccessReq) fields(c *codec) {
+	c.str(&m.Group)
+	c.str(&m.MemberID)
+	c.i32(&m.Generation)
+	c.u32(&m.Session)
 }
 
-func (m *SyncGroupResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i32(m.Generation)
-	w.u16(uint16(len(m.Assigned)))
-	for _, a := range m.Assigned {
-		w.str(a.Topic)
-		w.i32(a.Partition)
-	}
-}
-func (m *SyncGroupResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.Generation = r.i32()
-	n := int(r.u16())
-	m.Assigned = m.Assigned[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		var a TPAssign
-		a.Topic = r.str()
-		a.Partition = r.i32()
-		m.Assigned = append(m.Assigned, a)
-	}
-	return r.err
+func (m *CommitAccessResp) fields(c *codec) {
+	c.code(&m.Err)
+	c.i32(&m.Generation)
+	c.u64(&m.Addr)
+	c.u32(&m.RKey)
+	c.i64(&m.SlotBase)
+	c.i32(&m.Cells)
 }
 
-func (m *HeartbeatReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.MemberID)
-	w.i32(m.Generation)
-}
-func (m *HeartbeatReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.MemberID)
-	m.Generation = r.i32()
-	return r.err
-}
-
-func (m *HeartbeatResp) encode(w *writer) { w.i16(int16(m.Err)) }
-func (m *HeartbeatResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	return r.err
-}
-
-func (m *LeaveGroupReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.MemberID)
-}
-func (m *LeaveGroupReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.MemberID)
-	return r.err
-}
-
-func (m *LeaveGroupResp) encode(w *writer) { w.i16(int16(m.Err)) }
-func (m *LeaveGroupResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	return r.err
-}
-
-func (m *GroupCommitReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.MemberID)
-	w.i32(m.Generation)
-	w.str(m.Topic)
-	w.i32(m.Partition)
-	w.i64(m.Offset)
-}
-func (m *GroupCommitReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.MemberID)
-	m.Generation = r.i32()
-	r.strInto(&m.Topic)
-	m.Partition = r.i32()
-	m.Offset = r.i64()
-	return r.err
-}
-
-func (m *GroupCommitResp) encode(w *writer) { w.i16(int16(m.Err)) }
-func (m *GroupCommitResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	return r.err
-}
-
-func (m *CommitAccessReq) encode(w *writer) {
-	w.str(m.Group)
-	w.str(m.MemberID)
-	w.i32(m.Generation)
-	w.u32(m.Session)
-}
-func (m *CommitAccessReq) decode(r *reader) error {
-	r.strInto(&m.Group)
-	r.strInto(&m.MemberID)
-	m.Generation = r.i32()
-	m.Session = r.u32()
-	return r.err
-}
-
-func (m *CommitAccessResp) encode(w *writer) {
-	w.i16(int16(m.Err))
-	w.i32(m.Generation)
-	w.u64(m.Addr)
-	w.u32(m.RKey)
-	w.i64(m.SlotBase)
-	w.i32(m.Cells)
-}
-func (m *CommitAccessResp) decode(r *reader) error {
-	m.Err = ErrCode(r.i16())
-	m.Generation = r.i32()
-	m.Addr = r.u64()
-	m.RKey = r.u32()
-	m.SlotBase = r.i64()
-	m.Cells = r.i32()
-	return r.err
-}
-
-// newMessage allocates the message struct for a kind.
-func newMessage(k Kind) Message {
-	switch k {
-	case KindProduceReq:
-		return &ProduceReq{}
-	case KindProduceResp:
-		return &ProduceResp{}
-	case KindFetchReq:
-		return &FetchReq{}
-	case KindFetchResp:
-		return &FetchResp{}
-	case KindMetadataReq:
-		return &MetadataReq{}
-	case KindMetadataResp:
-		return &MetadataResp{}
-	case KindCreateTopicReq:
-		return &CreateTopicReq{}
-	case KindCreateTopicResp:
-		return &CreateTopicResp{}
-	case KindProduceAccessReq:
-		return &ProduceAccessReq{}
-	case KindProduceAccessResp:
-		return &ProduceAccessResp{}
-	case KindConsumeAccessReq:
-		return &ConsumeAccessReq{}
-	case KindConsumeAccessResp:
-		return &ConsumeAccessResp{}
-	case KindReleaseFileReq:
-		return &ReleaseFileReq{}
-	case KindReleaseFileResp:
-		return &ReleaseFileResp{}
-	case KindOffsetCommitReq:
-		return &OffsetCommitReq{}
-	case KindOffsetCommitResp:
-		return &OffsetCommitResp{}
-	case KindOffsetFetchReq:
-		return &OffsetFetchReq{}
-	case KindOffsetFetchResp:
-		return &OffsetFetchResp{}
-	case KindJoinGroupReq:
-		return &JoinGroupReq{}
-	case KindJoinGroupResp:
-		return &JoinGroupResp{}
-	case KindSyncGroupReq:
-		return &SyncGroupReq{}
-	case KindSyncGroupResp:
-		return &SyncGroupResp{}
-	case KindHeartbeatReq:
-		return &HeartbeatReq{}
-	case KindHeartbeatResp:
-		return &HeartbeatResp{}
-	case KindLeaveGroupReq:
-		return &LeaveGroupReq{}
-	case KindLeaveGroupResp:
-		return &LeaveGroupResp{}
-	case KindGroupCommitReq:
-		return &GroupCommitReq{}
-	case KindGroupCommitResp:
-		return &GroupCommitResp{}
-	case KindCommitAccessReq:
-		return &CommitAccessReq{}
-	case KindCommitAccessResp:
-		return &CommitAccessResp{}
-	}
-	return nil
-}
-
-// NewMessage returns an empty message struct of the given kind, or nil for
-// an unknown kind. Callers that pool decoded messages per kind (the broker's
-// request free lists) use it to seed their pools.
-func NewMessage(k Kind) Message { return newMessage(k) }
-
-// writerPool and readerPool recycle codec state. A writer/reader crosses an
-// interface method call (Message.encode/decode), so escape analysis pins it
-// to the heap; pooling makes AppendEncode and DecodeInto allocation-free at
-// steady state anyway.
-var (
-	writerPool = sync.Pool{New: func() any { return new(writer) }}
-	readerPool = sync.Pool{New: func() any { return new(reader) }}
-)
+// codecPool recycles codec state. A codec crosses an interface method call
+// (Message.fields), so escape analysis pins it to the heap; pooling makes
+// AppendEncode and DecodeInto allocation-free at steady state anyway.
+var codecPool = sync.Pool{New: func() any { return new(codec) }}
 
 // AppendEncode frames a message with its correlation id — kind(1) corr(4)
 // body(...) — appending to dst (which may be nil) and returning the extended
-// slice. When dst has enough capacity it performs no allocations.
+// slice. When dst has enough capacity it performs no allocations. It panics
+// on a string or list too long for its 16-bit length prefix.
 func AppendEncode(dst []byte, corr uint32, m Message) []byte {
-	w := writerPool.Get().(*writer)
-	w.buf = dst
-	w.u8(uint8(m.Kind()))
-	w.u32(corr)
-	m.encode(w)
-	out := w.buf
-	w.buf = nil
-	writerPool.Put(w)
+	c := codecPool.Get().(*codec)
+	c.buf, c.dec = dst, false
+	k := uint8(m.Kind())
+	c.u8(&k)
+	c.u32(&corr)
+	m.fields(c)
+	out := c.buf
+	c.buf = nil
+	codecPool.Put(c)
 	return out
 }
 
@@ -1203,20 +962,20 @@ var ErrKindMismatch = errors.New("kwire: message kind mismatch")
 // fields never alias buf, which may be recycled as soon as DecodeInto
 // returns.
 func DecodeInto(buf []byte, m Message) (corr uint32, err error) {
-	r := readerPool.Get().(*reader)
-	r.buf, r.err = buf, nil
-	k := Kind(r.u8())
-	corr = r.u32()
-	switch {
-	case r.err != nil:
-		err = r.err
-	case k != m.Kind():
-		err = ErrKindMismatch
-	default:
-		err = m.decode(r)
+	c := codecPool.Get().(*codec)
+	c.buf, c.err, c.dec = buf, nil, true
+	var k uint8
+	c.u8(&k)
+	c.u32(&corr)
+	if c.err == nil && Kind(k) != m.Kind() {
+		c.err = ErrKindMismatch
 	}
-	r.buf, r.err = nil, nil
-	readerPool.Put(r)
+	if c.err == nil {
+		m.fields(c)
+	}
+	err = c.err
+	c.buf, c.err = nil, nil
+	codecPool.Put(c)
 	if err != nil {
 		return 0, err
 	}
@@ -1229,7 +988,7 @@ func Decode(buf []byte) (corr uint32, m Message, err error) {
 	if !ok {
 		return 0, nil, ErrTruncated
 	}
-	m = newMessage(k)
+	m = NewMessage(k)
 	if m == nil {
 		return 0, nil, ErrUnknownKind
 	}

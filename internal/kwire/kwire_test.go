@@ -2,6 +2,8 @@ package kwire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,8 +27,11 @@ func roundTrip(t *testing.T, corr uint32, m Message) Message {
 	return got
 }
 
-func TestRoundTripAllMessages(t *testing.T) {
-	msgs := []Message{
+// allMessages is one populated message of every kind, in kind order. The
+// frame of allMessages()[i] under correlation id corrOf(i) is line i of
+// testdata/frames.golden.
+func allMessages() []Message {
+	return []Message{
 		&ProduceReq{Topic: "events", Partition: 3, Acks: -1, Batch: []byte{1, 2, 3}},
 		&ProduceResp{Err: ErrInvalidRecord, BaseOffset: 12345},
 		&FetchReq{Topic: "t", Partition: 0, Offset: 99, MaxBytes: 4096, MaxWaitMicros: 500, ReplicaID: -1},
@@ -64,8 +69,78 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&CommitAccessReq{Group: "g", MemberID: "g-2", Generation: 3, Session: 9},
 		&CommitAccessResp{Err: ErrNotCoordinator, Generation: 3, Addr: 0xabc0000, RKey: 77, SlotBase: 64, Cells: 4},
 	}
+}
+
+func corrOf(i int) uint32 { return uint32(i*13 + 1) }
+
+func TestRoundTripAllMessages(t *testing.T) {
+	for i, m := range allMessages() {
+		roundTrip(t, corrOf(i), m)
+	}
+}
+
+// goldenFrames reads testdata/frames.golden: the frame of every kind, one hex
+// line each in kind order, as the hand-written encode/decode pairs produced
+// them on the commit before the field walk replaced those pairs (d61c2b6). The
+// file is the wire format's pin and is not to be regenerated.
+func goldenFrames(t testing.TB) [][]byte {
+	t.Helper()
+	text, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for _, line := range strings.Fields(string(text)) {
+		frame, err := hex.DecodeString(line)
+		if err != nil {
+			t.Fatalf("frames.golden line %d: %v", len(frames)+1, err)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// TestGoldenFrames holds every kind's wire bytes, not only the kinds a figure
+// floods: Encode must reproduce each committed frame byte for byte, and each
+// committed frame must decode to the message it was made from.
+func TestGoldenFrames(t *testing.T) {
+	frames, msgs := goldenFrames(t), allMessages()
+	if len(frames) != len(msgs) || len(msgs) != int(KindMax) {
+		t.Fatalf("%d golden frames, %d messages, %d kinds", len(frames), len(msgs), KindMax)
+	}
 	for i, m := range msgs {
-		roundTrip(t, uint32(i*13+1), m)
+		if m.Kind() != Kind(i+1) {
+			t.Fatalf("message %d is %T, kind %d", i, m, m.Kind())
+		}
+		if got := Encode(corrOf(i), m); !bytes.Equal(got, frames[i]) {
+			t.Errorf("%T encodes to\n %x, golden\n %x", m, got, frames[i])
+		}
+		corr, got, err := Decode(frames[i])
+		if err != nil || corr != corrOf(i) || !reflect.DeepEqual(got, m) {
+			t.Errorf("golden %T decodes to corr %d, %#v, %v", m, corr, got, err)
+		}
+	}
+}
+
+// TestOverlongFieldPanics: a string or list longer than its 16-bit length
+// prefix used to be framed under its length mod 65536 and decode, without
+// error, as a different message. Encoding one now panics with the length; the
+// longest that fits still round-trips.
+func TestOverlongFieldPanics(t *testing.T) {
+	roundTrip(t, 1, &CreateTopicReq{Topic: strings.Repeat("t", 0xffff), Partitions: 1})
+	roundTrip(t, 2, &MetadataReq{Topics: make([]string, 0xffff)})
+	for _, m := range []Message{
+		&CreateTopicReq{Topic: strings.Repeat("t", 70000), Partitions: 1},
+		&MetadataReq{Topics: make([]string, 0x10000)},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), "length") {
+					t.Errorf("encoding an overlong %T: recovered %v, want a panic naming the length", m, r)
+				}
+			}()
+			Encode(3, m)
+		}()
 	}
 }
 

@@ -54,6 +54,16 @@ go test -race ./internal/fabric/ ./internal/chaos/ ./internal/core/ ./internal/g
 echo "== go test -race ./... =="
 go test -race ./...
 
+# The decoder every broker and client runs on bytes a peer wrote, under the
+# coverage-guided fuzzer for ten seconds: no panic on any input for any kind, a
+# successful decode re-encodes to the same message in no more bytes, and no
+# decoded field aliases the frame. Its seed corpus (the golden frame of every
+# kind and each truncation of it) already ran as subtests of the stages above;
+# an input the fuzzer finds is written under internal/kwire/testdata/fuzz and
+# is committed with the fix.
+echo "== fuzz smoke (kwire.FuzzDecodeInto, 10s) =="
+go test -run=NONE -fuzz=FuzzDecodeInto -fuzztime=10s ./internal/kwire
+
 # Every figure table, byte for byte, against the committed run. Any
 # difference is a change in simulated behaviour. (That results_all.txt holds
 # exactly the registered experiments, in registry order, is
