@@ -20,8 +20,9 @@ import (
 
 // attrStages is the canonical display order of every produce-path stage.
 // Stages a datapath never touches render as "-". stage/rdma_ack_wire is
-// deliberately ABSENT: it is the off-critical-path return transit of the
-// broker's signaled ack Sends, observed after the client already resumed.
+// deliberately ABSENT: it is the return transit of a signaled Send's
+// transport ack, which nothing on the request's path waits for. (The broker's
+// ack Sends are unsignaled and do not feed it; DESIGN.md §10.)
 var attrStages = []string{
 	"stage/client_encode",
 	"stage/client_osu_send",

@@ -54,11 +54,12 @@ type rigConfig struct {
 	brokers    int
 	repl       replMode
 	apiWorkers int
-	// segmentSize is the preallocated size of every TP file; 0 means the
-	// 64 MiB the flooding figures roll through. A rig that writes a known,
-	// small number of records sets segmentFor of them, so that it does not
-	// provision (and the pool does not retain) 64 MiB per partition to hold
-	// a few KiB.
+	// segmentSize is the preallocated size of every TP file; 0 means
+	// rollSegment, which only the consume and notify rigs still take blind
+	// (stream sets the same size itself). A rig that writes a known number
+	// of records sets segmentFor or floodSegment of them, so that it does
+	// not provision (and the pool does not retain) 64 MiB per partition to
+	// hold a few KiB.
 	segmentSize int
 	pushBatch   int
 	pushCredits int
@@ -85,13 +86,21 @@ func segmentFor(n, size int) int {
 	return seg
 }
 
+// rollSegment is the segment size the flooding figures roll at.
+const rollSegment = 64 << 20
+
+// floodSegment sizes the segments of a flood of n records of size bytes per
+// partition: a flood that fits in less than rollSegment provisions what it
+// fills, one that does not rolls where it always did (fig15 and fig16's
+// large cells).
+func floodSegment(n, size int) int { return min(rollSegment, segmentFor(n, size)) }
+
 func newSysRig(cfg rigConfig) *sysRig {
 	env := sim.NewEnv(11)
 	opts := core.DefaultOptions()
+	opts.Config.SegmentSize = rollSegment
 	if cfg.segmentSize > 0 {
 		opts.Config.SegmentSize = cfg.segmentSize
-	} else {
-		opts.Config.SegmentSize = 64 << 20
 	}
 	if cfg.apiWorkers > 0 {
 		opts.Config.APIWorkers = cfg.apiWorkers
@@ -137,10 +146,11 @@ func (r *sysRig) endpoint(name string) *client.Endpoint {
 
 // run drives the rig until fn returns (virtual deadline as a backstop),
 // then unwinds every process, records the executed-event count, and releases
-// the cluster: its segment files, receive rings and large wire buffers go
-// back to the process-wide pool, and the next data point's rig is built from
-// them. The harness builds one rig per data point; without this a point's
-// host cost is the memory it provisions, not the bytes it moves.
+// the cluster: its segment files and large wire buffers (what its receive
+// rings hold among them) go back to the process-wide pool, and the next data
+// point's rig is built from them. The harness builds one rig per data point;
+// without this a point's host cost is the memory it provisions, not the
+// bytes it moves.
 func (r *sysRig) run(fn func(p *sim.Proc)) {
 	r.env.Go("driver", func(p *sim.Proc) {
 		fn(p)
@@ -324,12 +334,13 @@ func produceLatency(kind systemKind, recordSize int, cfg rigConfig) time.Duratio
 // when the last of them has drained, so connection set-up of a whole fleet
 // is part of what the partition-scaling figures measure.
 func produceGoodput(kind systemKind, recordSize, partitions, producersPerTP int, cfg rigConfig) float64 {
-	r := newSysRig(cfg)
-	rf := cfg.rf()
-	r.topic("t", partitions, rf)
 	// Scale the record count so each run moves a comparable byte volume.
 	perProducer := max(200, min(3000, 6<<20/recordSize))
 	nProducers := partitions * producersPerTP
+	cfg.segmentSize = floodSegment(perProducer*producersPerTP, recordSize)
+	r := newSysRig(cfg)
+	rf := cfg.rf()
+	r.topic("t", partitions, rf)
 	var elapsed time.Duration
 	done := sim.NewQueue[struct{}]()
 	r.run(func(p *sim.Proc) {
@@ -353,6 +364,7 @@ func produceGoodput(kind systemKind, recordSize, partitions, producersPerTP int,
 // records into a single partition of explicit replication factor, timed
 // inside the producer once it is connected.
 func floodGoodput(kind systemKind, recordSize, rf, n int, cfg rigConfig) float64 {
+	cfg.segmentSize = floodSegment(n, recordSize)
 	r := newSysRig(cfg)
 	r.topic("t", 1, rf)
 	var elapsed time.Duration

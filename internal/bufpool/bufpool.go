@@ -2,8 +2,8 @@
 //
 // The benchmark harness builds one simulated cluster per data point, and a
 // cluster's large buffers — a preallocated segment file per partition, a
-// receive ring per two-sided RDMA connection, megabyte wire frames — are
-// sized for the largest workload, not for the bytes a data point moves. With
+// verbs target region, megabyte wire frames — are sized for the largest
+// workload, not for the bytes a data point moves. With
 // plain make([]byte, n) the runtime clears every such span on allocation and
 // the collector then frees it, so host cost follows the bytes provisioned.
 // The pool makes it follow the bytes moved: a buffer is returned with an

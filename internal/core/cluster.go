@@ -132,8 +132,8 @@ func (c *Cluster) Brokers() []*Broker { return c.brokers }
 
 // Release is the deployment's one teardown: it returns every large buffer
 // that lived as long as the rig to the process-wide buffer pool — each
-// partition's segment files, both halves of every two-sided receive ring,
-// and the large classes of the fabric's wire free list — so the next rig is
+// partition's segment files, what every receive ring still holds, and the
+// large classes of the fabric's wire free list — so the next rig is
 // built from them instead of from fresh, runtime-cleared memory. Call only
 // after the simulation has shut down (no process may still read or write
 // log storage or a frame); the cluster is unusable afterwards.

@@ -59,7 +59,9 @@ func (s *rdmaProducerSession) sendAck(resp *kwire.ProduceResp) {
 	frame := kwire.Encode(0, resp)
 	// Posting can only fail if the QP died or the SQ is full; ack loss is
 	// equivalent to a connection failure, which clients detect via QP events.
-	_ = s.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: frame})
+	// Unsignaled, like the OSU response and the replica-write ack: nobody
+	// polls those QPs' send CQs, and an errored WR completes all the same.
+	_ = s.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: frame, Unsignaled: true})
 }
 
 // replFollowerSession is the follower-side state of a push-replication link.
@@ -118,7 +120,7 @@ func (s *osuSession) send(frame []byte) {
 	}
 	cp := make([]byte, len(frame))
 	copy(cp, frame)
-	_ = s.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: cp})
+	_ = s.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: cp, Unsignaled: true})
 }
 
 // replWriteEvent is a push-replication WriteWithImm completion at a follower.

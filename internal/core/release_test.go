@@ -47,8 +47,9 @@ func TestSecondRigReusesReleasedSegments(t *testing.T) {
 	}
 }
 
-// The same for a two-sided connection: both halves' receive rings, 64 slots
-// of 1 MiB each, come back from the rig before.
+// The same for a two-sided connection: its receive rings, 64 slots that each
+// take up to 1 MiB, hold what landed in them and nothing more, and the wire
+// buffers that did land come back from the rig before.
 func TestSecondOSUConnectionReusesReleasedRings(t *testing.T) {
 	dial := func() {
 		r := newRig(t, 1, nil)
@@ -71,7 +72,7 @@ func TestSecondOSUConnectionReusesReleasedRings(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	if got := allocatedBy(dial); got >= 1<<20 {
-		t.Fatalf("the second OSU connection allocated %d KiB, want under 1 MiB (two fresh rings are 128 MiB)", got>>10)
+		t.Fatalf("the second OSU connection allocated %d KiB, want under 1 MiB (two rings provisioned in full are 128 MiB)", got>>10)
 	}
 }
 

@@ -26,8 +26,8 @@ func produceReq() *kwire.ProduceReq {
 // TestEncodeDecodeRoundTripAllocFree holds the four datapath kinds — the ones
 // a broker and a client exchange per record — to 0 allocs/op through the whole
 // codec: encode into a warm scratch, peek the kind as the broker's dispatch
-// does, decode into a reused struct. Every helper under them (writer and
-// reader integers, str, bytes, strInto, bytesInto) runs inside the loop.
+// does, decode into a reused struct. Every helper under them (the codec's
+// integers, str and bytes, in both directions) runs inside the loop.
 func TestEncodeDecodeRoundTripAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -423,9 +423,9 @@ func (c *CQ) push(e CQE) {
 type RQE struct {
 	WRID uint64
 	Buf  []byte
-	// landed, on a RecvRing slot, is raised to the length of each message
-	// received into Buf.
-	landed *int
+	// ring, on a RecvRing slot, stands in for Buf: the slot takes messages of
+	// up to the ring's slotSize and gets its buffer when one lands.
+	ring *RecvRing
 }
 
 // SendWR is a work request posted to a QP's send queue.
@@ -469,8 +469,9 @@ type QP struct {
 	recvCQ  *CQ
 	sqDepth int
 	sqInUse int
-	rq      []RQE
-	// wire orders executions at the responder for this QP's requests.
+	// rq[rqHead:] are the posted, unconsumed receives, oldest first.
+	rq       []RQE
+	rqHead   int
 	userData any
 }
 
@@ -563,12 +564,30 @@ func (qp *QP) PostRecv(rqe RQE) error {
 	if qp.state == QPError {
 		return ErrQPState
 	}
+	// Out of room with a quarter of the array consumed: slide the live
+	// receives down instead of growing. A QP kept at a fixed depth settles
+	// on an array of at most twice that and moves at most three entries per
+	// post on average.
+	if len(qp.rq) == cap(qp.rq) && qp.rqHead > 0 && qp.rqHead >= len(qp.rq)/4 {
+		n := copy(qp.rq, qp.rq[qp.rqHead:])
+		clear(qp.rq[n:])
+		qp.rq, qp.rqHead = qp.rq[:n], 0
+	}
 	qp.rq = append(qp.rq, rqe)
 	return nil
 }
 
 // RecvPosted reports the number of posted, unconsumed receives.
-func (qp *QP) RecvPosted() int { return len(qp.rq) }
+func (qp *QP) RecvPosted() int { return len(qp.rq) - qp.rqHead }
+
+// popRecv consumes the oldest posted receive; the caller has checked
+// RecvPosted.
+func (qp *QP) popRecv() RQE {
+	rqe := qp.rq[qp.rqHead]
+	qp.rq[qp.rqHead] = RQE{}
+	qp.rqHead++
+	return rqe
+}
 
 // Disconnect moves both ends to the error state and raises async events, the
 // mechanism brokers use to detect failed producers and revoke file access
@@ -588,8 +607,8 @@ func (qp *QP) fail(reason string) {
 	// them instead would leak the buffers and leave consumers parked on the
 	// recv CQ forever — exactly how one-sided protocols silently lose data
 	// on failure.
-	rq := qp.rq
-	qp.rq = nil
+	rq := qp.rq[qp.rqHead:]
+	qp.rq, qp.rqHead = nil, 0
 	for _, rqe := range rq {
 		qp.recvCQ.push(CQE{QP: qp, WRID: rqe.WRID, Op: OpRecv, Status: StatusFlushed})
 	}
@@ -787,14 +806,17 @@ func (qp *QP) execAtResponder(rec *wrRecord) {
 
 	switch wr.Op {
 	case OpSend:
-		if len(remote.rq) == 0 {
+		if remote.RecvPosted() == 0 {
 			rec.finish(CQE{Status: StatusRNR})
 			remote.fail("receiver not ready (no posted receive)")
 			return
 		}
-		rqe := remote.rq[0]
-		remote.rq = remote.rq[1:]
-		if len(rqe.Buf) < size {
+		rqe := remote.popRecv()
+		room := len(rqe.Buf)
+		if rqe.ring != nil {
+			room = rqe.ring.slotSize
+		}
+		if room < size {
 			rec.finish(CQE{Status: StatusRemoteAccessErr})
 			remote.fail("receive buffer too small")
 			return
@@ -814,13 +836,12 @@ func (qp *QP) execAtResponder(rec *wrRecord) {
 		if wr.Op == OpWriteImm {
 			// WriteWithImm consumes a receive (buffer unused) so that the
 			// responder gets a completion event carrying the immediate data.
-			if len(remote.rq) == 0 {
+			if remote.RecvPosted() == 0 {
 				rec.finish(CQE{Status: StatusRNR})
 				remote.fail("receiver not ready (WriteWithImm, no posted receive)")
 				return
 			}
-			rec.rqe = remote.rq[0]
-			remote.rq = remote.rq[1:]
+			rec.rqe = remote.popRecv()
 			rec.hasRQE = true
 		}
 		rec.dst = dst
@@ -864,10 +885,11 @@ func wrSendDone(v any) {
 	remote := qp.remote
 	rdev := remote.dev
 	rec.obsRespDone()
-	copy(rec.rqe.Buf, rec.wr.Local)
-	if n := rec.rqe.landed; n != nil && rec.size > *n {
-		*n = rec.size
+	dst := rec.rqe.Buf
+	if ring := rec.rqe.ring; ring != nil {
+		dst = ring.land(rec.rqe.WRID, rec.size)
 	}
+	copy(dst, rec.wr.Local)
 	remote.recvCQ.push(CQE{
 		QP: remote, WRID: rec.rqe.WRID, Op: OpRecv, Status: StatusOK,
 		ByteLen: rec.size, Imm: rec.wr.Imm, HasImm: rec.wr.HasImm,

@@ -9,11 +9,11 @@ import (
 )
 
 // TestSteadyStateSendAllocs pins the allocation cost of the modeled TCP send
-// path. Once the wire-buffer free list and the simulator's internal slices
-// are warm, Conn.Send costs exactly two small allocations per message: the
-// two delivery closures that model the propagation and receive-side kernel
-// hops. The payload copies themselves come from the fabric's pooled free
-// list, provided the receiver recycles frames with Conn.Recycle.
+// path. Once the wire-buffer free list, the stack's transit records and the
+// simulator's internal slices are warm, Conn.Send allocates nothing: the
+// propagation and receive-side kernel hops ride a free-listed record, and the
+// payload copies come from the fabric's pooled free list, provided the
+// receiver recycles frames with Conn.Recycle.
 func TestSteadyStateSendAllocs(t *testing.T) {
 	env := sim.NewEnv(1)
 	net := fabric.New(env, fabric.DefaultConfig())
@@ -60,9 +60,9 @@ func TestSteadyStateSendAllocs(t *testing.T) {
 	env.Run()
 
 	perOp := float64(m1.Mallocs-m0.Mallocs) / measured
-	// Exactly 2 in steady state; allow a little slack for stray runtime
+	// Exactly 0 in steady state; allow a little slack for stray runtime
 	// allocations (GC metadata, map growth) that are not per-op costs.
-	if perOp > 2.5 {
-		t.Fatalf("steady-state Send = %.2f allocs/op, want <= 2", perOp)
+	if perOp > 0.1 {
+		t.Fatalf("steady-state Send = %.2f allocs/op, want 0", perOp)
 	}
 }

@@ -74,6 +74,8 @@ type Stack struct {
 	net *fabric.Network
 	cfg Config
 
+	txFree []*transit // idle in-flight records (transmit)
+
 	// Telemetry handles, cached from the fabric's obs bundle at
 	// construction (all nil when telemetry is disabled). The stage
 	// histograms tile a message's path through the stack: the send-side
@@ -238,20 +240,50 @@ func (c *Conn) Send(p *sim.Proc, data []byte) error {
 	sentAt := p.Now()
 	s.stSend.ObserveDur(sentAt - start)
 	s.o.Tracer().Emit(c.host.node.Track(), "tcp.send", "tcp", start, sentAt)
+	c.transmit(data, sentAt)
+	return nil
+}
+
+// transit carries one message from transmit to the peer's inbox. Records are
+// free-listed on the stack, so a message in flight costs no closure.
+type transit struct {
+	to  *Conn
+	msg message
+}
+
+// transmit is the tail Send and SendRaw share: the modeled kernel copy, then
+// the wire (txArrived) and the receive-side delivery latency (txDelivered).
+func (c *Conn) transmit(data []byte, sentAt time.Duration) {
+	s := c.host.stack
 	kernelCopy := s.net.WireBufs().Get(len(data))
 	copy(kernelCopy, data)
 	s.obsMsgs.Inc()
 	s.obsCopied.Add(uint64(len(data)))
-	peer := c.peer
-	s.net.Deliver(c.host.node, peer.host.node, len(data)+s.cfg.HeaderBytes, func() {
-		s.net.Env().After(s.cfg.DeliveryLatency, func() {
-			now := s.net.Env().Now()
-			s.stWire.ObserveDur(now - sentAt)
-			s.o.Tracer().Emit(peer.host.node.Track(), "tcp.wire", "tcp", sentAt, now)
-			peer.inbox.Push(message{data: kernelCopy, sentAt: sentAt, arrivedAt: now})
-		})
-	})
-	return nil
+	var tx *transit
+	if n := len(s.txFree); n > 0 {
+		tx, s.txFree = s.txFree[n-1], s.txFree[:n-1]
+	} else {
+		tx = new(transit)
+	}
+	tx.to, tx.msg = c.peer, message{data: kernelCopy, sentAt: sentAt}
+	s.net.DeliverArg(c.host.node, c.peer.host.node, len(data)+s.cfg.HeaderBytes, txArrived, tx)
+}
+
+func txArrived(v any) {
+	s := v.(*transit).to.peer.host.stack
+	s.net.Env().AfterArg(s.cfg.DeliveryLatency, txDelivered, v)
+}
+
+func txDelivered(v any) {
+	tx := v.(*transit)
+	to, m := tx.to, tx.msg
+	s := to.peer.host.stack
+	*tx = transit{}
+	s.txFree = append(s.txFree, tx)
+	m.arrivedAt = s.net.Env().Now()
+	s.stWire.ObserveDur(m.arrivedAt - m.sentAt)
+	s.o.Tracer().Emit(to.host.node.Track(), "tcp.wire", "tcp", m.sentAt, m.arrivedAt)
+	to.inbox.Push(m)
 }
 
 // Recv blocks until a message is available and returns it, charging the
@@ -320,21 +352,7 @@ func (c *Conn) SendRaw(data []byte) error {
 	if !c.host.stack.net.Reachable(c.host.node, c.peer.host.node) {
 		return ErrClosed
 	}
-	s := c.host.stack
-	sentAt := s.net.Env().Now()
-	kernelCopy := s.net.WireBufs().Get(len(data))
-	copy(kernelCopy, data)
-	s.obsMsgs.Inc()
-	s.obsCopied.Add(uint64(len(data)))
-	peer := c.peer
-	s.net.Deliver(c.host.node, peer.host.node, len(data)+s.cfg.HeaderBytes, func() {
-		s.net.Env().After(s.cfg.DeliveryLatency, func() {
-			now := s.net.Env().Now()
-			s.stWire.ObserveDur(now - sentAt)
-			s.o.Tracer().Emit(peer.host.node.Track(), "tcp.wire", "tcp", sentAt, now)
-			peer.inbox.Push(message{data: kernelCopy, sentAt: sentAt, arrivedAt: now})
-		})
-	})
+	c.transmit(data, c.host.stack.net.Env().Now())
 	return nil
 }
 

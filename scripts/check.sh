@@ -87,7 +87,10 @@ go build -o "$figs_dir/kdbench" ./cmd/kdbench
 allocated=$(awk -F': *' '/"alloc_bytes"/ { sum += $2 } END { printf "%.0f", sum }' "$figs_dir/BENCH_figs.json")
 echo "suite allocated $((allocated / 1000000)) MB, budget $((budget / 1000000)) MB"
 if [ "$allocated" -le 0 ] || [ "$allocated" -gt "$budget" ]; then
-    echo "kdbench -fig all allocates $allocated bytes, over the budget of $budget (scripts/figs_alloc_budget.txt)" >&2
+    echo "kdbench -fig all allocates $allocated bytes, over the budget of $budget (scripts/figs_alloc_budget.txt); the five largest figures:" >&2
+    awk '/^      "id":/ { gsub(/[",]/, "", $2); id = $2 }
+         /^      "alloc_bytes":/ { printf "%6d MB  %s\n", $2 / 1000000, id }' \
+        "$figs_dir/BENCH_figs.json" | sort -rn | head -n 5 >&2
     exit 1
 fi
 
