@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kafkadirect/internal/fabric"
@@ -108,7 +109,7 @@ type topicState struct {
 }
 
 // request is an entry in the shared request queue (➊/➋ in Figure 2).
-// Requests are pooled (Broker.getRequest/releaseRequest): the steady-state
+// Requests are pooled (Broker.getRequest/request.drop): the steady-state
 // datapath recycles them instead of allocating one per message.
 type request struct {
 	b *Broker
@@ -120,9 +121,8 @@ type request struct {
 	rdma rdmaProduceEvent
 	repl replWriteEvent
 
-	corr      uint32
-	msg       kwire.Message
-	completed bool
+	corr uint32
+	msg  kwire.Message
 
 	// Telemetry stamps (simulated time; zeroed with the record on release):
 	// when the source scheduled the hand-off and when the request entered
@@ -130,19 +130,25 @@ type request struct {
 	obsHandoff time.Duration
 	obsQueued  time.Duration
 
-	// Pool lifecycle. completed is set by respond, the one place a request
-	// is answered; until then a request may outlive its dispatch in fetch
-	// purgatory, on the join barrier, as a high-watermark waiter or parked
-	// on a shared file (DESIGN.md §2.4). gen is bumped on every release so
-	// deferred closures that can lose a race with another answer (purgatory
-	// wake-ups and timeouts, join replies) detect that "their" request has
-	// been recycled for a new message. queued marks a request sitting in (or
-	// scheduled for) the shared queue; dispatching marks one inside an API
-	// worker's dispatch. The holder that clears the last of these flags on a
-	// completed request returns it to the pool.
-	gen         uint32
-	queued      bool
-	dispatching bool
+	// Lifetime (DESIGN.md §2.4). holds counts who may still touch the
+	// request: the shared queue or the worker dispatching it, a purgatory
+	// list, high-watermark list or shared file's pending map it is parked in,
+	// a deadline armed for it, the join barrier. completed is set by respond,
+	// the one place a request is answered. Whoever drops the last hold on a
+	// completed request recycles it, so nothing ever holds a recycled one.
+	holds     int
+	completed bool
+
+	// What a produce has in its file (size), and what a parked request waits
+	// for: pt is the partition a fetch in purgatory or a produce on a shared
+	// file is parked on, the latter until the file's expected order reaches
+	// order; a produce in hwWaiters is acknowledged at base once the high
+	// watermark reaches hwTarget.
+	size     int
+	pt       *Partition
+	base     int64
+	hwTarget int64
+	order    uint16
 }
 
 // response is an entry for the network-side response path.
@@ -244,29 +250,34 @@ func (b *Broker) getRequest() *request {
 	return &request{b: b}
 }
 
-// releaseRequest recycles a finished request: its decoded message goes back
-// to the per-kind message pool and its generation is bumped so stale deferred
-// closures recognise the reuse.
-func (b *Broker) releaseRequest(req *request) {
+// drop gives up one hold. The last one on an answered request recycles it,
+// here and nowhere else: its decoded message goes back to the per-kind pool.
+func (req *request) drop() {
+	req.holds--
+	if req.holds > 0 || !req.completed {
+		return
+	}
+	b := req.b
 	if req.msg != nil {
 		b.putMsg(req.msg)
 	}
-	gen := req.gen + 1
-	*req = request{b: b, gen: gen}
+	*req = request{b: b}
 	b.reqFree = append(b.reqFree, req)
 }
 
-// enqueueRequest pushes a request onto its broker's shared queue. It is the
-// AfterArg target for the request hand-off delay: one shared function plus a
-// pooled request instead of a closure per message.
+// enqueueRequest ends a request's hand-off delay. It is the AfterArg target:
+// one shared function plus a pooled request instead of a closure per message.
 func enqueueRequest(v any) {
 	req := v.(*request)
-	b := req.b
-	now := b.env.Now()
-	b.stHandoff.ObserveDur(now - req.obsHandoff)
-	req.obsQueued = now
+	req.b.stHandoff.ObserveDur(req.b.env.Now() - req.obsHandoff)
+	req.b.enqueue(req)
+}
+
+// enqueue pushes a request the caller holds onto the shared queue — fresh
+// from its hand-off, or woken from purgatory — and the hold goes with it.
+func (b *Broker) enqueue(req *request) {
+	req.obsQueued = b.env.Now()
 	b.obsQDepth.Add(1)
-	req.queued = true
 	b.reqQ.Push(req)
 }
 
@@ -399,6 +410,7 @@ func (b *Broker) ingest(frame []byte) *request {
 // processor or the RDMA module — to the API workers. It costs 11 µs of
 // latency (§5.1) but occupies neither thread.
 func (b *Broker) handoff(req *request) {
+	req.holds++ // the queue's, then the dispatching worker's
 	req.obsHandoff = b.env.Now()
 	b.env.AfterArg(b.cfg.HandoffDelay, enqueueRequest, req)
 }
@@ -439,8 +451,7 @@ func (b *Broker) responder(p *sim.Proc) {
 // response's payload is served from mapped files via sendfile, so its bytes
 // are exempt from the send-side copy cost. The frame is encoded into a
 // recycled wire buffer (the responder returns it to the pool after the
-// send-side copy), and the request is released here if no worker or queue
-// still holds it.
+// send-side copy). The caller holds the request, and drops that hold after.
 func (b *Broker) respond(req *request, msg kwire.Message) {
 	if req.completed {
 		return
@@ -460,30 +471,22 @@ func (b *Broker) respond(req *request, msg kwire.Message) {
 		resp.obsPushed = b.env.Now()
 		b.respQ.Push(resp)
 	}
-	if !req.dispatching && !req.queued {
-		b.releaseRequest(req)
-	}
 }
 
 // apiWorker drains the shared request queue (➌ in Figure 2).
 func (b *Broker) apiWorker(p *sim.Proc) {
 	for {
 		req := b.reqQ.Pop(p)
-		req.queued = false
 		popNow := p.Now()
 		b.obsQDepth.Add(-1)
 		b.stQueueWait.ObserveDur(popNow - req.obsQueued)
 		b.statRequests++
 		b.obsRequests.Inc()
-		req.dispatching = true
 		b.dispatch(p, req)
 		apiEnd := p.Now()
 		b.stAPI.ObserveDur(apiEnd - popNow)
 		b.o.Tracer().Emit(b.node.Track(), "broker.api", "broker", popNow, apiEnd)
-		req.dispatching = false
-		if req.completed && !req.queued {
-			b.releaseRequest(req)
-		}
+		req.drop()
 	}
 }
 
@@ -657,8 +660,10 @@ func (b *Broker) handleProduce(p *sim.Proc, req *request, m *kwire.ProduceReq) k
 // every replica must have it first (acks=all over TCP, always for a one-sided
 // produce), once the high watermark reaches target.
 func (b *Broker) ackProduce(pt *Partition, req *request, allReplicas bool, base, target int64) {
-	if allReplicas && len(pt.replicas) > 1 {
-		pt.waitForHW(target, func() { b.respond(req, b.produceResp(kwire.ErrNone, base)) })
+	if allReplicas && len(pt.replicas) > 1 && pt.log.HighWatermark() < target {
+		req.base, req.hwTarget = base, target
+		req.holds++
+		pt.hwWaiters = append(pt.hwWaiters, req)
 		return
 	}
 	b.respond(req, b.produceResp(kwire.ErrNone, base))
@@ -666,20 +671,26 @@ func (b *Broker) ackProduce(pt *Partition, req *request, allReplicas bool, base,
 
 // handleFetch implements the TCP consume datapath (§4.4.1) and the pull
 // replication fetch (§4.3.1). Consumers see committed data only; replicas
-// read to the log end and their fetch offset doubles as a replication ack.
+// read to the log end and their fetch offset doubles as a replication ack,
+// so a replica id is honoured only from that follower's own host.
 func (b *Broker) handleFetch(p *sim.Proc, req *request, m *kwire.FetchReq) kwire.Message {
 	pt, ec := b.ledPartition(m.Topic, m.Partition)
 	if ec != kwire.ErrNone {
 		return b.fetchResp(nil, ec, nil)
 	}
+	isReplica := m.ReplicaID >= 0
+	follower := b.cluster.brokerName(m.ReplicaID)
+	if isReplica && (follower == b.id || !replicaListed(pt.replicas, follower) ||
+		req.tcp == nil || req.tcp.Peer().Host() != b.cluster.broker(follower).host) {
+		return b.fetchResp(nil, kwire.ErrAccessDenied, nil)
+	}
 	p.Sleep(b.cfg.APIFixedCost + b.cfg.FetchExtra)
 
-	isReplica := m.ReplicaID >= 0
 	var data []byte
 	var err error
 	if isReplica {
 		pt.acquire(p)
-		pt.recordFollowerLEO(b.cluster.brokerName(m.ReplicaID), m.Offset)
+		pt.recordFollowerLEO(follower, m.Offset)
 		pt.release()
 		data, err = pt.log.ReadUncommitted(m.Offset, int(m.MaxBytes))
 	} else {
@@ -689,7 +700,7 @@ func (b *Broker) handleFetch(p *sim.Proc, req *request, m *kwire.FetchReq) kwire
 	case err != nil:
 		return b.fetchResp(pt, kwire.ErrOffsetOutOfRange, nil)
 	case data == nil:
-		return b.parkFetch(req, m, pt, isReplica)
+		return b.parkFetch(req, m, pt)
 	}
 	return b.fetchResp(pt, kwire.ErrNone, data)
 }
@@ -697,7 +708,7 @@ func (b *Broker) handleFetch(p *sim.Proc, req *request, m *kwire.FetchReq) kwire
 // parkFetch implements fetch purgatory: the request waits for new data (LEO
 // for replicas, HW for consumers) or its long-poll deadline. A fetch that
 // may not wait is answered empty at once.
-func (b *Broker) parkFetch(req *request, m *kwire.FetchReq, pt *Partition, isReplica bool) kwire.Message {
+func (b *Broker) parkFetch(req *request, m *kwire.FetchReq, pt *Partition) kwire.Message {
 	wait := time.Duration(m.MaxWaitMicros) * time.Microsecond
 	if wait <= 0 {
 		return b.emptyFetch(pt)
@@ -705,28 +716,25 @@ func (b *Broker) parkFetch(req *request, m *kwire.FetchReq, pt *Partition, isRep
 	if wait > b.cfg.FetchLongPollMax {
 		wait = b.cfg.FetchLongPollMax
 	}
-	// The deferred closures outlive the dispatch; the generation check makes
-	// them no-ops if the pooled request has since been recycled.
-	gen := req.gen
-	redispatch := func() {
-		if req.gen == gen && !req.completed {
-			req.queued = true
-			req.obsQueued = b.env.Now()
-			b.obsQDepth.Add(1)
-			b.reqQ.Push(req)
-		}
-	}
-	if isReplica {
-		pt.leoWaiters = append(pt.leoWaiters, redispatch)
-	} else {
-		pt.hwPollWaiters = append(pt.hwPollWaiters, redispatch)
-	}
-	b.env.After(wait, func() {
-		if req.gen == gen && !req.completed {
-			b.respond(req, b.emptyFetch(pt))
-		}
-	})
+	list := pt.purgatory(m)
+	*list = append(*list, req)
+	req.pt = pt
+	req.holds += 2 // the list's and the deadline's
+	b.env.AfterArg(wait, fetchDeadline, req)
 	return nil
+}
+
+// fetchDeadline answers a fetch still in purgatory empty and takes it off its
+// list in order; one that was woken since is its re-dispatch's to answer.
+func fetchDeadline(v any) {
+	req := v.(*request)
+	list := req.pt.purgatory(req.msg.(*kwire.FetchReq))
+	if i := slices.Index(*list, req); i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
+		req.b.respond(req, req.b.emptyFetch(req.pt))
+		req.drop()
+	}
+	req.drop()
 }
 
 func (b *Broker) handleCreateTopic(m *kwire.CreateTopicReq) kwire.Message {

@@ -135,7 +135,7 @@ func testGroupConfig() group.Config {
 	return cfg
 }
 
-func batchOf(t *testing.T, n, size int, tag byte) []byte {
+func batchOf(t testing.TB, n, size int, tag byte) []byte {
 	t.Helper()
 	raw, err := krecord.Encode(1, recordsOf(n, size, tag)...)
 	if err != nil {
@@ -373,6 +373,9 @@ type rawProducer struct {
 	session uint32
 	grant   *kwire.ProduceAccessResp
 	acks    *sim.Queue[kwire.ProduceResp]
+	// arrivals, when set, logs this producer's session id as each of its acks
+	// lands: the order of arrival across the producers that share the log.
+	arrivals *[]uint32
 }
 
 func (r *rig) rawProducer(p *sim.Proc, ep *client.Endpoint, b *core.Broker, mode kwire.AccessMode) *rawProducer {
@@ -399,6 +402,9 @@ func (r *rig) rawProducer(p *sim.Proc, ep *client.Endpoint, b *core.Broker, mode
 			}
 			if err := ring.Post(qp, int(cqe.WRID)); err != nil {
 				return
+			}
+			if rp.arrivals != nil {
+				*rp.arrivals = append(*rp.arrivals, rp.session)
 			}
 			rp.acks.Push(ack)
 		}
@@ -527,6 +533,104 @@ func TestOneSidedProduceIsAckedOnce(t *testing.T) {
 	}
 }
 
+// TestWriteSendLengthPastTheFileEndIsRefused: the length in a Write+Send
+// metadata frame is a peer's 32 bits. One that claims more than the file
+// holds is garbage like any other — the file is revoked, the produce refused,
+// once — where it used to slice the segment out of range on an API worker.
+func TestWriteSendLengthPastTheFileEndIsRefused(t *testing.T) {
+	r := newRig(t, 1, func(o *core.Options) { o.Config.RDMAProduce = true })
+	if err := r.cl.CreateTopic("t", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	r.drive(func(p *sim.Proc) {
+		rp := r.rawProducer(p, r.endpoint("client"), r.cl.Brokers()[0], kwire.AccessExclusive)
+		meta := core.EncodeWriteSendMeta(0, rp.grant.FileID, int(rp.grant.FileLen)+1, 0)
+		if err := rp.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: meta, Unsignaled: true}); err != nil {
+			t.Fatal(err)
+		}
+		rp.ack(p, kwire.ErrInvalidRecord, 0)
+		rp.silent(p, r.cl.Config().FetchLongPollMax)
+		r.auditPools(0)
+	})
+}
+
+// TestRevokedFileAbortsItsProducesInOrder: four shared-mode producers parked
+// behind a reservation nobody fills are aborted together by the hole timeout,
+// and whose ack is posted first numbers every event after it: it has to be
+// the same on every run (they were answered in Go's map order), and it is the
+// order of their reservations.
+func TestRevokedFileAbortsItsProducesInOrder(t *testing.T) {
+	for run := 0; run < 40; run++ {
+		r := newRig(t, 1, func(o *core.Options) { o.Config.RDMAProduce = true })
+		if err := r.cl.CreateTopic("t", 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		var arrivals, want []uint32
+		r.drive(func(p *sim.Proc) {
+			ep, b, batch := r.endpoint("client"), r.cl.Brokers()[0], batchOf(t, 1, 64, 'a')
+			var rps []*rawProducer
+			for i := 0; i < 4; i++ {
+				rp := r.rawProducer(p, ep, b, kwire.AccessShared)
+				rp.arrivals = &arrivals
+				rps = append(rps, rp)
+				want = append(want, rp.session)
+			}
+			rps[0].reserve(p, len(batch)) // the hole
+			for _, rp := range rps {
+				rp.write(p, batch)
+			}
+			for _, rp := range rps {
+				rp.ack(p, kwire.ErrRevoked, 0)
+			}
+			p.Sleep(r.cl.Config().ProduceOrderTimeout) // the later three's own timeouts hold them
+			r.auditPools(0)
+		})
+		if !reflect.DeepEqual(arrivals, want) {
+			t.Fatalf("run %d: acks arrived in session order %v, reservations were made in %v", run, arrivals, want)
+		}
+	}
+}
+
+// TestOnlyAFollowerIsAReplica: a fetch that names a replica id doubles as that
+// replica's acknowledgement, so it is honoured only from the follower itself.
+// With both followers cut off at log end 0, a plain client claiming their ids
+// used to move the high watermark over a record neither holds — acks=all then
+// acknowledges unreplicated data — and was served uncommitted bytes.
+func TestOnlyAFollowerIsAReplica(t *testing.T) {
+	r := newRig(t, 3, nil)
+	if err := r.cl.CreateTopic("t", 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	leader := r.cl.LeaderOf("t", 0)
+	r.drive(func(p *sim.Proc) {
+		var claims []kwire.Message // one per follower, then the leader's own id and nobody's
+		for i, b := range r.cl.Brokers() {
+			if b != leader {
+				r.cl.Network().CutLink(leader.Node(), b.Node())
+			}
+			claims = append(claims, &kwire.FetchReq{Topic: "t", Offset: 1, MaxBytes: 1 << 20, ReplicaID: int32(i)})
+		}
+		claims = append(claims, &kwire.FetchReq{Topic: "t", Offset: 1, MaxBytes: 1 << 20, ReplicaID: 7})
+		w := r.dial(p, r.endpoint("client"), leader, false)
+		w.expect(p, &kwire.ProduceReq{Topic: "t", Acks: 1, Batch: batchOf(t, 1, 64, 'a')}, kwire.ErrNone)
+		resps := w.exchange(p, claims...)
+		if hw := leader.Partition("t", 0).Log().HighWatermark(); hw != 0 {
+			t.Errorf("a client moved the high watermark to %d", hw)
+		}
+		for i, b := range r.cl.Brokers() {
+			if leo := b.Partition("t", 0).Log().NextOffset(); b != leader && leo != 0 {
+				t.Fatalf("follower %d holds %d records: the links were not cut", i, leo)
+			}
+		}
+		for i, resp := range resps {
+			if fr := resp.(*kwire.FetchResp); fr.Err != kwire.ErrAccessDenied || len(fr.Data) != 0 {
+				t.Errorf("claim %d (replica id %d): code %d, %d bytes", i, claims[i].(*kwire.FetchReq).ReplicaID, fr.Err, len(fr.Data))
+			}
+		}
+		w.silent(p, r.cl.Config().FetchLongPollMax)
+	})
+}
+
 // TestPipelinedFloodReturnsEveryRequest: under acks-from-all-replicas a
 // one-sided produce's request outlives its dispatch, parked as a
 // high-watermark waiter while later produces are dispatched; a full window of
@@ -605,5 +709,41 @@ func TestReplicaWriteCompletionIsTraced(t *testing.T) {
 		if b == leader && polls != 0 || b != leader && polls == 0 {
 			t.Errorf("%s (leader %v): %d broker.rdma_poll spans", b.ID(), b == leader, polls)
 		}
+	}
+}
+
+// TestFileRevokedUnderATCPProduceReservation: a TCP produce to a shared file
+// reserves its region with a fetch-and-add to the broker itself and yields
+// while it polls for the completion; the hole timeout takes no lock, so it can
+// revoke the file inside that poll. The produce then fails like any other
+// lost reservation, where it used to park in a map the revocation had set to
+// nil. The produce's send time sweeps across the timeout's instant: sent
+// early it parks behind the hole and is aborted with the file, sent late it
+// finds no grant and is appended.
+func TestFileRevokedUnderATCPProduceReservation(t *testing.T) {
+	codes := map[kwire.ErrCode]int{}
+	for lead := 60 * us; lead < 140*us; lead += us / 4 {
+		r := newRig(t, 1, func(o *core.Options) { o.Config.RDMAProduce = true })
+		if err := r.cl.CreateTopic("t", 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		r.drive(func(p *sim.Proc) {
+			b, batch := r.cl.Brokers()[0], batchOf(t, 1, 64, 'a')
+			rp := r.rawProducer(p, r.endpoint("client"), b, kwire.AccessShared)
+			rp.reserve(p, len(batch)) // the hole
+			rp.write(p, batch)        // parks; its timeout is armed when the broker sees it
+			p.Sleep(r.cl.Config().ProduceOrderTimeout - lead)
+			resp := rp.ctl.exchange(p, &kwire.ProduceReq{Topic: "t", Acks: 1, Batch: batch})
+			codes[errOf(resp[0])]++
+			rp.ack(p, kwire.ErrRevoked, 0)
+			rp.silent(p, r.cl.Config().ProduceOrderTimeout)
+			rp.ctl.silent(p, 0)
+			r.auditPools(0)
+		})
+		r.env.Shutdown()
+		r.cl.Release()
+	}
+	if codes[kwire.ErrRevoked] == 0 || codes[kwire.ErrInternal] == 0 || codes[kwire.ErrNone] == 0 || len(codes) != 3 {
+		t.Fatalf("answers by code %v: the sweep should reach a produce aborted with the file, one whose reservation was lost to the revocation, and one appended after it", codes)
 	}
 }

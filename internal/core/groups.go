@@ -365,19 +365,17 @@ func (b *Broker) handleJoinGroup(req *request, m *kwire.JoinGroupReq) kwire.Mess
 	if ec != kwire.ErrNone {
 		return &kwire.JoinGroupResp{Err: ec}
 	}
-	gen := req.gen
+	req.holds++ // the barrier's, until the reply (which fires exactly once)
 	co.Join(m.Group, m.MemberID, m.Topics, group.Strategy(m.Strategy),
 		time.Duration(m.SessionTimeoutMicros)*time.Microsecond,
 		func(res group.JoinResult) {
-			if req.gen != gen || req.completed {
-				return
-			}
 			b.respond(req, &kwire.JoinGroupResp{
 				Err:        res.Err,
 				Generation: res.Generation,
 				MemberID:   res.MemberID,
 				Members:    res.Members,
 			})
+			req.drop()
 		})
 	return nil
 }

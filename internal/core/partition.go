@@ -5,6 +5,7 @@ import (
 
 	"kafkadirect/internal/klog"
 	"kafkadirect/internal/krecord"
+	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/rdma"
 	"kafkadirect/internal/sim"
 )
@@ -29,15 +30,14 @@ type Partition struct {
 	// minimum over the leader's LEO and all followers'.
 	followerLEO map[string]int64
 
-	// hwWaiters are continuations waiting for the high watermark to reach
-	// an offset (produce acks=all responses). hwSpare is the emptied slice
-	// of the previous advance, which the next one filters into.
-	hwWaiters []offsetWaiter
-	hwSpare   []offsetWaiter
-	// leoWaiters are parked long-poll fetches from replicas (wake on
-	// append); hwPollWaiters are parked consumer fetches (wake on commit).
-	leoWaiters    []func()
-	hwPollWaiters []func()
+	// hwWaiters are produces in the log, in arrival order, acknowledged once
+	// the high watermark reaches their request.hwTarget (acks=all responses).
+	// leoWaiters are parked long-poll fetches from replicas (wake on append),
+	// hwPollWaiters parked consumer fetches (wake on commit); a woken fetch's
+	// hold (request.holds) passes to the shared queue.
+	hwWaiters     []*request
+	leoWaiters    []*request
+	hwPollWaiters []*request
 
 	// segWriteMRs and segReadMRs cache RDMA registrations of segments:
 	// write grants (producers, replication) and read registrations
@@ -64,11 +64,6 @@ type Partition struct {
 	// partition (follower side), so a broker demoted while crashed can start
 	// one on restart without ever doubling up.
 	fetcherActive bool
-}
-
-type offsetWaiter struct {
-	offset int64
-	fn     func()
 }
 
 func (pt *Partition) key() string { return fmt.Sprintf("%s/%d", pt.topic, pt.index) }
@@ -163,11 +158,7 @@ func (pt *Partition) appended() {
 	if len(pt.replicas) <= 1 {
 		pt.advanceHW(pt.log.NextOffset())
 	}
-	waiters := pt.leoWaiters
-	pt.leoWaiters = nil
-	for _, fn := range waiters {
-		fn()
-	}
+	pt.wake(&pt.leoWaiters)
 	if pt.pushRepl != nil {
 		for _, link := range pt.pushRepl.links {
 			link.cond.Broadcast()
@@ -248,37 +239,37 @@ func (pt *Partition) advanceHW(hw int64) {
 			ref.update(seg)
 		}
 	}
-	// Complete produce waiters whose target offset is now committed. A
-	// continuation may register a new waiter (waitForHW), which must land in
-	// a list this loop is not walking: the survivors go to the spare slice
-	// and the two swap, so the filter is neither in place nor allocating.
-	waiters := pt.hwWaiters
-	pt.hwWaiters, pt.hwSpare = pt.hwSpare[:0], nil
-	for _, w := range waiters {
-		if w.offset <= after {
-			w.fn()
-		} else {
-			pt.hwWaiters = append(pt.hwWaiters, w)
+	// Acknowledge the produces whose end offset is now committed.
+	kept := pt.hwWaiters[:0]
+	for _, req := range pt.hwWaiters {
+		if req.hwTarget > after {
+			kept = append(kept, req)
+			continue
 		}
+		pt.broker.respond(req, pt.broker.produceResp(kwire.ErrNone, req.base))
+		req.drop()
 	}
-	clear(waiters) // drop the continuations' references
-	pt.hwSpare = waiters[:0]
-	// Wake parked consumer fetches.
-	polls := pt.hwPollWaiters
-	pt.hwPollWaiters = nil
-	for _, fn := range polls {
-		fn()
-	}
+	clear(pt.hwWaiters[len(kept):])
+	pt.hwWaiters = kept
+	pt.wake(&pt.hwPollWaiters)
 }
 
-// waitForHW registers fn to run once the high watermark reaches offset
-// (runs immediately if it already has).
-func (pt *Partition) waitForHW(offset int64, fn func()) {
-	if pt.log.HighWatermark() >= offset {
-		fn()
-		return
+// purgatory is the list a fetch parks in: a follower's waits for the log end
+// to move, a consumer's for the high watermark.
+func (pt *Partition) purgatory(m *kwire.FetchReq) *[]*request {
+	if m.ReplicaID >= 0 {
+		return &pt.leoWaiters
 	}
-	pt.hwWaiters = append(pt.hwWaiters, offsetWaiter{offset: offset, fn: fn})
+	return &pt.hwPollWaiters
+}
+
+// wake sends every fetch parked in list back through the shared queue.
+func (pt *Partition) wake(list *[]*request) {
+	for _, req := range *list {
+		pt.broker.enqueue(req)
+	}
+	clear(*list)
+	*list = (*list)[:0]
 }
 
 // sealHead rolls the head segment and updates consume metadata: slots

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"kafkadirect/internal/krecord"
 	"kafkadirect/internal/kwire"
@@ -55,9 +54,6 @@ func SharedDelta(size int) uint64 {
 	return uint64(1)<<SharedOffsetBits + uint64(size)
 }
 
-// errGrantConflict reports an exclusive-access collision.
-var errGrantConflict = errors.New("core: file already granted")
-
 // Write+Send notification (§4.2.2 "The choice of notification method"): the
 // alternative to WriteWithImm is a plain RDMA Write followed by an RDMA Send
 // carrying the request metadata. InfiniBand's in-order processing guarantees
@@ -108,19 +104,11 @@ type rdmaFile struct {
 	// nextPos is the byte position that order's data starts at.
 	expectedOrder uint16
 	nextPos       int64
-	// pending parks out-of-order arrivals until their predecessors commit
-	// (hole prevention, §4.2.2).
-	pending map[uint16]*produceEntry
-}
-
-// produceEntry is one produce awaiting in-order commit on a shared file. req
-// is the request that brought it — an RDMA producer's completion or a TCP/OSU
-// produce routed through the shared word — and respond knows which.
-type produceEntry struct {
-	order     uint16
-	size      int
-	req       *request
-	processed bool
+	// pending parks out-of-order arrivals, by request.order, until their
+	// predecessors commit (hole prevention, §4.2.2): an RDMA producer's
+	// completion or a TCP/OSU produce routed through the shared word —
+	// respond knows which.
+	pending map[uint16]*request
 }
 
 // produceFileTable maps 16-bit file IDs to grants.
@@ -149,11 +137,11 @@ func (t *produceFileTable) get(id uint16) *rdmaFile { return t.files[id] }
 
 func (t *produceFileTable) remove(id uint16) { delete(t.files, id) }
 
-// rdmaProduceEvent is a WriteWithImm completion turned into a request.
+// rdmaProduceEvent is a WriteWithImm completion turned into a request; how
+// many bytes the WRITE is said to have landed is the request's size.
 type rdmaProduceEvent struct {
 	sess *rdmaProducerSession
 	imm  uint32
-	size int
 }
 
 // handleProduceAccess serves the "get RDMA produce address" control request
@@ -218,7 +206,7 @@ func (b *Broker) grantProduceFile(pt *Partition, sess *rdmaProducerSession, mode
 		mr:      mr,
 		mode:    mode,
 		nextPos: int64(head.Len()),
-		pending: make(map[uint16]*produceEntry),
+		pending: make(map[uint16]*request),
 	}
 	if mode == kwire.AccessExclusive {
 		f.owner = sess
@@ -283,14 +271,15 @@ func (b *Broker) revokeFile(f *rdmaFile, code kwire.ErrCode) {
 	if f.atomicMR != nil {
 		f.atomicMR.Deregister()
 	}
-	for _, e := range f.pending {
-		if e.processed {
-			continue
+	// In order, not in map order: whose ack is posted first numbers every
+	// event after it.
+	for order := f.expectedOrder; len(f.pending) > 0; order++ {
+		if req, ok := f.pending[order]; ok {
+			delete(f.pending, order)
+			b.respond(req, b.produceResp(code, 0))
+			req.drop()
 		}
-		e.processed = true
-		b.respond(e.req, b.produceResp(code, 0))
 	}
-	f.pending = nil
 	if f.owner != nil {
 		f.owner.removeGrant(f)
 	}
@@ -309,9 +298,8 @@ func (b *Broker) revokeSessionGrants(sess *rdmaProducerSession) {
 // the partition lock every answer is sent before the lock is released, so it
 // goes through respond here instead of being returned.
 func (b *Broker) handleRDMAProduce(p *sim.Proc, req *request) kwire.Message {
-	ev := &req.rdma
 	b.statRDMAProduces++
-	order, fileID := DecodeImm(ev.imm)
+	order, fileID := DecodeImm(req.rdma.imm)
 	f := b.produceFiles.get(fileID)
 	if f == nil || f.revoked {
 		return b.produceResp(kwire.ErrRevoked, 0)
@@ -329,73 +317,85 @@ func (b *Broker) handleRDMAProduce(p *sim.Proc, req *request) kwire.Message {
 		// is right only while the in-flight WRITEs are all of one size, as
 		// every figure's are: the k-th commit then still covers the k-th
 		// region. With mixed sizes it is wrong (DESIGN.md §6, known defect).
-		b.commitInPlace(p, f, req, ev.size)
+		b.commitInPlace(p, f, req)
 	default:
-		b.deliverShared(p, f, &produceEntry{order: order, size: ev.size, req: req})
+		req.order = order
+		b.deliverShared(p, f, req)
 	}
 	return nil
 }
 
-// deliverShared runs the shared-access ordering machine: commit the entry if
+// deliverShared runs the shared-access ordering machine: commit the request if
 // it is next in order (and drain any successors it unblocks), otherwise park
 // it with a hole-prevention timeout. Partition lock held.
-func (b *Broker) deliverShared(p *sim.Proc, f *rdmaFile, e *produceEntry) {
-	if e.order != f.expectedOrder {
-		f.pending[e.order] = e
-		b.armHoleTimeout(f, e)
+func (b *Broker) deliverShared(p *sim.Proc, f *rdmaFile, req *request) {
+	if f.pending[req.order] != nil {
+		// A second claim to one reservation: a faulty producer, fenced off.
+		b.revokeFile(f, kwire.ErrRevoked)
+		b.respond(req, b.produceResp(kwire.ErrRevoked, 0))
 		return
 	}
-	b.processSharedEntry(p, f, e)
+	if req.order != f.expectedOrder {
+		f.pending[req.order] = req
+		req.pt = f.pt
+		req.holds += 2 // the map's and the timeout's
+		b.env.AfterArg(b.cfg.ProduceOrderTimeout, holeTimeout, req)
+		return
+	}
+	b.processShared(p, f, req)
 	for !f.revoked {
 		next, ok := f.pending[f.expectedOrder]
 		if !ok {
 			break
 		}
 		delete(f.pending, f.expectedOrder)
-		b.processSharedEntry(p, f, next)
+		b.processShared(p, f, next)
+		next.drop()
 	}
 }
 
-func (b *Broker) processSharedEntry(p *sim.Proc, f *rdmaFile, e *produceEntry) {
-	e.processed = true
+func (b *Broker) processShared(p *sim.Proc, f *rdmaFile, req *request) {
 	f.expectedOrder++
 	seg := f.pt.log.Segment(f.segID)
-	if f.nextPos+int64(e.size) > int64(seg.Capacity()) {
+	if f.nextPos+int64(req.size) > int64(seg.Capacity()) {
 		// The reservation ran past the preallocated file: nothing was
 		// written (well-behaved producers check the offset they fetched).
 		// Every later reservation is displaced too, so the whole grant is
 		// retired; producers re-request access and land on the next file.
-		b.respond(e.req, b.produceResp(kwire.ErrRevoked, 0))
+		b.respond(req, b.produceResp(kwire.ErrRevoked, 0))
 		b.revokeFile(f, kwire.ErrRevoked)
 		return
 	}
-	b.commitInPlace(p, f, e.req, e.size)
-	f.nextPos += int64(e.size)
+	b.commitInPlace(p, f, req)
+	f.nextPos += int64(req.size)
 }
 
-// armHoleTimeout aborts the file if entry e is still waiting for its
-// predecessors after the configured timeout (§4.2.2: "if a produce request
-// is timed out it gets aborted and RDMA access to the file is revoked
-// causing abortion of all pending produce requests").
-func (b *Broker) armHoleTimeout(f *rdmaFile, e *produceEntry) {
-	b.env.After(b.cfg.ProduceOrderTimeout, func() {
-		if e.processed || f.revoked {
-			return
-		}
-		b.revokeFile(f, kwire.ErrRevoked)
-	})
+// holeTimeout aborts the file a produce is still parked on after the
+// configured timeout (§4.2.2: "if a produce request is timed out it gets
+// aborted and RDMA access to the file is revoked causing abortion of all
+// pending produce requests"). A file with anything pending is unrevoked,
+// hence its partition's produceFile.
+func holeTimeout(v any) {
+	req := v.(*request)
+	if f := req.pt.produceFile; f != nil && f.pending[req.order] == req {
+		req.b.revokeFile(f, kwire.ErrRevoked)
+	}
+	req.drop()
 }
 
-// commitInPlace validates and commits one batch already present in the file
-// buffer at the current append position — written there by a producer's RNIC,
-// or copied into its reservation by produceViaSharedFileAsync — and answers
-// req; zero data copies happen here. Partition lock held.
-func (b *Broker) commitInPlace(p *sim.Proc, f *rdmaFile, req *request, size int) {
-	pt := f.pt
+// commitInPlace validates and commits the req.size bytes of one batch already
+// present in the file buffer at the current append position — written there
+// by a producer's RNIC, or copied into its reservation by
+// produceViaSharedFileAsync — and answers req; zero data copies happen here.
+// Partition lock held.
+func (b *Broker) commitInPlace(p *sim.Proc, f *rdmaFile, req *request) {
+	pt, size := f.pt, req.size
 	seg := pt.log.Segment(f.segID)
-	p.Sleep(b.cfg.APIFixedCost + b.crcTime(size))
-
 	start := seg.Len()
+	if start+size > seg.Capacity() {
+		size = 0 // the size is a peer's u32: past the file end there is nothing to read
+	}
+	p.Sleep(b.cfg.APIFixedCost + b.crcTime(size))
 	batch, _, err := krecord.Parse(seg.Bytes()[start : start+size])
 	if err != nil || batch.Validate() != nil {
 		// Garbage in the reserved region: fence the file off entirely —
@@ -441,7 +441,8 @@ func (b *Broker) produceViaSharedFileAsync(p *sim.Proc, pt *Partition, f *rdmaFi
 		cqe = qp.SendCQ().Poll(p)
 	}
 	b.loopRes.Release()
-	if err != nil || cqe.Status != rdma.StatusOK {
+	// The hole timeout takes no lock: it may have revoked f during the poll.
+	if err != nil || cqe.Status != rdma.StatusOK || f.revoked {
 		pt.release()
 		return b.produceResp(kwire.ErrInternal, 0)
 	}
@@ -453,7 +454,8 @@ func (b *Broker) produceViaSharedFileAsync(p *sim.Proc, pt *Partition, f *rdmaFi
 		// write tracking; record it so buffer recycling re-zeroes it.
 		seg.NoteDirty(int(offset) + len(data))
 	}
-	b.deliverShared(p, f, &produceEntry{order: order, size: len(data), req: req})
+	req.order, req.size = order, len(data)
+	b.deliverShared(p, f, req)
 	pt.release()
 	return nil
 }

@@ -216,7 +216,7 @@ func (b *Broker) rdmaPoller(p *sim.Proc) {
 			_ = sess.ring.Post(cqe.QP, int(cqe.WRID))
 			if ok {
 				req = b.getRequest()
-				req.rdma = rdmaProduceEvent{sess: sess, imm: imm, size: size}
+				req.rdma, req.size = rdmaProduceEvent{sess: sess, imm: imm}, size
 			}
 		case *replFollowerSession:
 			req = b.getRequest()

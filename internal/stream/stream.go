@@ -150,7 +150,7 @@ func Run(cfg Config) Result {
 				publish(p, pr, now, lane)
 				if cfg.Workload == PeriodicBurst && now >= nextBurst {
 					for i := 0; i < cfg.BurstSize/cfg.Topics; i++ {
-						publishAsync(p, pr, p.Now(), lane)
+						publish(p, pr, p.Now(), lane)
 					}
 					nextBurst += cfg.BurstGap
 				}
@@ -309,10 +309,6 @@ func publish(p *sim.Proc, pr client.Producer, now time.Duration, lane int) {
 	if err := pr.ProduceAsync(p, makeEvent(now, lane)); err != nil {
 		panic(err)
 	}
-}
-
-func publishAsync(p *sim.Proc, pr client.Producer, now time.Duration, lane int) {
-	publish(p, pr, now, lane)
 }
 
 func summarise(delays []time.Duration, bucketSum map[int]time.Duration, bucketN map[int]int) Result {

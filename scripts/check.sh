@@ -64,6 +64,15 @@ go test -race ./...
 echo "== fuzz smoke (kwire.FuzzDecodeInto, 10s) =="
 go test -run=NONE -fuzz=FuzzDecodeInto -fuzztime=10s ./internal/kwire
 
+# The one decoder no codec stands in front of: what a producer's QP carries to
+# the RDMA produce module — region bytes, a Write+Send metadata frame, an
+# immediate value — against a one-broker rig under both access modes: no panic,
+# one acknowledgement per notification, every pooled request back. Seeds are
+# built in code; c695d611056a0e38 under internal/core/testdata/fuzz is the
+# input that found the 32-bit length charged as CRC time before it was bounded.
+echo "== fuzz smoke (core.FuzzProduceNotification, 10s) =="
+go test -run=NONE -fuzz=FuzzProduceNotification -fuzztime=10s ./internal/core
+
 # Every figure table, byte for byte, against the committed run. Any
 # difference is a change in simulated behaviour. (That results_all.txt holds
 # exactly the registered experiments, in registry order, is
