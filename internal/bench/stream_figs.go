@@ -43,8 +43,10 @@ func fig21(st *Stats) *Table {
 		cfg.Workload = pt.wl
 		cfg.Replicas = pt.replicas
 		cfg.Duration = 40 * time.Second
+		cfg.Obs = newRigObs()
 		results[i] = stream.Run(cfg)
 		st.AddEvents(results[i].SimEvents, results[i].SimSwitches)
+		collectRigObs(cfg.Obs)
 	})
 	for i, pt := range points {
 		res := results[i]

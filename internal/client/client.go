@@ -335,9 +335,7 @@ func (t *osuTransport) Send(p *sim.Proc, frame []byte) error {
 	start := p.Now()
 	p.Sleep(t.e.cfg.OSUSendCost + t.e.copyTime(len(frame)))
 	t.e.stOSUSend.ObserveDur(p.Now() - start)
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	return t.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: cp, Unsignaled: true})
+	return t.qp.SendCopy(frame)
 }
 
 func (t *osuTransport) Recv(p *sim.Proc) ([]byte, error) {

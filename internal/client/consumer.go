@@ -9,7 +9,9 @@ import (
 // Consumer is implemented by both consumer stacks.
 type Consumer interface {
 	// Poll returns the next available records (possibly none) starting at
-	// the consumer's position, advancing it past everything returned.
+	// the consumer's position, advancing it past everything returned. The
+	// slice is the consumer's and valid until its next Poll; the bytes the
+	// records point to are the caller's to keep.
 	Poll(p *sim.Proc) ([]krecord.Record, error)
 	// Position returns the next offset the consumer will return.
 	Position() int64
@@ -40,11 +42,13 @@ type RPCConsumer struct {
 	closed           bool
 
 	// Reusable encode/decode state for the poll loop. respMsg.Data is set to
-	// nil whenever records escape to the caller (they alias it), so only the
-	// empty-fetch steady state is fully allocation-free.
+	// nil whenever records escape to the caller (they alias it), so a
+	// non-empty fetch allocates that one buffer; recs, the slice Poll
+	// returns, is decoded into afresh by every Poll.
 	rpc     rpc
 	reqMsg  kwire.FetchReq
 	respMsg kwire.FetchResp
+	recs    []krecord.Record
 }
 
 // NewTCPConsumer dials the partition leader over TCP.
@@ -68,7 +72,9 @@ func newRPCConsumer(p *sim.Proc, e *Endpoint, dial dialFunc, topic string, part 
 // Poll issues one fetch request, redialing the (re-resolved) leader with
 // exponential backoff after a transport failure or leader change. Fetches
 // are idempotent — the consumer's offset only advances on success — so
-// retries never skip or duplicate records.
+// retries never skip or duplicate records. The returned slice is reused by
+// the next Poll on this consumer: copy the records out to keep them longer
+// (their Key and Value bytes are the caller's and stay valid).
 func (c *RPCConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 	recs, err := c.pollOnce(p)
 	if err == nil || !retryableErr(err) {
@@ -129,35 +135,30 @@ func (c *RPCConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 	// decode allocates a fresh one instead of overwriting escaped memory.
 	data := resp.Data
 	resp.Data = nil
-	return decodeBatches(data, &c.offset)
+	var err error
+	c.recs, err = decodeBatches(c.recs[:0], data, &c.offset)
+	return c.recs, err
 }
 
 // decodeBatches validates and decodes the complete batches in data — bytes
 // a broker wrote (a fetch response) or that were read out of its files — and
-// returns their records from *offset on, advancing *offset past every batch
-// decoded. The records alias data.
-func decodeBatches(data []byte, offset *int64) ([]krecord.Record, error) {
-	var out []krecord.Record
+// appends their records from *offset on to dst, advancing *offset past every
+// batch decoded. The records alias data.
+func decodeBatches(dst []krecord.Record, data []byte, offset *int64) ([]krecord.Record, error) {
 	_, err := krecord.Scan(data, func(b krecord.Batch) error {
-		if err := b.Validate(); err != nil {
-			return err
+		err := b.Validate()
+		if err == nil {
+			dst, err = b.AppendRecords(dst, *offset)
 		}
-		recs, err := b.Records()
-		if err != nil {
-			return err
+		if err == nil {
+			*offset = b.NextOffset()
 		}
-		for _, r := range recs {
-			if r.Offset >= *offset {
-				out = append(out, r)
-			}
-		}
-		*offset = b.NextOffset()
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Position returns the next offset to be fetched.
@@ -221,7 +222,9 @@ func NewRDMAConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset 
 // exponential backoff, up to RetryTimeout) after a QP failure,
 // control-connection failure, or leader change. Reads are idempotent — the
 // delivery offset only advances when complete batches are returned — so
-// retries never skip or duplicate records.
+// retries never skip or duplicate records. The returned slice is reused by
+// the next Poll on this consumer: copy the records out to keep them longer
+// (their Key and Value bytes are the caller's and stay valid).
 func (c *RDMAConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 	recs, err := c.pollOnce(p)
 	if err == nil || !retryableErr(err) {

@@ -96,6 +96,7 @@ type GroupConsumer struct {
 	cellBuf   [group.CellSize]byte
 
 	rr       int
+	out      []TopicRecord // what Poll returns, rewritten by every Poll
 	lastBeat sim.Time
 	closed   bool
 
@@ -395,7 +396,10 @@ func (c *GroupConsumer) onRevoked(p *sim.Proc) {
 
 // Poll returns the next batch of records from one of the member's assigned
 // partitions, sweeping them round-robin. It drives the membership protocol:
-// rejoin when revoked, heartbeat on the configured interval.
+// rejoin when revoked, heartbeat on the configured interval. The returned
+// slice is reused by the next Poll on this consumer: copy the records out to
+// keep them longer (their Key and Value bytes are the caller's and stay
+// valid).
 func (c *GroupConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
@@ -421,11 +425,8 @@ func (c *GroupConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 			continue
 		}
 		c.rr = (i + 1) % len(c.assigned)
-		out := make([]TopicRecord, len(recs))
-		for j, rec := range recs {
-			out[j] = TopicRecord{Topic: c.assigned[i].Topic, Partition: c.assigned[i].Partition, Record: rec}
-		}
-		return out, nil
+		c.out = tagRecords(c.out, c.assigned[i].Topic, c.assigned[i].Partition, recs)
+		return c.out, nil
 	}
 	c.rr = (c.rr + 1) % len(c.assigned)
 	return nil, nil

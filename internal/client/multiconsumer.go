@@ -19,7 +19,8 @@ type MultiRDMAConsumer struct {
 	readSession
 	// rr rotates the data-read starting point across subscriptions so one
 	// busy partition cannot starve the others.
-	rr int
+	rr  int
+	out []TopicRecord // what Poll returns, rewritten by every Poll
 }
 
 // TopicRecord is a record tagged with its origin partition.
@@ -27,6 +28,16 @@ type TopicRecord struct {
 	Topic     string
 	Partition int32
 	krecord.Record
+}
+
+// tagRecords rewrites dst as recs, each tagged with the partition they came
+// from.
+func tagRecords(dst []TopicRecord, topic string, part int32, recs []krecord.Record) []TopicRecord {
+	dst = dst[:0]
+	for _, r := range recs {
+		dst = append(dst, TopicRecord{Topic: topic, Partition: part, Record: r})
+	}
+	return dst
 }
 
 // NewMultiRDMAConsumer opens a session against the broker leading the given
@@ -57,7 +68,9 @@ func (c *MultiRDMAConsumer) Subscriptions() int { return len(c.cursors) }
 // every slot with one read and return empty — unlike the single-TP consumer,
 // which reads in the round that refreshes: with N partitions the refresh may
 // reveal data on several, and the next round's rotation picks among them
-// fairly. An empty result means "nothing new anywhere".
+// fairly. An empty result means "nothing new anywhere". The returned slice is
+// reused by the next Poll on this consumer; the records' bytes are the
+// caller's.
 func (c *MultiRDMAConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if c.closed {
 		return nil, ErrProducerClosed
@@ -78,11 +91,8 @@ func (c *MultiRDMAConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 			if len(recs) == 0 {
 				return nil, err
 			}
-			out := make([]TopicRecord, len(recs))
-			for i, r := range recs {
-				out[i] = TopicRecord{Topic: cur.topic, Partition: cur.part, Record: r}
-			}
-			return out, nil
+			c.out = tagRecords(c.out, cur.topic, cur.part, recs)
+			return c.out, nil
 		}
 	}
 	return nil, c.refresh(p)

@@ -52,6 +52,8 @@ type readSession struct {
 	cursors []*cursor
 	scratch []byte
 	slotBuf []byte
+	// recs is the slice read returns, decoded into afresh by every read.
+	recs []krecord.Record
 
 	// Stats for the measurement harness: StatMetaReads counts slot-region
 	// reads — ONE per refresh, however many cursors it covers —
@@ -192,7 +194,8 @@ func (s *readSession) refresh(p *sim.Proc) error {
 // read pulls the next unread bytes of the cursor's file — up to depth
 // FetchSize chunks, posted together so the RNIC overlaps them and bandwidth
 // is no longer one round trip per chunk (§7) — and returns the records of
-// every batch those bytes complete. The cursor must not be drained.
+// every batch those bytes complete, in a slice valid until the next read on
+// the session. The cursor must not be drained.
 func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Record, error) {
 	if depth < 1 {
 		depth = 1
@@ -249,7 +252,9 @@ func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Recor
 	stable := append([]byte(nil), cur.partial[:consumed]...) // exactly consumed bytes, not zeroed first
 	p.Sleep(s.e.copyTime(consumed) + s.e.crcTime(consumed))
 	cur.partial = append(cur.partial[:0], cur.partial[consumed:]...)
-	return decodeBatches(stable, &cur.offset)
+	var err error
+	s.recs, err = decodeBatches(s.recs[:0], stable, &cur.offset)
+	return s.recs, err
 }
 
 // close disconnects the QP; the broker tears the session down, slots and

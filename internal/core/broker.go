@@ -435,7 +435,7 @@ func (b *Broker) responder(p *sim.Proc) {
 			_ = err // peer may have gone away; nothing to do
 		case r.osu != nil:
 			b.rdmaRes.Use(p, b.cfg.OSUSendCost)
-			r.osu.send(r.frame) // send copies the frame
+			_ = r.osu.qp.SendCopy(r.frame) // the peer may have gone away, as above
 		}
 		sendEnd := p.Now()
 		b.stNetSend.ObserveDur(sendEnd - popNow)

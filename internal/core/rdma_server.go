@@ -37,6 +37,7 @@ type rdmaProducerSession struct {
 	qp     *rdma.QP
 	ring   *rdma.RecvRing
 	grants []*rdmaFile
+	enc    kwire.Scratch // the acknowledgement being sent
 }
 
 func (s *rdmaProducerSession) removeGrant(f *rdmaFile) {
@@ -51,17 +52,10 @@ func (s *rdmaProducerSession) removeGrant(f *rdmaFile) {
 // sendAck posts the produce acknowledgement back to the producer over the
 // same QP (Figure 3): a small RDMA Send the client matches FIFO, since both
 // the writes and their processing are ordered. Broker.respond is its only
-// caller.
+// caller. Posting can only fail if the QP died or the SQ is full; ack loss is
+// equivalent to a connection failure, which clients detect via QP events.
 func (s *rdmaProducerSession) sendAck(resp *kwire.ProduceResp) {
-	if s.qp.State() != rdma.QPReady {
-		return
-	}
-	frame := kwire.Encode(0, resp)
-	// Posting can only fail if the QP died or the SQ is full; ack loss is
-	// equivalent to a connection failure, which clients detect via QP events.
-	// Unsignaled, like the OSU response and the replica-write ack: nobody
-	// polls those QPs' send CQs, and an errored WR completes all the same.
-	_ = s.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: frame, Unsignaled: true})
+	_ = s.qp.SendCopy(s.enc.Encode(0, resp))
 }
 
 // replFollowerSession is the follower-side state of a push-replication link.
@@ -94,9 +88,8 @@ type replAckSession struct {
 // follower's log end offset as a little-endian u64 (bytes 4-11).
 const ackPayloadSize = 12
 
-func encodeAck(fileID uint16, leo int64) []byte {
-	buf := make([]byte, ackPayloadSize)
-	binary.LittleEndian.PutUint32(buf, uint32(fileID))
+func encodeAck(fileID uint16, leo int64) (buf [ackPayloadSize]byte) {
+	binary.LittleEndian.PutUint32(buf[:], uint32(fileID))
 	binary.LittleEndian.PutUint64(buf[4:], uint64(leo))
 	return buf
 }
@@ -112,15 +105,6 @@ type osuSession struct {
 	b    *Broker
 	qp   *rdma.QP
 	ring *rdma.RecvRing
-}
-
-func (s *osuSession) send(frame []byte) {
-	if s.qp.State() != rdma.QPReady {
-		return
-	}
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	_ = s.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: cp, Unsignaled: true})
 }
 
 // replWriteEvent is a push-replication WriteWithImm completion at a follower.

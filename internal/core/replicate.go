@@ -449,6 +449,7 @@ func (b *Broker) handleReplicaWrite(p *sim.Proc, req *request) {
 	// Return the credit, then ack: on the link, which is this request's
 	// answer (respond has no transport for it).
 	_ = ev.sess.qp.PostRecv(rdma.RQE{})
-	_ = ev.sess.qp.PostSend(rdma.SendWR{Op: rdma.OpSend, Local: encodeAck(ev.sess.file.id, leo), Unsignaled: true})
+	ack := encodeAck(ev.sess.file.id, leo)
+	_ = ev.sess.qp.SendCopy(ack[:])
 	req.completed = true
 }

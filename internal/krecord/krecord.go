@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // HeaderSize is the fixed batch header size in bytes.
@@ -242,22 +243,31 @@ func (b Batch) Validate() error {
 	if b.Count() == 0 {
 		return ErrEmptyBatch
 	}
-	return b.walk(nil)
+	return b.walk(nil, 0)
 }
 
 // Records decodes all records in the batch, assigning absolute offsets from
 // the batch base offset.
 func (b Batch) Records() ([]Record, error) {
-	out := make([]Record, 0, b.Count())
-	if err := b.walk(func(r Record) { out = append(out, r) }); err != nil {
-		return nil, err
+	return b.AppendRecords(make([]Record, 0, b.Count()), math.MinInt64)
+}
+
+// AppendRecords appends the batch's records from offset from on to dst and
+// returns the extended slice: a consumer decodes fetch after fetch into one
+// slice of its own. On an error it returns dst as it came. The records alias
+// the batch's bytes.
+func (b Batch) AppendRecords(dst []Record, from int64) ([]Record, error) {
+	out := dst
+	if err := b.walk(&out, from); err != nil {
+		return dst, err
 	}
 	return out, nil
 }
 
-// walk decodes the records one after the other, hands each to visit (nil:
-// check only) and holds their number against the header's count.
-func (b Batch) walk(visit func(Record)) error {
+// walk decodes the records one after the other, appends those from offset
+// from on to *dst (nil: check only) and holds their number against the
+// header's count.
+func (b Batch) walk(dst *[]Record, from int64) error {
 	base, baseTime := b.BaseOffset(), b.BaseTime()
 	count := 0
 	for buf := b.raw[HeaderSize:]; len(buf) > 0; count++ {
@@ -269,8 +279,8 @@ func (b Batch) walk(visit func(Record)) error {
 		if err != nil {
 			return err
 		}
-		if visit != nil {
-			visit(rec)
+		if dst != nil && rec.Offset >= from {
+			*dst = append(*dst, rec)
 		}
 		buf = buf[n+int(rl):]
 	}

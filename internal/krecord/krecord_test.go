@@ -441,3 +441,69 @@ func TestValidateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Validate allocates %.1f times per batch of %d records (err %v), want 0", avg, batch.Count(), err)
 	}
 }
+
+func sameRecords(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) ||
+			a[i].Timestamp != b[i].Timestamp || a[i].Offset != b[i].Offset {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendRecords is Records filtered by offset, appended to the caller's
+// slice; an error leaves what the slice held.
+func TestAppendRecordsEqualsFilteredRecords(t *testing.T) {
+	raw, err := Encode(7,
+		Record{Key: []byte("k0"), Value: []byte("v0"), Timestamp: 10},
+		Record{Value: []byte("v1"), Timestamp: 11},
+		Record{Key: []byte("k2"), Timestamp: 12},
+		Record{Value: bytes.Repeat([]byte("v3"), 100), Timestamp: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.SetBaseOffset(100)
+	all, err := batch.Records()
+	if err != nil || len(all) != 4 {
+		t.Fatalf("Records = %d records, %v", len(all), err)
+	}
+	prefix := []Record{{Value: []byte("kept"), Offset: -1}}
+	for from := int64(98); from <= 105; from++ {
+		var want []Record
+		for _, r := range all {
+			if r.Offset >= from {
+				want = append(want, r)
+			}
+		}
+		got, err := batch.AppendRecords(prefix[:1:1], from)
+		if err != nil || !sameRecords(got[:1], prefix) || !sameRecords(got[1:], want) {
+			t.Fatalf("AppendRecords from %d = %+v, %v; want the prefix and %+v", from, got, err, want)
+		}
+	}
+
+	// A batch that breaks off inside its last record: the error returns the
+	// slice as it came, although three records decoded before it.
+	torn := append([]byte(nil), raw[:len(raw)-150]...)
+	binary.LittleEndian.PutUint32(torn[8:], uint32(len(torn)))
+	broken, _, err := Parse(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]Record, 1, 8)
+	dst[0] = prefix[0]
+	got, err := broken.AppendRecords(dst, 0)
+	if err == nil || !sameRecords(got, prefix) {
+		t.Fatalf("AppendRecords over a torn batch = %+v, %v; want the prefix alone and an error", got, err)
+	}
+	if recs, err := broken.Records(); err == nil || len(recs) != 0 {
+		t.Fatalf("Records over a torn batch = %+v, %v", recs, err)
+	}
+}

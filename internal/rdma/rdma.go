@@ -623,7 +623,28 @@ func (qp *QP) fail(reason string) {
 // PostSend posts a work request. It never blocks; NIC and wire time are
 // charged through the simulated clock, and a completion is delivered to the
 // send CQ (unless Unsignaled) when the request is acknowledged.
-func (qp *QP) PostSend(wr SendWR) error {
+func (qp *QP) PostSend(wr SendWR) error { return qp.post(wr, nil) }
+
+// SendCopy sends a copy of frame as an unsignaled SEND: a two-sided message
+// is staged in a send buffer that belongs to the NIC until its work request
+// is done and is then reused, never allocated per message. The buffer comes
+// from the fabric's wire free list and goes back there with the WR's record
+// (putWR) — on completion, error or flush alike, and in every case after the
+// responder's last look at it. frame is the caller's again on return.
+func (qp *QP) SendCopy(frame []byte) error {
+	wire := qp.dev.node.Network().WireBufs()
+	staged := wire.Get(len(frame))
+	copy(staged, frame)
+	err := qp.post(SendWR{Op: OpSend, Local: staged, Unsignaled: true}, staged)
+	if err != nil {
+		wire.Put(staged)
+	}
+	return err
+}
+
+// post is PostSend; staged, if not nil, is a wire buffer the record takes
+// along and putWR returns.
+func (qp *QP) post(wr SendWR, staged []byte) error {
 	if qp.state != QPReady {
 		return ErrQPState
 	}
@@ -661,6 +682,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	rec.wr = wr
 	rec.size = size
 	rec.wireBytes = wireBytes
+	rec.data = staged
 	rec.postedAt = now
 	d.obsPosted.Inc()
 	env.AtArg(ready, wrOnWire, rec)
@@ -680,7 +702,7 @@ type wrRecord struct {
 	rqe    RQE    // consumed receive (OpSend, OpWriteImm)
 	hasRQE bool   // a receive completion must be generated
 	dst    []byte // write destination, read source, or atomic word
-	data   []byte // OpRead wire snapshot (from the fabric's wire free list)
+	data   []byte // from the fabric's wire free list: SendCopy's staging buffer, OpRead's wire snapshot
 	old    uint64 // atomic pre-operation value
 	// Telemetry stamps (simulated time; zeroed with the record by putWR):
 	// when the WR was posted, left the requester engine, fully arrived at
@@ -692,7 +714,8 @@ type wrRecord struct {
 }
 
 // getWR takes a record from the device's free list and allocates only when
-// that is empty; putWR returns it, so a warm device posts without allocating.
+// that is empty; putWR returns it, and the record's wire buffer with it, so a
+// warm device posts without allocating.
 func (d *Device) getWR() *wrRecord {
 	if len(d.wrFree) == 0 {
 		return &wrRecord{}
@@ -705,6 +728,7 @@ func (d *Device) getWR() *wrRecord {
 }
 
 func (d *Device) putWR(rec *wrRecord) {
+	d.node.Network().WireBufs().Put(rec.data)
 	*rec = wrRecord{}
 	d.wrFree = append(d.wrFree, rec)
 }
@@ -926,8 +950,8 @@ func wrAcked(v any) {
 // wrReadDone runs at the responder when it starts emitting the read
 // response. The data is snapshotted at response time — the DMA engine reads
 // memory as the response leaves the responder — into a staging buffer from
-// the fabric's wire free list, recycled once the contents land in the
-// requester's local buffer.
+// the fabric's wire free list, recycled with the record once the contents
+// have landed in the requester's local buffer.
 func wrReadDone(v any) {
 	rec := v.(*wrRecord)
 	qp := rec.qp
@@ -943,7 +967,6 @@ func wrReadArrived(v any) {
 	rec := v.(*wrRecord)
 	rec.obsAcked()
 	copy(rec.wr.Local, rec.data)
-	rec.qp.remote.dev.node.Network().WireBufs().Put(rec.data)
 	rec.finish(CQE{Status: StatusOK, ByteLen: rec.size})
 }
 

@@ -561,7 +561,7 @@ func TestConnectFailsWhenPeerUnreachable(t *testing.T) {
 // the kernel until it has completed, take the CQE — at 0 allocations once the
 // device's WR free list, the event heap and the CQ ring are warm. The client
 // pin (TestPipelinedOneSidedProduceAllocatesNoBatchCopies) bounds a whole
-// produce at 2.9 allocations per record against a measured 2.0, to leave room
+// produce at 0.9 allocations per record against a measured 0.0, to leave room
 // for the race detector's sync.Pool; this one has no slack and names the layer.
 func TestWarmWriteAllocatesNothing(t *testing.T) {
 	p := newPair(t)

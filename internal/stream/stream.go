@@ -11,7 +11,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -20,10 +19,13 @@ import (
 	"kafkadirect/internal/core"
 	"kafkadirect/internal/krecord"
 	"kafkadirect/internal/kwire"
+	"kafkadirect/internal/obs"
 	"kafkadirect/internal/sim"
 )
 
-// SensorEvent is the IoT measurement published as JSON.
+// SensorEvent is the IoT measurement published as JSON. The run itself writes
+// and reads it with the fixed-shape codec of event.go; the tags say what that
+// codec must match, byte for byte.
 type SensorEvent struct {
 	TimestampNanos int64   `json:"ts"`
 	Lane           int     `json:"lane"`
@@ -77,6 +79,9 @@ type Config struct {
 	BurstGap  time.Duration // paper: every 10 s
 	Duration  time.Duration
 	Topics    int // paper: two separate topics
+	// Obs collects the cluster's telemetry (nil = disabled). It is passive:
+	// the result is the same with it set or not.
+	Obs *obs.Obs
 }
 
 // DefaultConfig mirrors §5.4 with a shortened run.
@@ -119,6 +124,7 @@ func Run(cfg Config) Result {
 	opts.Config.RDMAProduce = true
 	opts.Config.RDMAConsume = true
 	opts.Config.RDMAReplication = cfg.System == SysKafkaDirect && cfg.Replicas > 1
+	opts.Obs = cfg.Obs
 	brokers := cfg.Replicas
 	if brokers < 1 {
 		brokers = 1
@@ -141,16 +147,16 @@ func Run(cfg Config) Result {
 		ti := ti
 		env.Go(fmt.Sprintf("sensor-%d", ti), func(p *sim.Proc) {
 			e := client.NewEndpoint(cl, fmt.Sprintf("sensor-ep-%d", ti), client.DefaultConfig())
-			pr := newProducer(p, e, cfg, topicName(ti), int64(ti))
+			pub := publisher{pr: newProducer(p, e, cfg, topicName(ti), int64(ti))}
 			interval := time.Second / time.Duration(cfg.Rate/cfg.Topics)
 			lane := ti
 			nextBurst := cfg.BurstGap
 			for !stop {
 				now := p.Now()
-				publish(p, pr, now, lane)
+				pub.publish(p, now, lane)
 				if cfg.Workload == PeriodicBurst && now >= nextBurst {
 					for i := 0; i < cfg.BurstSize/cfg.Topics; i++ {
-						publish(p, pr, p.Now(), lane)
+						pub.publish(p, p.Now(), lane)
 					}
 					nextBurst += cfg.BurstGap
 				}
@@ -172,8 +178,8 @@ func Run(cfg Config) Result {
 					return
 				}
 				for _, rec := range recs {
-					var ev SensorEvent
-					if err := json.Unmarshal(rec.Value, &ev); err != nil {
+					ev, err := parseEvent(rec.Value)
+					if err != nil {
 						continue
 					}
 					d := p.Now() - time.Duration(ev.TimestampNanos)
@@ -291,22 +297,25 @@ func newProducer(p *sim.Proc, e *client.Endpoint, cfg Config, topic string, id i
 	}
 }
 
-func makeEvent(now time.Duration, lane int) krecord.Record {
-	ev := SensorEvent{
+// publisher is one sensor: its producer, the buffer its events are encoded
+// into and the one-record argument of every produce. Both are reused — the
+// producer's batch builder has copied the value by the time ProduceAsync
+// returns (§5.1's defensive copy), and a sensor publishes one event at a time.
+type publisher struct {
+	pr  client.Producer
+	buf []byte
+	one [1]krecord.Record
+}
+
+func (pub *publisher) publish(p *sim.Proc, now time.Duration, lane int) {
+	pub.buf = appendEvent(pub.buf[:0], SensorEvent{
 		TimestampNanos: int64(now),
 		Lane:           lane,
 		CarCount:       17,
 		AvgSpeed:       61.5,
-	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		panic(err)
-	}
-	return krecord.Record{Value: data, Timestamp: int64(now)}
-}
-
-func publish(p *sim.Proc, pr client.Producer, now time.Duration, lane int) {
-	if err := pr.ProduceAsync(p, makeEvent(now, lane)); err != nil {
+	})
+	pub.one[0] = krecord.Record{Value: pub.buf, Timestamp: int64(now)}
+	if err := pub.pr.ProduceAsync(p, pub.one[:]...); err != nil {
 		panic(err)
 	}
 }

@@ -2,8 +2,15 @@ package stream
 
 import (
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"kafkadirect/internal/client"
+	"kafkadirect/internal/core"
+	"kafkadirect/internal/obs"
+	"kafkadirect/internal/sim"
 )
 
 func shortConfig(sys System, wl Workload, replicas int) Config {
@@ -104,5 +111,76 @@ func TestWorkloadAndSystemStrings(t *testing.T) {
 	}
 	if SysKafka.String() != "kafka" || SysOSU.String() != "osu" || SysKafkaDirect.String() != "kafkadirect" {
 		t.Fatal("system strings")
+	}
+}
+
+// An event costs at most one heap object from the sensor to the engine — the
+// caller-owned buffer of the fetch that delivers it — on every system: the
+// encoder's buffer, the one-record argument, the producer's batch, the staged
+// SENDs, the slice Poll returns and the parser all reuse what they have.
+func TestAnEventAllocatesOnlyItsFetchBuffer(t *testing.T) {
+	const warm, n = 300, 1000
+	for _, sys := range []System{SysKafka, SysOSU, SysKafkaDirect} {
+		cfg := shortConfig(sys, ConstantRate, 1)
+		env := sim.NewEnv(23)
+		opts := core.DefaultOptions()
+		opts.Config = opts.Config.WithRDMA()
+		cl := core.NewCluster(env, opts)
+		cl.AddBrokers(1)
+		if err := cl.CreateTopic(topicName(0), 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		var perEvent float64
+		env.Go("driver", func(p *sim.Proc) {
+			e := client.NewEndpoint(cl, "ep", client.DefaultConfig())
+			pub := publisher{pr: newProducer(p, e, cfg, topicName(0), 0)}
+			co := newConsumer(p, e, cfg, topicName(0))
+			deliver := func(events int) {
+				for i := 0; i < events; i++ {
+					pub.publish(p, p.Now(), 1)
+					for got := 0; got == 0; {
+						recs, err := co.Poll(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, rec := range recs {
+							if ev, err := parseEvent(rec.Value); err != nil || ev.TimestampNanos > int64(p.Now()) {
+								t.Fatalf("event %q: %+v, %v", rec.Value, ev, err)
+							}
+							got++
+						}
+					}
+				}
+			}
+			deliver(warm)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			deliver(n)
+			runtime.ReadMemStats(&after)
+			perEvent = float64(after.Mallocs-before.Mallocs) / n
+			env.Stop()
+		})
+		env.RunUntil(time.Minute)
+		env.Shutdown()
+		cl.Release()
+		t.Logf("%v: %.3f objects per event", sys, perEvent)
+		if !raceDetector && (perEvent == 0 || perEvent > 1.05) {
+			t.Errorf("%v: %.3f objects per event published, delivered and parsed, want 1 (the fetch's buffer)", sys, perEvent)
+		}
+	}
+}
+
+// Telemetry is passive: the same result, event for event, with a bundle
+// collecting and without, and the bundle has the cluster's counters in it.
+func TestTelemetryDoesNotPerturbTheRun(t *testing.T) {
+	cfg := shortConfig(SysKafkaDirect, PeriodicBurst, 2)
+	plain := Run(cfg)
+	cfg.Obs = obs.New(obs.DefaultTraceCap)
+	traced := Run(cfg)
+	if !reflect.DeepEqual(plain, traced) {
+		t.Fatalf("result with telemetry %+v, without %+v", traced, plain)
+	}
+	if n := cfg.Obs.Counter("broker/requests").Value(); n == 0 {
+		t.Fatal("the run's brokers counted no requests into Config.Obs")
 	}
 }

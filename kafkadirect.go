@@ -12,9 +12,13 @@
 //		prod := s.MustRDMAProducer(p, "events", 0, kafkadirect.Exclusive)
 //		prod.Produce(p, krecord.Record{Value: []byte("hello"), Timestamp: 1})
 //		cons := s.MustRDMAConsumer(p, "events", 0, 0)
-//		recs, _ := cons.Poll(p)
+//		recs, _ := cons.Poll(p) // valid until the next cons.Poll
 //		...
 //	})
+//
+// The slice a consumer's Poll returns is the consumer's and is rewritten by
+// its next Poll; copy records out to keep them longer. The bytes a record's
+// Key and Value point to are the caller's and stay valid.
 //
 // Everything below the facade is exported through the subpackages:
 // internal/sim (the DES kernel), internal/fabric and internal/rdma (the
