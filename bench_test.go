@@ -52,7 +52,6 @@ func BenchmarkFig20ConsumeGoodput(b *testing.B)         { benchmarkFigure(b, "fi
 func BenchmarkFig21EventProcessing(b *testing.B)        { benchmarkFigure(b, "fig21") }
 func BenchmarkAblationCredits(b *testing.B)             { benchmarkFigure(b, "ablation-credits") }
 func BenchmarkAblationFetchSize(b *testing.B)           { benchmarkFigure(b, "ablation-fetchsize") }
-func BenchmarkScaleShardedKernel(b *testing.B)          { benchmarkFigure(b, "scale") }
 
 // ---------------------------------------------------------------------------
 // Headline single-point benchmarks. Each runs the datapath end to end in the

@@ -7,7 +7,6 @@
 //	kdbench -fig emptyfetch      # the §5.3 empty-fetch table
 //	kdbench -list                # list experiment ids with descriptions
 //	kdbench -fig all -workers 8  # run data points on 8 workers
-//	kdbench -fig scale -shards 8 # sharded sims execute on 8 goroutines
 //	kdbench -fig all -json       # also write BENCH_figs.json (perf trajectory)
 //	kdbench -fig 10 -trace t.json -metrics m.txt
 //	                             # collect telemetry: Chrome trace + metrics
@@ -47,7 +46,6 @@ func printList(w io.Writer) {
 // harness itself are visible run over run.
 type jsonReport struct {
 	Workers     int          `json:"workers"`
-	Shards      int          `json:"shards"` // shard-execution parallelism (-shards)
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	TotalWallMS float64      `json:"total_wall_ms"`
 	Figures     []jsonFigure `json:"figures"`
@@ -64,17 +62,12 @@ type jsonFigure struct {
 	// ran: exact at workers=1, an upper bound when figures run concurrently.
 	Allocs     uint64 `json:"allocs"`
 	AllocBytes uint64 `json:"alloc_bytes"`
-	// Points carries per-cell wall-clock measurements for figures that sweep
-	// a resource knob (the scale figure records one per cluster-size x
-	// shard-count cell). Empty for the paper-table figures.
-	Points []bench.PerfPoint `json:"points,omitempty"`
 }
 
 func main() {
 	fig := flag.String("fig", "all", "figure id to reproduce (e.g. 6, fig10, emptyfetch, all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "number of parallel benchmark workers (1 = sequential)")
-	shards := flag.Int("shards", 0, "shard-execution parallelism for sharded simulations (0 = GOMAXPROCS, 1 = inline sequential)")
 	jsonOut := flag.Bool("json", false, "write per-figure perf metrics to BENCH_figs.json")
 	traceOut := flag.String("trace", "", "collect sim-time spans and write Chrome trace-event JSON to this file")
 	metricsOut := flag.String("metrics", "", "collect sim-time metrics and write the merged report to this file (- for stderr)")
@@ -131,7 +124,6 @@ func main() {
 		exps = []bench.Experiment{e}
 	}
 
-	bench.SetShardParallel(*shards)
 	if *traceOut != "" || *metricsOut != "" {
 		traceCap := 0
 		if *traceOut != "" {
@@ -176,7 +168,6 @@ func main() {
 	if *jsonOut {
 		report := jsonReport{
 			Workers:     *workers,
-			Shards:      bench.ShardParallel(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			TotalWallMS: float64(totalWall) / float64(time.Millisecond),
 		}
@@ -190,7 +181,6 @@ func main() {
 				EventsPerSec: r.EventsPerSec(),
 				Allocs:       r.Allocs,
 				AllocBytes:   r.AllocBytes,
-				Points:       r.Points,
 			})
 		}
 		data, err := json.MarshalIndent(report, "", "  ")

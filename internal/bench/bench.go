@@ -153,8 +153,7 @@ func experiment(id, title, desc string, run func(st *Stats) *Table) Experiment {
 // microbenchmarks first (Fig. 6–8), then the evaluation (Fig. 10–21 with the
 // §5.3 empty-fetch table in place, between Fig. 18 and Fig. 19), the
 // ablations, then the experiments beyond the paper — failure handling,
-// consumer groups, latency attribution — and the simulator-scaling figure
-// last, because it is about the harness. results_all.txt is written in this
+// consumer groups, latency attribution. results_all.txt is written in this
 // order and a test holds the two together.
 var registry = []Experiment{
 	experiment("fig06", "Aggregated write goodput of RDMA produce approaches vs message size",
@@ -201,8 +200,6 @@ var registry = []Experiment{
 		"Rebalance storm with member kills, lag drain vs group size, and RPC vs one-sided commits", runGroups),
 	experiment("attr", "Produce latency attribution by stage (us, 1 KiB records, rf=1)",
 		"Decomposes closed-loop produce latency per datapath into verb- and broker-level stages", runAttr),
-	experiment("scale", "Sharded kernel scaling: one simulated cluster across shards (12/64/256 brokers)",
-		"Runs the capacity model at three cluster sizes, proving shard-count-invariant results", runScale),
 }
 
 // Experiments lists all registered experiments in display order.

@@ -20,7 +20,7 @@ import (
 // joining over a preloaded topic; (c) the commit-path latency comparison,
 // coordinator RPC versus one-sided RDMA WRITE into the registered commit
 // table. Deterministic like every other figure: same seeds, same table,
-// for any -workers / -shards value.
+// for any -workers value.
 
 func runGroups(st *Stats) *Table {
 	t := &Table{

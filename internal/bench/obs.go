@@ -8,10 +8,10 @@ import (
 	"kafkadirect/internal/obs"
 )
 
-// Host-side telemetry collection. Like the worker pool and shard-parallel
-// knobs, the obs mode is a process-global resource setting changed only
-// between runs: when enabled, every sysRig builds its simulation with a
-// private obs.Obs and folds it into the global collector at teardown.
+// Host-side telemetry collection. Like the worker pool, the obs mode is a
+// process-global resource setting changed only between runs: when enabled,
+// every sysRig builds its simulation with a private obs.Obs and folds it
+// into the global collector at teardown.
 // Telemetry is PASSIVE — instruments are pure memory writes on sim-time
 // reads — so every rendered table is byte-identical with the mode on or off
 // (the determinism tests assert exactly that).

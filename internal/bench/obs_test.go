@@ -12,7 +12,7 @@ import (
 
 // TestObsZeroPerturbation is the zero-perturbation gate for telemetry: the
 // rendered tables must be byte-identical with collection off and with full
-// collection (metrics + spans) on, across the workers x shards matrix. The
+// collection (metrics + spans) on, at one worker and at eight. The
 // obs layer records, it never participates — a single diverging byte means
 // an instrument scheduled an event, acquired a resource, or otherwise
 // changed simulation behaviour.
@@ -23,19 +23,16 @@ func TestObsZeroPerturbation(t *testing.T) {
 	// One fast figure per instrumented layer family: the TCP + RDMA produce
 	// datapaths (fig18 exercises consume, fig08 the raw verbs), both
 	// replication datapaths (fig14: a follower's replica-write completions
-	// are spans of its RDMA module), the group coordinator, and the sharded
-	// kernel with its per-shard registries.
+	// are spans of its RDMA module) and the group coordinator.
 	var exps []Experiment
-	for _, id := range []string{"fig08", "fig14", "fig18", "groups", "scale"} {
+	for _, id := range []string{"fig08", "fig14", "fig18", "groups"} {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)
 		}
 		exps = append(exps, e)
 	}
-	render := func(workers, shards int, collect bool) string {
-		SetShardParallel(shards)
-		defer SetShardParallel(1)
+	render := func(workers int, collect bool) string {
 		if collect {
 			SetObsMode(true, obs.DefaultTraceCap)
 		} else {
@@ -49,16 +46,14 @@ func TestObsZeroPerturbation(t *testing.T) {
 		}
 		return buf.String()
 	}
-	base := render(1, 1, false)
+	base := render(1, false)
 	if base == "" {
 		t.Fatal("rendered tables are empty")
 	}
 	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 4} {
-			if got := render(workers, shards, true); got != base {
-				t.Errorf("workers=%d shards=%d: tables with telemetry differ from the plain run (%d vs %d bytes)",
-					workers, shards, len(got), len(base))
-			}
+		if got := render(workers, true); got != base {
+			t.Errorf("workers=%d: tables with telemetry differ from the plain run (%d vs %d bytes)",
+				workers, len(got), len(base))
 		}
 	}
 }

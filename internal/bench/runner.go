@@ -30,46 +30,6 @@ type Stats struct {
 	// process counters, so treat them as an upper bound per figure.
 	allocs     uint64
 	allocBytes uint64
-
-	// points carries per-data-point wall-clock measurements (the scale
-	// figure records one per cell). Wall-clock numbers are banned from
-	// table content — tables must be byte-identical run over run — so this
-	// is their only way into BENCH_figs.json.
-	pointsMu sync.Mutex
-	points   []PerfPoint
-}
-
-// PerfPoint is one wall-clock performance measurement of a simulation cell:
-// how fast the host executed it, never what the simulation computed.
-type PerfPoint struct {
-	Label    string  `json:"label"`
-	Shards   int     `json:"shards"`                   // shard count of the cell
-	Parallel int     `json:"parallel"`                 // worker goroutines executing shards
-	Events   uint64  `json:"events"`                   // simulator events dispatched
-	Handoffs uint64  `json:"handoffs"`                 // cross-shard handoffs delivered
-	WallMS   float64 `json:"wall_ms"`                  // host wall time for the cell
-	PerSec   float64 `json:"events_per_sec"`           // aggregate event rate
-	PerShard float64 `json:"events_per_sec_per_shard"` // PerSec / Shards
-}
-
-// AddPoint records one per-cell measurement (safe from parallel data points).
-func (s *Stats) AddPoint(p PerfPoint) {
-	if s == nil {
-		return
-	}
-	s.pointsMu.Lock()
-	s.points = append(s.points, p)
-	s.pointsMu.Unlock()
-}
-
-// Points returns the recorded per-cell measurements.
-func (s *Stats) Points() []PerfPoint {
-	if s == nil {
-		return nil
-	}
-	s.pointsMu.Lock()
-	defer s.pointsMu.Unlock()
-	return append([]PerfPoint(nil), s.points...)
 }
 
 // AddEvents adds the events a simulation executed and the coroutine switches
@@ -99,7 +59,6 @@ type Result struct {
 	Switches   uint64 // coroutine switches between simulation processes
 	Allocs     uint64 // heap allocations during the run (see Stats)
 	AllocBytes uint64 // bytes allocated during the run (see Stats)
-	Points     []PerfPoint
 }
 
 // EventsPerSec is the wall-clock event rate of the run.
@@ -140,33 +99,10 @@ func currentSem() chan struct{} {
 	return workerSem
 }
 
-// shardParallel is the execution parallelism applied to sharded simulations
-// (sim.ShardGroup.SetParallel): how many OS-scheduled goroutines execute
-// shard windows concurrently. Like the worker pool it is a pure resource
-// knob — results are byte-identical for every value.
-var (
-	shardMu       sync.Mutex
-	shardParallel = 1
-)
-
-// SetShardParallel configures shard-execution parallelism for sharded
-// experiments. n <= 0 selects GOMAXPROCS. Process-global; change it only
-// between runs.
-func SetShardParallel(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	shardMu.Lock()
-	shardParallel = n
-	shardMu.Unlock()
-}
-
-// ShardParallel reports the configured shard-execution parallelism.
-func ShardParallel() int {
-	shardMu.Lock()
-	defer shardMu.Unlock()
-	return shardParallel
-}
+// SetShardParallel has no effect and nothing reads what it is given. It set
+// the thread count of the sharded capacity model, which is deleted;
+// perf/workloads.go still calls it, and it goes when that call does.
+func SetShardParallel(int) {}
 
 // forEach runs fn(0..n-1), each call a data point holding one pool slot
 // while it runs. Callers must make fn(i) write only to its own slot of a
@@ -273,6 +209,5 @@ func runExperiment(e Experiment) Result {
 		Switches:   st.switches.Load(),
 		Allocs:     st.allocs,
 		AllocBytes: st.allocBytes,
-		Points:     st.Points(),
 	}
 }

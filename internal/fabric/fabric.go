@@ -234,9 +234,6 @@ func (nd *Node) Track() int32 { return nd.track }
 // restart resumes with the same contention state.
 func (nd *Node) SetDown(down bool) { nd.down = down }
 
-// Down reports whether the node is currently marked crashed.
-func (nd *Node) Down() bool { return nd.down }
-
 // serTime returns the serialisation delay of a message of the given size.
 func (n *Network) serTime(bytes int) time.Duration {
 	if bytes < n.cfg.MinFrame {

@@ -6,7 +6,7 @@
 // # The zero-perturbation contract
 //
 // Telemetry must never change what a simulation does: every figure table
-// stays byte-identical with obs enabled or disabled, at any workers x shards
+// stays byte-identical with obs enabled or disabled, at any -workers
 // setting. The package enforces the contract structurally:
 //
 //   - no obs call schedules a simulation event, acquires a resource, or
@@ -19,11 +19,12 @@
 //     bucket array; span buffers are pre-allocated and drop-counted when
 //     full (obs_test.go pins all update paths at 0 allocs/op).
 //
-// Sharding: a Registry is owned by exactly one simulation (one sim.Env, or
-// one shard of a sim.ShardGroup). Per-shard registries follow the ShardGroup
-// state contract — no cross-shard writes — and are merged canonically with
-// MergeFrom in ascending shard order at barriers (all merge operations are
-// commutative sums, so the merged snapshot is layout-independent).
+// Ownership: a Registry is owned by exactly one simulation (one sim.Env) and
+// written only by it. Collectors that report over many simulations — the
+// benchmark harness over every rig of a run, perf/ over a workload's rigs —
+// fold finished registries into one with MergeFrom; every merge operation
+// is a sum or a maximum, so the total does not depend on which rig finished
+// first.
 //
 // Naming scheme: metric names are slash-separated paths, "<layer>/<metric>"
 // ("rdma/wr_posted", "broker/queue_depth"), with latency-attribution stage
@@ -214,10 +215,9 @@ func (h *Histogram) Quantile(q float64) uint64 {
 }
 
 // Registry holds a simulation's metric instruments, keyed by name. It is
-// owned by exactly one simulation (or one shard) and is not safe for
-// concurrent use — the owning simulation runs one process at a time. A nil
-// Registry returns nil instruments from every constructor, which in turn
-// discard updates.
+// owned by exactly one simulation and is not safe for concurrent use — the
+// owning simulation runs one process at a time. A nil Registry returns nil
+// instruments from every constructor, which in turn discard updates.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -275,9 +275,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // MergeFrom folds another registry's state into r: counters and histograms
 // add, gauges add values and take the max of maxes. All operations are
-// commutative and associative, so merging per-shard registries yields the
-// same result for every shard layout; merge in ascending shard order anyway
-// (the canonical barrier order of the ShardGroup contract).
+// commutative and associative, so folding the registries of finished rigs
+// gives the same total in any order — the order rigs finish on a worker pool
+// varies from run to run.
 func (r *Registry) MergeFrom(src *Registry) {
 	if r == nil || src == nil {
 		return

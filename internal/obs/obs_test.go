@@ -128,18 +128,18 @@ func TestObsNil(t *testing.T) {
 // Merge
 // ---------------------------------------------------------------------------
 
-// fillRegistry populates a registry with a deterministic shard-dependent
-// shape, mimicking per-shard telemetry.
-func fillRegistry(shard int) *Registry {
+// fillRegistry populates a registry with a deterministic rig-dependent
+// shape, mimicking the telemetry of one of several rigs.
+func fillRegistry(rig int) *Registry {
 	r := NewRegistry()
-	r.Counter("msgs").Add(uint64(10 * (shard + 1)))
-	r.Gauge("depth").Set(int64(shard + 1))
-	r.Gauge("depth").Set(int64(shard)) // leaves max at shard+1
+	r.Counter("msgs").Add(uint64(10 * (rig + 1)))
+	r.Gauge("depth").Set(int64(rig + 1))
+	r.Gauge("depth").Set(int64(rig)) // leaves max at rig+1
 	h := r.Histogram("lat_ns")
 	for v := uint64(1); v <= 4; v++ {
-		h.Observe(v * uint64(shard+1))
+		h.Observe(v * uint64(rig+1))
 	}
-	if shard == 0 {
+	if rig == 0 {
 		r.Counter("only0").Inc()
 	}
 	return r
@@ -179,12 +179,13 @@ func TestMergeFrom(t *testing.T) {
 }
 
 // TestMergeCommutative proves the merged report is independent of merge
-// order — the property that makes per-shard collection layout-independent.
+// order — the property that makes a run's merged report independent of the
+// order its rigs finished in.
 func TestMergeCommutative(t *testing.T) {
 	renderMerge := func(order []int) string {
 		r := NewRegistry()
-		for _, shard := range order {
-			r.MergeFrom(fillRegistry(shard))
+		for _, rig := range order {
+			r.MergeFrom(fillRegistry(rig))
 		}
 		var b bytes.Buffer
 		r.Snapshot(0).Render(&b)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -30,96 +29,6 @@ func BenchmarkKernelEventsPerSec(b *testing.B) {
 	}
 	rate := float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(rate, "events/sec")
-	b.ReportMetric(rate, "events/sec/shard") // one heap: per-shard == aggregate
-}
-
-// BenchmarkShardGroupEventsPerSec measures the windowed sharded kernel: per
-// shard, a chain of local timer events (the common case) with every 16th
-// tick posting a cross-shard handoff to the next shard (the fabric case).
-// Reports aggregate and per-shard events/s; the steady-state path — local
-// dispatch, window barriers, handoff post/drain — performs zero allocations.
-// parallel=1 exercises the inline path; parallel=shards the worker path.
-func BenchmarkShardGroupEventsPerSec(b *testing.B) {
-	for _, cfg := range []struct{ shards, parallel int }{
-		{1, 1}, {4, 1}, {4, 4}, {8, 1}, {8, 8},
-	} {
-		b.Run(fmt.Sprintf("shards=%d,parallel=%d", cfg.shards, cfg.parallel), func(b *testing.B) {
-			benchShardGroup(b, cfg.shards, cfg.parallel)
-		})
-	}
-}
-
-func benchShardGroup(b *testing.B, shards, parallel int) {
-	const look = 10 * time.Microsecond
-	g := NewShardGroup(shards, look, 1)
-	g.SetParallel(parallel)
-	type hopMsg struct {
-		at  Time
-		dst int
-	}
-	// Pooled handoff records migrate src→dst and are released into the
-	// DESTINATION shard's free list, so every pool touch is shard-local —
-	// the same discipline the sharded fabric uses.
-	pools := make([][]*hopMsg, shards)
-	for s := range pools {
-		for i := 0; i < 64; i++ {
-			pools[s] = append(pools[s], new(hopMsg))
-		}
-	}
-	hopDone := func(a any) {
-		m := a.(*hopMsg)
-		pools[m.dst] = append(pools[m.dst], m)
-	}
-	hopArrive := func(a any) {
-		m := a.(*hopMsg)
-		g.Shard(m.dst).AtArg(m.at, hopDone, m)
-	}
-	type tickState struct {
-		shard int
-		n     int
-		limit int
-		hseq  uint64
-	}
-	var tick func(any)
-	tick = func(a any) {
-		t := a.(*tickState)
-		t.n++
-		env := g.Shard(t.shard)
-		if t.n%16 == 0 {
-			dst := (t.shard + 1) % shards
-			p := pools[t.shard]
-			m := p[len(p)-1]
-			pools[t.shard] = p[:len(p)-1]
-			m.at, m.dst = env.Now()+look, dst
-			t.hseq++
-			g.PostArg(t.shard, dst, m.at, uint64(t.shard)+1, t.hseq, hopArrive, m)
-		}
-		if t.n < t.limit {
-			env.AfterArg(time.Microsecond, tick, t)
-		}
-	}
-	per := (b.N + shards - 1) / shards
-	states := make([]*tickState, shards)
-	for s := range states {
-		states[s] = &tickState{shard: s, limit: per}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := g.Now() + time.Microsecond
-	for s, st := range states {
-		g.Shard(s).AtArg(start, tick, st)
-	}
-	g.Run()
-	b.StopTimer()
-	for _, st := range states {
-		if st.n != st.limit {
-			b.Fatalf("shard %d executed %d ticks, want %d", st.shard, st.n, st.limit)
-		}
-	}
-	rate := float64(g.Executed()) / b.Elapsed().Seconds()
-	b.ReportMetric(rate, "events/sec")
-	b.ReportMetric(rate/float64(shards), "events/sec/shard")
-	b.ReportMetric(float64(g.Handoffs())/float64(b.N), "handoffs/op")
 }
 
 // BenchmarkKernelProcessSwitch measures a self-wake: the only process sleeps,

@@ -538,10 +538,9 @@ func TestShutdownRefusesBlockingCleanup(t *testing.T) {
 }
 
 // TestRunSlicesFromDifferentGoroutines: coroutines are created on one
-// goroutine and resumed from whichever calls Run next — what ShardGroup's
-// workers do with a shard's windows. Consecutive slices issued from fresh
-// goroutines, and windows of runBefore, must observe exactly what one
-// goroutine observes (and, under -race, without a report: each slice happens
+// goroutine and resumed from whichever calls Run next. Consecutive slices
+// issued from fresh goroutines must observe exactly what one goroutine
+// observes (and, under -race, without a report: each slice happens
 // before the next), switch as often, and leave no process in the chain when
 // they return: a process resumed by one slice's goroutine yields to it before
 // the slice ends, never to the next one.
@@ -577,17 +576,13 @@ func TestRunSlicesFromDifferentGoroutines(t *testing.T) {
 		return append(log, fmt.Sprintf("%d events, %d switches", e.Executed(), e.Switches()))
 	}
 	want := run(func(e *Env, d Time) { e.RunUntil(d) })
-	for name, slice := range map[string]func(e *Env, d Time){
-		"fresh goroutines": func(e *Env, d Time) {
-			done := make(chan struct{})
-			go func() { defer close(done); e.RunUntil(d) }()
-			<-done
-		},
-		"runBefore windows": func(e *Env, d Time) { e.runBefore(d + 1) },
-	} {
-		if got := run(slice); len(want) < 30 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("slices from %s observed\n%s\nwant (%d lines)\n%s", name, strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
-		}
+	got := run(func(e *Env, d Time) {
+		done := make(chan struct{})
+		go func() { defer close(done); e.RunUntil(d) }()
+		<-done
+	})
+	if len(want) < 30 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("slices from fresh goroutines observed\n%s\nwant (%d lines)\n%s", strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
 	}
 }
 

@@ -79,13 +79,13 @@ type Env struct {
 	// switches counts coroutine switches, one per next or yield: like
 	// executed it depends on the simulation alone, never on the host.
 	switches uint64
-	// failed is the panic that ended the current run, for run to re-raise
+	// failed is the panic that ended the current run, for RunUntil to re-raise
 	// should a process it passes through recover it.
 	failed *relayedPanic
 
 	stopped bool
 	// horizon is the last virtual time the current run may execute
-	// (inclusive), set by RunUntil/runBefore before they enter dispatch.
+	// (inclusive), set by RunUntil before it enters dispatch.
 	horizon Time
 	live    int // processes spawned and not yet exited
 
@@ -422,51 +422,28 @@ func (e *Env) drive(self, q *Proc) *Proc {
 	return q
 }
 
-// run executes events up to the horizon from the calling goroutine, the root
-// of the chain. A panic that unwound the chain has already passed through
-// here; one that a process on its way recovered is re-raised now.
-func (e *Env) run() {
-	e.failed = nil
-	e.drive(nil, e.dispatch())
-	if e.failed != nil {
-		panic(e.failed)
-	}
-}
-
 // Run executes the simulation until no events remain or Stop is called.
 func (e *Env) Run() { e.RunUntil(-1) }
 
 // RunUntil executes the simulation until no events remain, Stop is called, or
 // the clock would pass deadline (deadline < 0 means no deadline). Events at
-// exactly deadline still run. A panic raised by a process or an inline
-// callback surfaces here, on the caller's goroutine.
+// exactly deadline still run. The calling goroutine is the root of the chain:
+// a panic raised by a process or an inline callback has already unwound
+// through here, and one that a process on its way recovered is re-raised now,
+// so either surfaces on the caller's goroutine.
 func (e *Env) RunUntil(deadline Time) {
 	e.stopped = false
+	e.failed = nil
 	e.horizon = deadline
 	if deadline < 0 {
 		e.horizon = math.MaxInt64
 	}
-	e.run()
+	e.drive(nil, e.dispatch())
+	if e.failed != nil {
+		panic(e.failed)
+	}
 	if deadline >= 0 && !e.stopped && e.events.len() > 0 {
 		e.now = deadline // the run ended at the horizon with events beyond it
-	}
-}
-
-// runBefore executes events strictly before end, then returns. Unlike
-// RunUntil it neither advances the clock to the bound nor treats the bound as
-// inclusive: it is the window-execution primitive of the sharded kernel
-// (shard.go), which must stop exactly at the conservative lookahead horizon.
-func (e *Env) runBefore(end Time) {
-	e.horizon = end - 1
-	e.run()
-}
-
-// advanceTo moves the clock forward to t (never backward); the sharded
-// kernel uses it to leave every shard at the common deadline after a
-// bounded run, matching RunUntil's behaviour for a single environment.
-func (e *Env) advanceTo(t Time) {
-	if t > e.now {
-		e.now = t
 	}
 }
 

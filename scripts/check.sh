@@ -21,7 +21,7 @@ go build ./...
 
 # kdlint enforces statically the five rules a planted defect showed no stage
 # below catches (DESIGN.md §9): simclock, maporder, poolalias, errdrop,
-# obssafe. Allocation-free hot paths, cross-node causality and shard-local
+# obssafe. Allocation-free hot paths, cross-node causality and per-rig
 # state are NOT linted; the AllocsPerRun pins, the pinned client scenarios,
 # the golden tables and the race stages below hold them. It needs the build
 # above: analysis reads compiled export data out of the build cache. The
@@ -31,21 +31,19 @@ go build ./...
 echo "== kdlint (findings + suppression audit) =="
 go run ./cmd/kdlint -audit -budget scripts/kdlint_budget.txt ./...
 
-# The failure-handling and sharded-kernel stack first: the DES kernel (both
-# the single heap and the conservative-parallel ShardGroup), the sharded
-# fabric, the fault injector, the broker failover logic, and the consumer-
-# group rebalance matrix (concurrent scenario replicas) are where a data
-# race would corrupt everything downstream, so they gate the full suite.
-# The shard test matrices run parallel>1 configurations, so this is the
-# shards>1 race gate: real goroutines executing shard windows concurrently.
-# This stage, not a linter, is the gate for state shared between shards under
-# SetParallel: a package-level write or a reach into another shard's kernel
-# from a shard handler passes `go test` and is reported here as a DATA RACE.
+# The failure-handling stack first: the DES kernel, the fabric, the fault
+# injector, the broker failover logic, and the consumer-group rebalance
+# matrix (concurrent scenario replicas) are where a data race would corrupt
+# everything downstream, so they gate the full suite. This stage, not a
+# linter, is the gate for state shared between simulations: the -workers
+# pool runs many rigs at once, one per goroutine, and a package-level write
+# from one rig's handler passes `go test` and is reported here as a DATA RACE.
 # The kernel runs at three GOMAXPROCS settings. There are no channel handoffs
-# in it any more; what this guards is coroutines that are created on one
+# in it; what this guards is coroutines (iter.Pull) that are created on one
 # goroutine (the test's, or another process's) and resumed from another (a
-# later Run's caller, a ShardGroup worker), whether or not the runtime has a
-# second P to put that goroutine on.
+# process driving the chain, a later Run's caller on a fresh goroutine, a
+# -workers pool goroutine), whether or not the runtime has a second P to put
+# that goroutine on.
 echo "== go test -race -cpu 1,2,4 (sim) =="
 go test -race -cpu 1,2,4 ./internal/sim/
 echo "== go test -race (fabric, chaos, core, group) =="
