@@ -15,9 +15,10 @@ import (
 	"os"
 	"time"
 
-	"kafkadirect"
 	"kafkadirect/internal/client"
+	"kafkadirect/internal/core"
 	"kafkadirect/internal/krecord"
+	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/sim"
 )
 
@@ -30,38 +31,50 @@ func main() {
 	shared := flag.Bool("shared", false, "use shared RDMA produce access")
 	flag.Parse()
 
-	s := kafkadirect.NewSim(kafkadirect.Options{Brokers: *brokers, RDMA: true})
-	s.MustCreateTopic("demo", 1, *rf)
+	fail := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+			os.Exit(1)
+		}
+	}
+	env := sim.NewEnv(1)
+	opts := core.DefaultOptions()
+	opts.Config = opts.Config.WithRDMA()
+	cl := core.NewCluster(env, opts)
+	cl.AddBrokers(*brokers)
+	fail("create topic", cl.CreateTopic("demo", 1, *rf))
 
-	elapsed := s.Run(func(p *sim.Proc) {
+	env.Go("driver", func(p *sim.Proc) {
+		defer env.Stop()
 		acks := int8(1)
 		if *rf > 1 {
 			acks = -1
 		}
+		pe := client.NewEndpoint(cl, "client-1", client.DefaultConfig())
 		var producer client.Producer
+		var err error
 		switch *mode {
 		case "rdma":
-			m := kafkadirect.Exclusive
+			m := kwire.AccessExclusive
 			if *shared {
-				m = kafkadirect.Shared
+				m = kwire.AccessShared
 			}
-			producer = s.MustRDMAProducer(p, "demo", 0, m)
+			producer, err = client.NewRDMAProducer(p, pe, "demo", 0, m, 1)
 		case "tcp":
-			producer = s.MustTCPProducer(p, "demo", 0, acks)
+			producer, err = client.NewTCPProducer(p, pe, "demo", 0, acks, 1)
 		case "osu":
-			producer = s.MustOSUProducer(p, "demo", 0, acks)
+			producer, err = client.NewOSUProducer(p, pe, "demo", 0, acks, 1)
 		default:
 			fmt.Fprintf(os.Stderr, "kdquick: unknown mode %q\n", *mode)
 			os.Exit(2)
 		}
+		fail("producer", err)
 
 		value := make([]byte, *size)
 		start := p.Now()
 		for i := 0; i < *records; i++ {
-			if _, err := producer.Produce(p, krecord.Record{Value: value, Timestamp: int64(p.Now())}); err != nil {
-				fmt.Fprintf(os.Stderr, "produce: %v\n", err)
-				os.Exit(1)
-			}
+			_, err := producer.Produce(p, krecord.Record{Value: value, Timestamp: int64(p.Now())})
+			fail("produce", err)
 		}
 		produceTime := p.Now() - start
 		fmt.Printf("produced %d x %dB records via %s: %v total, %v per record\n",
@@ -70,37 +83,34 @@ func main() {
 
 		var consumed int
 		start = p.Now()
+		ce := client.NewEndpoint(cl, "client-2", client.DefaultConfig())
+		var co client.Consumer
+		var rco *client.RDMAConsumer
 		if *mode == "rdma" {
-			co := s.MustRDMAConsumer(p, "demo", 0, 0)
-			for consumed < *records {
-				recs, err := co.Poll(p)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "poll: %v\n", err)
-					os.Exit(1)
-				}
-				consumed += len(recs)
-			}
-			fmt.Printf("consumer issued %d data reads, %d metadata reads — zero broker CPU\n",
-				co.StatDataReads, co.StatMetaReads)
+			rco, err = client.NewRDMAConsumer(p, ce, "demo", 0, 0)
+			co = rco
 		} else {
-			co := s.MustTCPConsumer(p, "demo", 0, 0)
-			for consumed < *records {
-				recs, err := co.Poll(p)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "poll: %v\n", err)
-					os.Exit(1)
-				}
-				consumed += len(recs)
-			}
+			co, err = client.NewTCPConsumer(p, ce, "demo", 0, 0, "group")
+		}
+		fail("consumer", err)
+		for consumed < *records {
+			recs, err := co.Poll(p)
+			fail("poll", err)
+			consumed += len(recs)
+		}
+		if rco != nil {
+			fmt.Printf("consumer issued %d data reads, %d metadata reads — zero broker CPU\n",
+				rco.StatDataReads, rco.StatMetaReads)
 		}
 		consumeTime := p.Now() - start
 		fmt.Printf("consumed %d records: %v total\n", consumed, consumeTime.Round(time.Microsecond))
 
-		for _, b := range s.Cluster().Brokers() {
+		for _, b := range cl.Brokers() {
 			reqs, rdmaProd, empty := b.Stats()
 			fmt.Printf("%s: %d requests processed (%d RDMA produces, %d empty fetches)\n",
 				b.ID(), reqs, rdmaProd, empty)
 		}
 	})
-	fmt.Printf("simulated time total: %v\n", elapsed.Round(time.Microsecond))
+	env.Run()
+	fmt.Printf("simulated time total: %v\n", env.Now().Round(time.Microsecond))
 }

@@ -12,25 +12,38 @@ import (
 	"fmt"
 	"time"
 
-	"kafkadirect"
 	"kafkadirect/internal/client"
+	"kafkadirect/internal/core"
+	"kafkadirect/internal/krecord"
+	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/sim"
 )
 
 const consumers = 120
 
 func main() {
-	s := kafkadirect.NewSim(kafkadirect.Options{Brokers: 1, RDMA: true})
-	s.MustCreateTopic("feed", 1, 1)
-	broker := s.Cluster().Brokers()[0]
+	env := sim.NewEnv(1)
+	opts := core.DefaultOptions()
+	opts.Config = opts.Config.WithRDMA()
+	cl := core.NewCluster(env, opts)
+	cl.AddBrokers(1)
+	if err := cl.CreateTopic("feed", 1, 1); err != nil {
+		panic(err)
+	}
+	broker := cl.Brokers()[0]
 
-	s.Run(func(p *sim.Proc) {
+	env.Go("driver", func(p *sim.Proc) {
+		defer env.Stop()
 		stop := false
 		done := sim.NewQueue[int]()
 
 		var crowd []*client.RDMAConsumer
 		for i := 0; i < consumers; i++ {
-			c := s.MustRDMAConsumer(p, "feed", 0, 0)
+			e := client.NewEndpoint(cl, fmt.Sprintf("client-%d", i+1), client.DefaultConfig())
+			c, err := client.NewRDMAConsumer(p, e, "feed", 0, 0)
+			if err != nil {
+				panic(err)
+			}
 			crowd = append(crowd, c)
 		}
 		reqsBefore, _, _ := broker.Stats()
@@ -38,7 +51,7 @@ func main() {
 		totalChecks := 0
 		for i, c := range crowd {
 			i, c := i, c
-			s.Go(fmt.Sprintf("consumer-%d", i), func(pp *sim.Proc) {
+			env.Go(fmt.Sprintf("consumer-%d", i), func(pp *sim.Proc) {
 				checks := 0
 				for !stop {
 					if _, err := c.Poll(pp); err != nil {
@@ -65,8 +78,12 @@ func main() {
 
 		// Now publish one record and watch the whole crowd discover it
 		// through their metadata slots.
-		producer := s.MustRDMAProducer(p, "feed", 0, kafkadirect.Exclusive)
-		if _, err := producer.Produce(p, kafkadirect.Record{Value: []byte("breaking news"), Timestamp: int64(p.Now())}); err != nil {
+		pe := client.NewEndpoint(cl, fmt.Sprintf("client-%d", consumers+1), client.DefaultConfig())
+		producer, err := client.NewRDMAProducer(p, pe, "feed", 0, kwire.AccessExclusive, consumers+1)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := producer.Produce(p, krecord.Record{Value: []byte("breaking news"), Timestamp: int64(p.Now())}); err != nil {
 			panic(err)
 		}
 		start := p.Now()
@@ -86,4 +103,5 @@ func main() {
 		fmt.Printf("one record fanned out to %d consumers in %v of simulated time\n",
 			delivered, (p.Now() - start).Round(time.Microsecond))
 	})
+	env.Run()
 }

@@ -11,7 +11,10 @@ package main
 import (
 	"fmt"
 
-	"kafkadirect"
+	"kafkadirect/internal/client"
+	"kafkadirect/internal/core"
+	"kafkadirect/internal/krecord"
+	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/sim"
 )
 
@@ -23,19 +26,37 @@ const (
 )
 
 func main() {
-	s := kafkadirect.NewSim(kafkadirect.Options{Brokers: 1, RDMA: true})
-	s.MustCreateTopic("applogs", 1, 1)
+	env := sim.NewEnv(1)
+	opts := core.DefaultOptions()
+	opts.Config = opts.Config.WithRDMA()
+	cl := core.NewCluster(env, opts)
+	cl.AddBrokers(1)
+	if err := cl.CreateTopic("applogs", 1, 1); err != nil {
+		panic(err)
+	}
+	// Each client machine is an endpoint named client-N; a producer's id is
+	// its N.
+	endpoints := 0
+	endpoint := func() (*client.Endpoint, int64) {
+		endpoints++
+		return client.NewEndpoint(cl, fmt.Sprintf("client-%d", endpoints), client.DefaultConfig()), int64(endpoints)
+	}
 
-	s.Run(func(p *sim.Proc) {
+	env.Go("driver", func(p *sim.Proc) {
+		defer env.Stop()
 		finished := sim.NewQueue[string]()
 
 		// RDMA application servers share the partition via FAA reservations.
 		for app := 0; app < appServers; app++ {
 			app := app
-			s.Go(fmt.Sprintf("app-%d", app), func(pp *sim.Proc) {
-				producer := s.MustRDMAProducer(pp, "applogs", 0, kafkadirect.Shared)
+			env.Go(fmt.Sprintf("app-%d", app), func(pp *sim.Proc) {
+				e, id := endpoint()
+				producer, err := client.NewRDMAProducer(pp, e, "applogs", 0, kwire.AccessShared, id)
+				if err != nil {
+					panic(err)
+				}
 				for line := 0; line < linesPerApp; line++ {
-					_, err := producer.Produce(pp, kafkadirect.Record{
+					_, err := producer.Produce(pp, krecord.Record{
 						Value:     []byte(fmt.Sprintf("app-%d line %d: request served", app, line)),
 						Timestamp: int64(pp.Now()),
 					})
@@ -48,10 +69,14 @@ func main() {
 		}
 		// One legacy service still publishes over TCP into the same file;
 		// the broker routes it through the same atomic word (§4.2.2).
-		s.Go("legacy", func(pp *sim.Proc) {
-			producer := s.MustTCPProducer(pp, "applogs", 0, 1)
+		env.Go("legacy", func(pp *sim.Proc) {
+			e, id := endpoint()
+			producer, err := client.NewTCPProducer(pp, e, "applogs", 0, 1, id)
+			if err != nil {
+				panic(err)
+			}
 			for line := 0; line < legacyLines; line++ {
-				if _, err := producer.Produce(pp, kafkadirect.Record{
+				if _, err := producer.Produce(pp, krecord.Record{
 					Value:     []byte(fmt.Sprintf("legacy line %d", line)),
 					Timestamp: int64(pp.Now()),
 				}); err != nil {
@@ -66,7 +91,11 @@ func main() {
 		}
 
 		// The aggregator tails the shared log with one-sided reads.
-		aggregator := s.MustRDMAConsumer(p, "applogs", 0, 0)
+		e, _ := endpoint()
+		aggregator, err := client.NewRDMAConsumer(p, e, "applogs", 0, 0)
+		if err != nil {
+			panic(err)
+		}
 		perApp := map[string]int{}
 		seen := 0
 		var lastOffset int64 = -1
@@ -89,4 +118,5 @@ func main() {
 		fmt.Printf("aggregated %d records, dense offsets 0..%d\n", seen, lastOffset)
 		fmt.Printf("sources seen: %d (want %d)\n", len(perApp), appServers+1)
 	})
+	env.Run()
 }

@@ -9,18 +9,32 @@ package main
 import (
 	"fmt"
 
-	"kafkadirect"
+	"kafkadirect/internal/client"
+	"kafkadirect/internal/core"
+	"kafkadirect/internal/krecord"
+	"kafkadirect/internal/kwire"
 	"kafkadirect/internal/sim"
 )
 
 func main() {
-	s := kafkadirect.NewSim(kafkadirect.Options{Brokers: 1, RDMA: true})
-	s.MustCreateTopic("greetings", 1, 1)
+	env := sim.NewEnv(1)
+	opts := core.DefaultOptions()
+	opts.Config = opts.Config.WithRDMA()
+	cl := core.NewCluster(env, opts)
+	cl.AddBrokers(1)
+	if err := cl.CreateTopic("greetings", 1, 1); err != nil {
+		panic(err)
+	}
 
-	elapsed := s.Run(func(p *sim.Proc) {
-		producer := s.MustRDMAProducer(p, "greetings", 0, kafkadirect.Exclusive)
+	env.Go("driver", func(p *sim.Proc) {
+		defer env.Stop()
+		pe := client.NewEndpoint(cl, "client-1", client.DefaultConfig())
+		producer, err := client.NewRDMAProducer(p, pe, "greetings", 0, kwire.AccessExclusive, 1)
+		if err != nil {
+			panic(err)
+		}
 		for i := 0; i < 5; i++ {
-			offset, err := producer.Produce(p, kafkadirect.Record{
+			offset, err := producer.Produce(p, krecord.Record{
 				Value:     []byte(fmt.Sprintf("hello #%d over RDMA", i)),
 				Timestamp: int64(p.Now()),
 			})
@@ -30,7 +44,11 @@ func main() {
 			fmt.Printf("produced at offset %d (t=%v)\n", offset, p.Now())
 		}
 
-		consumer := s.MustRDMAConsumer(p, "greetings", 0, 0)
+		ce := client.NewEndpoint(cl, "client-2", client.DefaultConfig())
+		consumer, err := client.NewRDMAConsumer(p, ce, "greetings", 0, 0)
+		if err != nil {
+			panic(err)
+		}
 		got := 0
 		for got < 5 {
 			records, err := consumer.Poll(p)
@@ -45,5 +63,6 @@ func main() {
 		fmt.Printf("broker-side RDMA reads: %d data, %d metadata — zero broker CPU\n",
 			consumer.StatDataReads, consumer.StatMetaReads)
 	})
-	fmt.Printf("simulated time: %v\n", elapsed)
+	env.Run()
+	fmt.Printf("simulated time: %v\n", env.Now())
 }

@@ -35,9 +35,8 @@ var mapOrderSinks = map[[2]string]bool{
 	{"fabric", "Deliver"}: true, {"fabric", "DeliverArg"}: true,
 	{"tcpnet", "Send"}: true, {"tcpnet", "SendRaw"}: true, {"tcpnet", "Dial"}: true,
 	{"rdma", "PostSend"}: true, {"rdma", "PostRecv"}: true, {"rdma", "Connect"}: true,
-	{"klog", "Append"}: true, {"klog", "AppendReplicated"}: true,
-	{"klog", "ReserveInHead"}: true, {"klog", "CommitReserved"}: true,
-	{"klog", "CommitReplicatedInPlace"}: true, {"klog", "TruncateTo"}: true,
+	{"klog", "Append"}: true, {"klog", "AppendReplicated"}: true, {"klog", "TruncateTo"}: true,
+	{"klog", "CommitReserved"}: true, {"klog", "CommitReplicatedInPlace"}: true,
 	{"fmt", "Print"}: true, {"fmt", "Printf"}: true, {"fmt", "Println"}: true,
 	{"fmt", "Fprint"}: true, {"fmt", "Fprintf"}: true, {"fmt", "Fprintln"}: true,
 	{"strings", "WriteString"}: true, {"strings", "WriteByte"}: true,

@@ -4,7 +4,8 @@
 //
 // Each experiment is a function returning a Table; the registry maps figure
 // ids ("fig06", "fig10", ..., "emptyfetch", "fig21") to them. cmd/kdbench
-// prints the tables; bench_test.go wraps them as testing.B benchmarks.
+// prints the tables and counts their events; the nested perf module times
+// them.
 //
 // Absolute numbers come from the calibrated simulation (DESIGN.md §4); the
 // claims under reproduction are the SHAPES: who wins, by what factor, and

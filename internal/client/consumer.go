@@ -245,28 +245,11 @@ func (c *RDMAConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 	}
 }
 
-// pollOnce runs one consume round: read data if the file has unread bytes,
-// otherwise refresh metadata and read what that reveals in the same round —
-// the latency figures depend on a record being delivered by the poll that
-// discovers it. A sealed, fully consumed file costs a round of its own: hop
-// to the next file and return empty. An empty result means "nothing new
-// yet".
+// pollOnce runs one consume round of the session's poll policy, Pipeline
+// reads deep. An empty result means "nothing new yet".
 func (c *RDMAConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
-	if c.closed {
-		return nil, ErrProducerClosed
-	}
-	if c.cur.drained() {
-		if !c.cur.file.Mutable {
-			return nil, c.hop(p, c.cur)
-		}
-		if err := c.refresh(p); err != nil {
-			return nil, err
-		}
-		if c.cur.drained() {
-			return nil, nil // no new records, or the file sealed under us and the next Poll hops
-		}
-	}
-	return c.read(p, c.cur, c.Pipeline)
+	_, recs, err := c.poll(p, c.Pipeline)
+	return recs, err
 }
 
 // Position returns the next offset to be delivered.

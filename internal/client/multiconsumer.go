@@ -13,13 +13,11 @@ import (
 // Read of its contiguous slot region — the design of Figure 9: "as the
 // metadata region is contiguous, a consumer only needs a single RDMA Read to
 // update the metadata for all files from which it is actively reading"
-// (§4.4.2). It is a read session with one cursor per subscription; data
-// reads, file hops and the slot refresh are the single-TP consumer's.
+// (§4.4.2). It is a read session with one cursor per subscription; the poll
+// policy, data reads, file hops and the slot refresh are the single-TP
+// consumer's.
 type MultiRDMAConsumer struct {
 	readSession
-	// rr rotates the data-read starting point across subscriptions so one
-	// busy partition cannot starve the others.
-	rr  int
 	out []TopicRecord // what Poll returns, rewritten by every Poll
 }
 
@@ -62,40 +60,21 @@ func (c *MultiRDMAConsumer) Subscribe(p *sim.Proc, topic string, part int32, off
 // Subscriptions reports the subscribed partition count.
 func (c *MultiRDMAConsumer) Subscriptions() int { return len(c.cursors) }
 
-// Poll performs one consume round across all subscriptions: if any
-// partition has unread committed bytes, read from the next such partition
-// (round-robin), hopping off sealed files on the way; otherwise refresh
-// every slot with one read and return empty — unlike the single-TP consumer,
-// which reads in the round that refreshes: with N partitions the refresh may
-// reveal data on several, and the next round's rotation picks among them
-// fairly. An empty result means "nothing new anywhere". The returned slice is
-// reused by the next Poll on this consumer; the records' bytes are the
-// caller's.
+// Poll performs one consume round of the session's poll policy across all
+// subscriptions, one read deep, with no retry: the rotation picks fairly
+// among partitions with unread bytes, and one slot read covers them all. An
+// empty result means "nothing new anywhere". The returned slice is reused by
+// the next Poll on this consumer; the records' bytes are the caller's.
 func (c *MultiRDMAConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
-	if c.closed {
-		return nil, ErrProducerClosed
-	}
-	if len(c.cursors) == 0 {
+	if !c.closed && len(c.cursors) == 0 {
 		return nil, fmt.Errorf("client: no subscriptions")
 	}
-	for range c.cursors {
-		cur := c.cursors[c.rr%len(c.cursors)]
-		c.rr++
-		if cur.drained() && !cur.file.Mutable {
-			if err := c.hop(p, cur); err != nil {
-				return nil, err
-			}
-		}
-		if !cur.drained() {
-			recs, err := c.read(p, cur, 1)
-			if len(recs) == 0 {
-				return nil, err
-			}
-			c.out = tagRecords(c.out, cur.topic, cur.part, recs)
-			return c.out, nil
-		}
+	cur, recs, err := c.poll(p, 1)
+	if len(recs) == 0 {
+		return nil, err
 	}
-	return nil, c.refresh(p)
+	c.out = tagRecords(c.out, cur.topic, cur.part, recs)
+	return c.out, nil
 }
 
 // Position returns the next offset for one subscription (-1 if unknown).

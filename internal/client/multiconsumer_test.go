@@ -212,9 +212,8 @@ func krecord512() krecord.Record {
 }
 
 // TestMultiConsumerWithOneSubscriptionMatchesSingle: both consumers are a
-// read session plus cursors and differ only in poll policy (the single one
-// reads in the round that refreshes, the multi one in the round after), so
-// on identical rigs a one-subscription multi consumer must deliver the same
+// read session plus cursors under the session's one poll policy, so on
+// identical rigs a one-subscription multi consumer must deliver the same
 // records in the same batches, from the same number of data reads, and leave
 // the broker with the same memory registered — every sealed file released.
 func TestMultiConsumerWithOneSubscriptionMatchesSingle(t *testing.T) {

@@ -14,8 +14,9 @@ import (
 
 // This file is the one-sided fetch path (§4.4.2, Fig. 9), written once: a
 // readSession is the consumer's connection to one broker, a cursor is its
-// position in one partition. RDMAConsumer and MultiRDMAConsumer add only
-// their poll policy — when to read, when to refresh, when to hop files.
+// position in one partition, and poll is the policy that decides when to
+// read, when to refresh and when to hop files. RDMAConsumer adds only the
+// retry around it, MultiRDMAConsumer only the partition tags.
 
 // cursor is a consumer's position in one partition: the file it is reading,
 // how far it has read and delivered, and the bytes of a batch still
@@ -48,8 +49,10 @@ type readSession struct {
 	rpc    rpc
 
 	// cursors are the partitions read through this session; refresh covers
-	// them all.
+	// them all. rr is where the next round's rotation over them starts, so
+	// one busy partition cannot starve the others.
 	cursors []*cursor
+	rr      int
 	scratch []byte
 	slotBuf []byte
 	// recs is the slice read returns, decoded into afresh by every read.
@@ -186,6 +189,53 @@ func (s *readSession) refresh(p *sim.Proc) error {
 		if idx := int(cur.file.SlotIndex); idx >= 0 {
 			off := (idx - lo) * core.SlotSize
 			cur.file.LastReadable, cur.file.Mutable = core.ReadSlot(s.slotBuf[off : off+core.SlotSize])
+		}
+	}
+	return nil
+}
+
+// poll runs one consume round over the session's cursors:
+//
+//  1. in rotation order, read the first cursor with unread committed bytes;
+//  2. otherwise hop the first sealed, fully read cursor to its next file and
+//     end the round — a hop costs a round of its own;
+//  3. otherwise refresh every slot with one Read and read the first cursor in
+//     rotation that it revealed, in the same round: the latency figures
+//     depend on a record being delivered by the poll that discovers it;
+//  4. otherwise return empty — nothing new yet, or a file sealed under us
+//     and the next round hops.
+//
+// It returns the cursor read and the records its read completed (see read).
+func (s *readSession) poll(p *sim.Proc, depth int) (*cursor, []krecord.Record, error) {
+	if s.closed {
+		return nil, nil, ErrProducerClosed
+	}
+	cur := s.unread()
+	if cur == nil {
+		for _, c := range s.cursors {
+			if c.drained() && !c.file.Mutable {
+				return nil, nil, s.hop(p, c)
+			}
+		}
+		if err := s.refresh(p); err != nil {
+			return nil, nil, err
+		}
+		if cur = s.unread(); cur == nil {
+			return nil, nil, nil
+		}
+	}
+	recs, err := s.read(p, cur, depth)
+	return cur, recs, err
+}
+
+// unread returns the first cursor in rotation order that has unread
+// committed bytes, starting the next rotation after it, or nil.
+func (s *readSession) unread() *cursor {
+	for k := range s.cursors {
+		i := (s.rr + k) % len(s.cursors)
+		if !s.cursors[i].drained() {
+			s.rr = i + 1
+			return s.cursors[i]
 		}
 	}
 	return nil

@@ -51,9 +51,6 @@ func (c *Cluster) CrashBroker(id string) {
 	c.env.After(c.cfg.FailoverDetectDelay, func() { c.failover(id) })
 }
 
-// BrokerDown reports whether a broker is currently crashed.
-func (c *Cluster) BrokerDown(id string) bool { return c.down[id] }
-
 // RestartBroker recovers a crashed broker. Partitions it now follows resync
 // through their replication datapath (pull fetchers redial and truncate on
 // their own; push leaders are asked for a fresh link); partitions it still

@@ -288,13 +288,3 @@ func (pt *Partition) sealHead() *klog.Segment {
 func newPartitionLog(cfg Config) *klog.Log {
 	return klog.New(klog.Config{SegmentSize: cfg.SegmentSize})
 }
-
-// PushStats reports the push-replication counters of the first follower
-// link (diagnostics): writes posted, batches merged, bytes pushed.
-func (pt *Partition) PushStats() (writes, batches, bytes uint64) {
-	if pt.pushRepl == nil || len(pt.pushRepl.links) == 0 {
-		return 0, 0, 0
-	}
-	l := pt.pushRepl.links[0]
-	return l.statWrites, l.statBatches, l.statBytes
-}

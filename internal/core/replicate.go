@@ -190,10 +190,6 @@ type followerLink struct {
 	// base is the leader-segment position corresponding to the start of the
 	// follower file (both are zero on a fresh pair of heads).
 	base int
-
-	statWrites  uint64
-	statBatches uint64
-	statBytes   uint64
 }
 
 // newPushReplicator wires a QP pair to every live follower and starts one
@@ -215,7 +211,7 @@ func newPushReplicator(b *Broker, pt *Partition, resync bool) *pushReplicator {
 // With resync (failover or broker restart), the worker first aligns with the
 // follower's surviving log instead of assuming a fresh pair of heads. A
 // still-healthy link to the same follower is left alone; dead ones are
-// pruned so acks and stats never route to an abandoned worker.
+// pruned so acks never route to an abandoned worker.
 func (pr *pushReplicator) addLink(follower *Broker, resync bool) {
 	b, pt := pr.b, pr.pt
 	kept := pr.links[:0]
@@ -374,8 +370,6 @@ func (l *followerLink) run(p *sim.Proc) {
 		}
 		l.credits--
 		l.pos = end
-		l.statWrites++
-		l.statBytes += uint64(end - start)
 	}
 }
 
@@ -399,7 +393,6 @@ func (l *followerLink) batchEnd(seg interface {
 			break
 		}
 		end += size
-		l.statBatches++
 		if end-pos >= max {
 			break
 		}

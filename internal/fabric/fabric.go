@@ -1,8 +1,9 @@
 // Package fabric models the cluster network: a non-blocking switch fabric
 // connecting nodes, each with a full-duplex NIC port of configurable
 // bandwidth. It corresponds to the paper's 12-node 56 Gbit/s InfiniBand
-// cluster (§5, "Settings"): usable link bandwidth ~6 GiB/s and a 2 KiB packet
-// size (§4.3.2).
+// cluster (§5, "Settings"): usable link bandwidth ~6 GiB/s. There are no
+// packets: a message is delivered whole, store-and-forward, so the paper's
+// 2 KiB MTU (§4.3.2) is not modelled.
 //
 // The model is deliberately simple but captures the effects the paper's
 // evaluation depends on:
@@ -32,22 +33,19 @@ type Config struct {
 	Bandwidth float64
 	// PropDelay is the one-way propagation (plus switch) delay.
 	PropDelay time.Duration
-	// PacketSize is the network MTU; messages shorter than MinFrame are
-	// padded to MinFrame on the wire.
-	PacketSize int
-	// MinFrame is the smallest on-wire frame (headers dominate tiny sends).
+	// MinFrame is the smallest on-wire frame: shorter messages are padded
+	// to it (headers dominate tiny sends).
 	MinFrame int
 }
 
 // DefaultConfig mirrors the paper's testbed: 56 Gbit/s ConnectX-4 (≈6 GiB/s
 // goodput), ~0.6 µs one-way delay (a 1.5 µs WriteWithImm round trip once NIC
-// processing is added, Fig. 7), 2 KiB packets.
+// processing is added, Fig. 7).
 func DefaultConfig() Config {
 	return Config{
-		Bandwidth:  6 << 30, // 6 GiB/s
-		PropDelay:  600 * time.Nanosecond,
-		PacketSize: 2048,
-		MinFrame:   64,
+		Bandwidth: 6 << 30, // 6 GiB/s
+		PropDelay: 600 * time.Nanosecond,
+		MinFrame:  64,
 	}
 }
 
@@ -101,9 +99,6 @@ func keyFor(a, b *Node) linkKey {
 func New(env *sim.Env, cfg Config) *Network {
 	if cfg.Bandwidth <= 0 {
 		panic("fabric: bandwidth must be positive")
-	}
-	if cfg.PacketSize <= 0 {
-		cfg.PacketSize = 2048
 	}
 	if cfg.MinFrame <= 0 {
 		cfg.MinFrame = 64
@@ -194,9 +189,6 @@ type Node struct {
 	rx   sim.Pacer // ingress port occupancy
 	down bool      // crashed (fault injection)
 
-	txBytes uint64
-	rxBytes uint64
-
 	// track is the node's tracer track id (-1 when tracing is disabled);
 	// layers hosted on the node (RNIC, TCP host, broker threads) emit
 	// their spans onto it.
@@ -221,10 +213,6 @@ func (nd *Node) Name() string { return nd.name }
 
 // Network returns the fabric the node is attached to.
 func (nd *Node) Network() *Network { return nd.net }
-
-// TxBytes and RxBytes report cumulative traffic counters (diagnostics).
-func (nd *Node) TxBytes() uint64 { return nd.txBytes }
-func (nd *Node) RxBytes() uint64 { return nd.rxBytes }
 
 // Track returns the node's tracer track id (-1 when tracing is disabled).
 func (nd *Node) Track() int32 { return nd.track }
@@ -268,8 +256,6 @@ func (n *Network) DeliverArg(from, to *Node, size int, onArrive func(any), arg a
 // reserve books the ports for a transfer and returns its arrival time.
 func (n *Network) reserve(from, to *Node, size int) time.Duration {
 	now := n.env.Now()
-	from.txBytes += uint64(size)
-	to.rxBytes += uint64(size)
 	if from == to {
 		// Loopback fast path: no port pacing or wire time; arrival is
 		// scheduled at the current instant.
@@ -294,12 +280,4 @@ func (n *Network) reserve(from, to *Node, size int) time.Duration {
 		t.Emit(from.track, "wire", "fabric", now, arrive)
 	}
 	return arrive
-}
-
-// DeliverTime is Deliver for callers inside a process that simply want to
-// know the arrival time without a callback. Like Deliver, loopback
-// (from == to) takes the fast path: no port pacing, arrival at the current
-// time.
-func (n *Network) DeliverTime(from, to *Node, size int) time.Duration {
-	return n.Deliver(from, to, size, func() {})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kafkadirect/internal/bufpool"
+	"kafkadirect/internal/obs"
 	"kafkadirect/internal/sim"
 )
 
@@ -132,12 +133,14 @@ func TestDuplicateNodePanics(t *testing.T) {
 
 func TestTrafficCounters(t *testing.T) {
 	env, net := testNet(t)
+	o := obs.New(0)
+	net.SetObs(o)
 	a, b := net.NewNode("a"), net.NewNode("b")
 	net.Deliver(a, b, 1000, func() {})
 	net.Deliver(a, b, 2000, func() {})
 	env.Run()
-	if a.TxBytes() != 3000 || b.RxBytes() != 3000 {
-		t.Fatalf("tx=%d rx=%d, want 3000/3000", a.TxBytes(), b.RxBytes())
+	if msgs, bytes := o.Counter("fabric/msgs").Value(), o.Counter("fabric/bytes").Value(); msgs != 2 || bytes != 3000 {
+		t.Fatalf("msgs=%d bytes=%d, want 2/3000", msgs, bytes)
 	}
 }
 

@@ -588,9 +588,6 @@ func (g *Group) Generation() int32 { return g.generation }
 // NumMembers returns the current member count.
 func (g *Group) NumMembers() int { return len(g.members) }
 
-// MemberIDs lists current members in sorted order.
-func (g *Group) MemberIDs() []string { return g.sortedIDs() }
-
 // Stats returns a copy of the group's counters.
 func (g *Group) Stats() GroupStats { return g.stats }
 

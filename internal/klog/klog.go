@@ -32,7 +32,6 @@ import (
 // Errors returned by log operations.
 var (
 	ErrBatchTooLarge = errors.New("klog: batch larger than segment size")
-	ErrSealed        = errors.New("klog: segment is sealed")
 	ErrOutOfRange    = errors.New("klog: offset out of range")
 	ErrReservation   = errors.New("klog: reservation outside the head segment")
 )
@@ -204,18 +203,6 @@ func (l *Log) Append(batch krecord.Batch) (int64, *Segment, error) {
 	stored.SetBaseOffset(base)
 	l.finishAppend(head, stored, start, n)
 	return base, head, nil
-}
-
-// ReserveInHead reserves n bytes at the head append position for a writer
-// that will fill them externally (the RDMA produce path). It rolls the head
-// first if needed. CommitReserved completes the append once the bytes are in
-// place.
-func (l *Log) ReserveInHead(n int) (*Segment, int, error) {
-	head, err := l.ensureRoom(n)
-	if err != nil {
-		return nil, 0, err
-	}
-	return head, head.pos, nil
 }
 
 // CommitReserved finalises a batch whose bytes were written directly into
@@ -496,13 +483,4 @@ func (l *Log) Release() {
 	}
 	l.segments = nil
 	l.retired = nil
-}
-
-// BytesTotal reports total appended bytes across segments (diagnostics).
-func (l *Log) BytesTotal() int {
-	total := 0
-	for _, s := range l.segments {
-		total += s.pos
-	}
-	return total
 }

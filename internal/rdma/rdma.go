@@ -391,9 +391,6 @@ func (d *Device) CreateCQ(capacity int) *CQ {
 // Poll blocks the calling process until a completion is available.
 func (c *CQ) Poll(p *sim.Proc) CQE { return c.q.Pop(p) }
 
-// PollTimeout is Poll with a timeout.
-func (c *CQ) PollTimeout(p *sim.Proc, d time.Duration) (CQE, bool) { return c.q.PopTimeout(p, d) }
-
 // TryPoll returns a completion if one is immediately available.
 func (c *CQ) TryPoll() (CQE, bool) { return c.q.TryPop() }
 

@@ -96,10 +96,6 @@ type Env struct {
 
 	// timeoutFree recycles WaitTimeout timer records.
 	timeoutFree []*timeout
-
-	// Trace, when non-nil, receives a line per interesting kernel event.
-	// Used by tests and the -trace flag of cmd/kdcluster.
-	Trace func(format string, args ...any)
 }
 
 // NewEnv returns a fresh environment with its clock at zero and a
@@ -498,12 +494,6 @@ func (e *Env) Switches() uint64 { return e.switches }
 // Live reports the number of spawned processes that have not exited.
 func (e *Env) Live() int { return e.live }
 
-func (e *Env) tracef(format string, args ...any) {
-	if e.Trace != nil {
-		e.Trace(format, args...)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Condition variables
 // ---------------------------------------------------------------------------
@@ -784,12 +774,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity reports the pool size.
-func (r *Resource) Capacity() int { return r.capacity }
-
 // ---------------------------------------------------------------------------
 // Pacer
 // ---------------------------------------------------------------------------
@@ -812,6 +796,3 @@ func (pc *Pacer) Reserve(now, d Time) Time {
 	pc.freeAt = start + d
 	return pc.freeAt
 }
-
-// FreeAt reports when the device becomes idle.
-func (pc *Pacer) FreeAt() Time { return pc.freeAt }

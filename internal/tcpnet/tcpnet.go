@@ -290,27 +290,10 @@ func txDelivered(v any) {
 // receive-side kernel cost (dispatch plus the kernel→application copy) to
 // the calling process.
 func (c *Conn) Recv(p *sim.Proc) ([]byte, error) {
-	return c.recv(p, -1)
-}
-
-// RecvTimeout is Recv with a timeout; it returns (nil, false, nil) when the
-// timeout elapses.
-func (c *Conn) RecvTimeout(p *sim.Proc, d time.Duration) ([]byte, bool, error) {
-	data, err := c.recv(p, d)
-	if err == nil && data == nil {
-		return nil, false, nil
-	}
-	return data, err == nil, err
-}
-
-func (c *Conn) recv(p *sim.Proc, d time.Duration) ([]byte, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	m, ok := c.inbox.PopTimeout(p, d)
-	if !ok {
-		return nil, nil // timeout
-	}
+	m := c.inbox.Pop(p)
 	if m.closed {
 		// Leave a persistent close marker for subsequent readers.
 		c.inbox.Push(m)
@@ -356,7 +339,7 @@ func (c *Conn) SendRaw(data []byte) error {
 	return nil
 }
 
-// Recycle returns a buffer obtained from Recv/RecvRaw/TryRecv to the
+// Recycle returns a buffer obtained from Recv/RecvRaw to the
 // fabric's wire-buffer free list. Optional: receivers that are done with a
 // message (e.g. after decoding it) call this so the modeled kernel copy of
 // the next message reuses the memory. The caller must drop every reference
@@ -372,28 +355,8 @@ func (c *Conn) SendCost(n int) time.Duration {
 	return s.cfg.SendOverhead + s.copyTime(n)
 }
 
-// TryRecv returns a pending message without blocking or charging cost if none
-// is available. The receive cost cannot be charged without a process, so the
-// caller must Sleep(RecvCost(len)) itself; broker network threads use Recv.
-func (c *Conn) TryRecv() ([]byte, bool, error) {
-	if c.closed {
-		return nil, false, ErrClosed
-	}
-	m, ok := c.inbox.TryPop()
-	if !ok {
-		return nil, false, nil
-	}
-	if m.closed {
-		c.inbox.Push(m)
-		return nil, false, ErrClosed
-	}
-	s := c.host.stack
-	s.stSockWait.ObserveDur(s.net.Env().Now() - m.arrivedAt)
-	return m.data, true, nil
-}
-
 // RecvCost returns the receive-side cost for a message of n bytes; used with
-// TryRecv.
+// RecvRaw.
 func (c *Conn) RecvCost(n int) time.Duration {
 	s := c.host.stack
 	return s.cfg.RecvOverhead + s.copyTime(n)
@@ -434,6 +397,3 @@ func (c *Conn) Peer() *Conn { return c.peer }
 
 // Closed reports whether this side has been closed locally.
 func (c *Conn) Closed() bool { return c.closed }
-
-// Pending reports queued inbound messages (diagnostics).
-func (c *Conn) Pending() int { return c.inbox.Len() }

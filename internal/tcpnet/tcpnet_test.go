@@ -231,29 +231,6 @@ func TestDuplicateListenFails(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	r := newRig(t)
-	l, _ := r.server.Listen(1)
-	var ok bool
-	var when time.Duration
-	r.env.Go("server", func(p *sim.Proc) {
-		c := l.Accept(p)
-		start := p.Now()
-		_, ok, _ = c.RecvTimeout(p, 50*us)
-		when = p.Now() - start
-	})
-	r.env.Go("client", func(p *sim.Proc) {
-		r.client.Dial(p, r.server, 1)
-	})
-	r.env.Run()
-	if ok {
-		t.Fatal("RecvTimeout returned a message on an idle connection")
-	}
-	if when != 50*us {
-		t.Fatalf("timed out after %v, want 50µs", when)
-	}
-}
-
 func TestThroughputBoundedByPerMessageCost(t *testing.T) {
 	// With ~30 µs receive overhead, one receiving thread should handle
 	// roughly 1/30µs ≈ 33 K msg/s — the regime behind Kafka's 53 K empty

@@ -131,6 +131,28 @@ awk '/^      "id":/ { gsub(/[",]/, "", $2); id = $2 }
 echo "== go test -bench (1 iteration, compile + smoke) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
+# The demo programs have no tests of their own. Each runs once — kdquick on
+# every datapath it offers — and any non-zero exit fails the gate. They build
+# a deployment the way real callers do (core.NewCluster, client.NewEndpoint),
+# so a broken client or broker API surfaces here too.
+echo "== demos (examples/*, kdquick, kdcluster) =="
+demo_dir=.bench_build/demos # git-ignored
+mkdir -p "$demo_dir"
+go build -o "$demo_dir/" ./examples/... ./cmd/kdquick ./cmd/kdcluster
+demo() {
+    echo "$*"
+    "$demo_dir/$@" >/dev/null || { echo "demo failed: $*" >&2; exit 1; }
+}
+for ex in examples/*/; do
+    demo "$(basename "$ex")"
+done
+demo kdquick
+demo kdquick -mode tcp
+demo kdquick -mode osu
+demo kdquick -shared
+demo kdquick -brokers 3 -rf 3
+demo kdcluster
+
 # perf/ is a nested module (it must build from exported API only), so none of
 # the ./... stages above reach it. Its tests hold the golden-table diff, the
 # host-share accounting and the BENCHMARK.json == -spec lockstep; kdlint
