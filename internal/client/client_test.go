@@ -348,7 +348,10 @@ func TestConsumerPositionAdvances(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			for _, rc := range recs {
+				rc.Value = bytes.Clone(rc.Value) // kept past the next Poll
+				got = append(got, rc)
+			}
 		}
 		if got[0].Offset != 4 {
 			t.Fatalf("first delivered offset %d, want 4", got[0].Offset)

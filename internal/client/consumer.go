@@ -10,8 +10,9 @@ import (
 type Consumer interface {
 	// Poll returns the next available records (possibly none) starting at
 	// the consumer's position, advancing it past everything returned. The
-	// slice is the consumer's and valid until its next Poll; the bytes the
-	// records point to are the caller's to keep.
+	// slice and the bytes its records point to are the consumer's and valid
+	// until its next Poll: a caller that keeps a record longer copies its
+	// Key and Value out (bytes.Clone).
 	Poll(p *sim.Proc) ([]krecord.Record, error)
 	// Position returns the next offset the consumer will return.
 	Position() int64
@@ -41,14 +42,16 @@ type RPCConsumer struct {
 	MaxBytesOverride int
 	closed           bool
 
-	// Reusable encode/decode state for the poll loop. respMsg.Data is set to
-	// nil whenever records escape to the caller (they alias it), so a
-	// non-empty fetch allocates that one buffer; recs, the slice Poll
-	// returns, is decoded into afresh by every Poll.
-	rpc     rpc
-	reqMsg  kwire.FetchReq
-	respMsg kwire.FetchResp
-	recs    []krecord.Record
+	// Reusable encode/decode state, so that neither a Poll nor a commit
+	// allocates once warm. respMsg.Data is the buffer every fetch lands in and
+	// the records Poll returns alias; recs, the slice Poll returns, is
+	// decoded into afresh by every Poll.
+	rpc        rpc
+	reqMsg     kwire.FetchReq
+	respMsg    kwire.FetchResp
+	recs       []krecord.Record
+	commitReq  kwire.OffsetCommitReq
+	commitResp kwire.OffsetCommitResp
 }
 
 // NewTCPConsumer dials the partition leader over TCP.
@@ -72,9 +75,9 @@ func newRPCConsumer(p *sim.Proc, e *Endpoint, dial dialFunc, topic string, part 
 // Poll issues one fetch request, redialing the (re-resolved) leader with
 // exponential backoff after a transport failure or leader change. Fetches
 // are idempotent — the consumer's offset only advances on success — so
-// retries never skip or duplicate records. The returned slice is reused by
-// the next Poll on this consumer: copy the records out to keep them longer
-// (their Key and Value bytes are the caller's and stay valid).
+// retries never skip or duplicate records. The returned slice and the bytes
+// its records point to (the fetch response they were decoded from) are
+// rewritten by the next Poll on this consumer: copy out what is kept longer.
 func (c *RPCConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 	recs, err := c.pollOnce(p)
 	if err == nil || !retryableErr(err) {
@@ -131,12 +134,9 @@ func (c *RPCConsumer) pollOnce(p *sim.Proc) ([]krecord.Record, error) {
 		return nil, nil
 	}
 	p.Sleep(c.e.crcTime(len(resp.Data)))
-	// The returned records alias resp.Data; drop the buffer so the next
-	// decode allocates a fresh one instead of overwriting escaped memory.
-	data := resp.Data
-	resp.Data = nil
+	// The records alias resp.Data, which the next fetch decodes over.
 	var err error
-	c.recs, err = decodeBatches(c.recs[:0], data, &c.offset)
+	c.recs, err = decodeBatches(c.recs[:0], resp.Data, &c.offset)
 	return c.recs, err
 }
 
@@ -166,12 +166,11 @@ func (c *RPCConsumer) Position() int64 { return c.offset }
 
 // CommitOffset records the consumer's progress at the broker (§5.4).
 func (c *RPCConsumer) CommitOffset(p *sim.Proc) error {
-	req := kwire.OffsetCommitReq{Group: c.group, Topic: c.topic, Partition: c.part, Offset: c.offset}
-	var resp kwire.OffsetCommitResp
-	if err := c.rpc.call(p, c.t, &req, &resp); err != nil {
+	c.commitReq = kwire.OffsetCommitReq{Group: c.group, Topic: c.topic, Partition: c.part, Offset: c.offset}
+	if err := c.rpc.call(p, c.t, &c.commitReq, &c.commitResp); err != nil {
 		return err
 	}
-	return resp.Err.Err()
+	return c.commitResp.Err.Err()
 }
 
 // Close releases the transport.
@@ -222,9 +221,9 @@ func NewRDMAConsumer(p *sim.Proc, e *Endpoint, topic string, part int32, offset 
 // exponential backoff, up to RetryTimeout) after a QP failure,
 // control-connection failure, or leader change. Reads are idempotent — the
 // delivery offset only advances when complete batches are returned — so
-// retries never skip or duplicate records. The returned slice is reused by
-// the next Poll on this consumer: copy the records out to keep them longer
-// (their Key and Value bytes are the caller's and stay valid).
+// retries never skip or duplicate records. The returned slice and the bytes
+// its records point to (the client memory the Reads landed in) are
+// rewritten by the next Poll on this consumer: copy out what is kept longer.
 func (c *RDMAConsumer) Poll(p *sim.Proc) ([]krecord.Record, error) {
 	recs, err := c.pollOnce(p)
 	if err == nil || !retryableErr(err) {

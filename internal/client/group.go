@@ -397,9 +397,8 @@ func (c *GroupConsumer) onRevoked(p *sim.Proc) {
 // Poll returns the next batch of records from one of the member's assigned
 // partitions, sweeping them round-robin. It drives the membership protocol:
 // rejoin when revoked, heartbeat on the configured interval. The returned
-// slice is reused by the next Poll on this consumer: copy the records out to
-// keep them longer (their Key and Value bytes are the caller's and stay
-// valid).
+// slice and the bytes its records point to are the consumer's and valid
+// until its next Poll: copy out what is kept longer.
 func (c *GroupConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if c.closed {
 		return nil, ErrProducerClosed

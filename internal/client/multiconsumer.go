@@ -63,8 +63,9 @@ func (c *MultiRDMAConsumer) Subscriptions() int { return len(c.cursors) }
 // Poll performs one consume round of the session's poll policy across all
 // subscriptions, one read deep, with no retry: the rotation picks fairly
 // among partitions with unread bytes, and one slot read covers them all. An
-// empty result means "nothing new anywhere". The returned slice is reused by
-// the next Poll on this consumer; the records' bytes are the caller's.
+// empty result means "nothing new anywhere". The returned slice and the
+// bytes its records point to are the consumer's and valid until its next
+// Poll.
 func (c *MultiRDMAConsumer) Poll(p *sim.Proc) ([]TopicRecord, error) {
 	if !c.closed && len(c.cursors) == 0 {
 		return nil, fmt.Errorf("client: no subscriptions")

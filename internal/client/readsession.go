@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kafkadirect/internal/core"
@@ -19,8 +20,7 @@ import (
 // retry around it, MultiRDMAConsumer only the partition tags.
 
 // cursor is a consumer's position in one partition: the file it is reading,
-// how far it has read and delivered, and the bytes of a batch still
-// incomplete.
+// how far it has read and delivered, and the bytes read but not yet dropped.
 type cursor struct {
 	topic string
 	part  int32
@@ -30,7 +30,11 @@ type cursor struct {
 	file    kwire.ConsumeAccessResp
 	readPos int64
 	offset  int64 // next record offset to deliver
-	partial []byte
+	// partial is where the cursor's Reads land: the complete batches the last
+	// read delivered (its first delivered bytes, which the records returned
+	// alias), then the incomplete batch still waiting for more bytes.
+	partial   []byte
+	delivered int
 }
 
 // drained reports whether every committed byte of the current file has been
@@ -53,7 +57,6 @@ type readSession struct {
 	// one busy partition cannot starve the others.
 	cursors []*cursor
 	rr      int
-	scratch []byte
 	slotBuf []byte
 	// recs is the slice read returns, decoded into afresh by every read.
 	recs []krecord.Record
@@ -126,7 +129,7 @@ func (s *readSession) access(p *sim.Proc, cur *cursor) error {
 	}
 	cur.file = resp
 	cur.readPos = resp.StartPos
-	cur.partial = cur.partial[:0]
+	cur.partial, cur.delivered = cur.partial[:0], 0
 	return nil
 }
 
@@ -243,12 +246,19 @@ func (s *readSession) unread() *cursor {
 
 // read pulls the next unread bytes of the cursor's file — up to depth
 // FetchSize chunks, posted together so the RNIC overlaps them and bandwidth
-// is no longer one round trip per chunk (§7) — and returns the records of
-// every batch those bytes complete, in a slice valid until the next read on
-// the session. The cursor must not be drained.
+// is no longer one round trip per chunk (§7) — straight into the tail of the
+// cursor's buffer, and returns the records of every batch those bytes
+// complete. The slice is the session's, rewritten by its next read; the
+// records alias the cursor's buffer, which its next read overwrites. The
+// cursor must not be drained.
 func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Record, error) {
 	if depth < 1 {
 		depth = 1
+	}
+	// What the last read delivered is the caller's no longer.
+	if cur.delivered > 0 {
+		cur.partial = append(cur.partial[:0], cur.partial[cur.delivered:]...)
+		cur.delivered = 0
 	}
 	fetch := int64(s.e.cfg.FetchSize)
 	total := cur.file.LastReadable - cur.readPos
@@ -256,16 +266,16 @@ func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Recor
 		total = int64(depth) * fetch
 	}
 	chunks := int((total + fetch - 1) / fetch) // all full but possibly the last
-	if len(s.scratch) < chunks*int(fetch) {
-		s.scratch = make([]byte, chunks*int(fetch))
-	}
+	// The Reads land past the buffer's length, which grows over them only
+	// once every one has completed: a failed post or completion leaves it
+	// as it was.
+	old := len(cur.partial)
+	cur.partial = slices.Grow(cur.partial, int(total))
+	tail := cur.partial[old : old+int(total)]
 	for at := int64(0); at < total; at += fetch {
-		end := at + fetch
-		if end > total {
-			end = total
-		}
+		end := min(at+fetch, total)
 		err := s.qp.PostSend(rdma.SendWR{
-			Op: rdma.OpRead, Local: s.scratch[at:end],
+			Op: rdma.OpRead, Local: tail[at:end],
 			RemoteAddr: cur.file.Addr + uint64(cur.readPos+at), RKey: cur.file.RKey,
 		})
 		if err != nil {
@@ -278,9 +288,9 @@ func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Recor
 		}
 		s.StatDataReads++
 	}
+	cur.partial = cur.partial[:old+int(total)]
 	cur.readPos += total
 	p.Sleep(s.e.cfg.ConsumeCPU)
-	cur.partial = append(cur.partial, s.scratch[:total]...)
 
 	// Find the boundary of complete batches; a partial tail stays buffered
 	// until more bytes arrive (§4.4.2).
@@ -295,15 +305,14 @@ func (s *readSession) read(p *sim.Proc, cur *cursor, depth int) ([]krecord.Recor
 	if consumed == 0 {
 		return nil, nil
 	}
-	// Copy completed batches into a caller-owned buffer — the copy the
-	// paper attributes to Kafka's consumer API requiring on-heap buffers
-	// (§5.3) — then validate integrity and decode. Returned records alias
-	// the stable copy, never the reused partial buffer.
-	stable := append([]byte(nil), cur.partial[:consumed]...) // exactly consumed bytes, not zeroed first
+	// Validate integrity and decode the completed batches where they landed.
+	// The copy the paper attributes to Kafka's consumer API requiring
+	// on-heap buffers (§5.3) is charged here, not made: the Reads already put
+	// the bytes in client memory.
 	p.Sleep(s.e.copyTime(consumed) + s.e.crcTime(consumed))
-	cur.partial = append(cur.partial[:0], cur.partial[consumed:]...)
+	cur.delivered = consumed
 	var err error
-	s.recs, err = decodeBatches(s.recs[:0], stable, &cur.offset)
+	s.recs, err = decodeBatches(s.recs[:0], cur.partial[:consumed], &cur.offset)
 	return s.recs, err
 }
 

@@ -64,6 +64,16 @@ func recordsOf(n, size int, tag byte) []krecord.Record {
 	return recs
 }
 
+// keep appends copies of recs to dst: what a consumer's Poll returns is
+// valid until its next Poll only.
+func keep(dst, recs []krecord.Record) []krecord.Record {
+	for _, rc := range recs {
+		rc.Value = bytes.Clone(rc.Value)
+		dst = append(dst, rc)
+	}
+	return dst
+}
+
 // ---------------------------------------------------------------------------
 // TCP datapaths (the unmodified-Kafka baseline)
 // ---------------------------------------------------------------------------
@@ -98,7 +108,7 @@ func TestTCPProduceConsumeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		for i, rec := range got {
 			if string(rec.Value) != fmt.Sprintf("msg-%d", i) || rec.Offset != int64(i) {
@@ -577,7 +587,7 @@ func TestRDMAConsumerReadsPreloadedRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		for i, rec := range got {
 			if rec.Offset != int64(i) || string(rec.Value) != fmt.Sprintf("v-%03d", i) {
@@ -805,7 +815,7 @@ func TestOSUProduceConsumeRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, recs...)
+			got = keep(got, recs)
 		}
 		if string(got[4].Value) != "o-4" {
 			t.Fatalf("last record %q", got[4].Value)

@@ -86,6 +86,32 @@ func TestFetchRespDecodeIntoAllocFree(t *testing.T) {
 	}
 }
 
+// A broker's pooled request sees whatever topic the next frame names; with
+// two topics in turn every decode changes the field. The codec's recent
+// strings make that free too: each run decodes the other topic's frame.
+func TestAlternatingTopicsDecodeAllocFree(t *testing.T) {
+	var frames [2][]byte
+	for i, topic := range []string{"events", "metrics"} {
+		frames[i] = kwire.Encode(1, &kwire.FetchReq{Topic: topic, Partition: 3, Offset: 99, ReplicaID: -1})
+	}
+	var dst kwire.FetchReq
+	turn := 0
+	decodeNext := func() {
+		turn++
+		if _, err := kwire.DecodeInto(frames[turn%2], &dst); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+	}
+	decodeNext()
+	decodeNext() // both topics are now among the codec's recent strings
+	if allocs := testing.AllocsPerRun(100, decodeNext); allocs != 0 {
+		t.Fatalf("decoding two alternating topics into one struct allocates %.1f times per op, want 0", allocs)
+	}
+	if want := []string{"events", "metrics"}[turn%2]; dst.Topic != want {
+		t.Fatalf("Topic = %q after the last decode, want %q", dst.Topic, want)
+	}
+}
+
 // TestDecodedMessageDoesNotAliasPooledBuffer pins the invariant the broker
 // and clients rely on when they recycle wire buffers right after decoding:
 // no decoded field may alias the frame it was decoded from.

@@ -477,6 +477,12 @@ type codec struct {
 	buf []byte
 	err error
 	dec bool
+	// recent is a ring of the last strings decoded into a changed field, next
+	// the slot the following one takes: a pooled struct that sees two topics
+	// alternate takes the other one from here instead of allocating it anew.
+	// The codec pool carries the ring from one decode to the next.
+	recent [4]string
+	next   uint8
 }
 
 func (c *codec) take(n int) []byte {
@@ -587,16 +593,30 @@ func (c *codec) count(n int) int {
 	return int(v)
 }
 
-// str walks a string field. Decoding rewrites *s only when the value changed:
-// the `*s != string(b)` comparison does not allocate, so decoding a stream of
-// messages with a stable topic name into a pooled struct costs nothing.
+// str walks a string field. Decoding rewrites *s only when the value changed,
+// and then with one of the codec's recent strings when it matches: neither
+// `string(b)` comparison allocates, so decoding a stream of messages into a
+// pooled struct costs nothing as long as it names at most four strings in
+// turn (two topics, say).
 func (c *codec) str(s *string) {
 	n := c.count(len(*s))
 	if !c.dec {
 		c.buf = append(c.buf, *s...)
-	} else if b := c.take(n); c.err == nil && *s != string(b) {
-		*s = string(b)
+		return
 	}
+	b := c.take(n)
+	if c.err != nil || *s == string(b) {
+		return
+	}
+	for _, r := range c.recent {
+		if r == string(b) {
+			*s = r
+			return
+		}
+	}
+	*s = string(b)
+	c.recent[c.next%uint8(len(c.recent))] = *s
+	c.next++
 }
 
 // bytes walks a byte field behind a 32-bit length. Decoding reuses *b's
@@ -957,10 +977,10 @@ var ErrKindMismatch = errors.New("kwire: message kind mismatch")
 // DecodeInto parses a framed message into m, which must match the frame's
 // kind (see PeekKind). Unlike Decode it reuses m's existing field capacity —
 // byte fields are overwritten in place when they fit, string fields are only
-// reallocated when their value changed — so decoding a stream of similar
-// messages into a pooled struct does 0 allocs/op at steady state. Decoded
-// fields never alias buf, which may be recycled as soon as DecodeInto
-// returns.
+// reallocated when their value changed to one not among the last few the
+// codec decoded — so decoding a stream of similar messages into a pooled
+// struct does 0 allocs/op at steady state. Decoded fields never alias buf,
+// which may be recycled as soon as DecodeInto returns.
 func DecodeInto(buf []byte, m Message) (corr uint32, err error) {
 	c := codecPool.Get().(*codec)
 	c.buf, c.err, c.dec = buf, nil, true

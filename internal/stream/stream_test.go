@@ -114,11 +114,11 @@ func TestWorkloadAndSystemStrings(t *testing.T) {
 	}
 }
 
-// An event costs at most one heap object from the sensor to the engine — the
-// caller-owned buffer of the fetch that delivers it — on every system: the
-// encoder's buffer, the one-record argument, the producer's batch, the staged
-// SENDs, the slice Poll returns and the parser all reuse what they have.
-func TestAnEventAllocatesOnlyItsFetchBuffer(t *testing.T) {
+// An event costs no heap object from the sensor to the engine on any system:
+// the encoder's buffer, the one-record argument, the producer's batch, the
+// staged SENDs, the buffer the fetch lands in, the slice Poll returns and the
+// parser all reuse what they have.
+func TestAnEventAllocatesNothing(t *testing.T) {
 	const warm, n = 300, 1000
 	for _, sys := range []System{SysKafka, SysOSU, SysKafkaDirect} {
 		cfg := shortConfig(sys, ConstantRate, 1)
@@ -164,8 +164,9 @@ func TestAnEventAllocatesOnlyItsFetchBuffer(t *testing.T) {
 		env.Shutdown()
 		cl.Release()
 		t.Logf("%v: %.3f objects per event", sys, perEvent)
-		if !raceDetector && (perEvent == 0 || perEvent > 1.05) {
-			t.Errorf("%v: %.3f objects per event published, delivered and parsed, want 1 (the fetch's buffer)", sys, perEvent)
+		// Measured 0.003 on every system.
+		if !raceDetector && perEvent > 0.05 {
+			t.Errorf("%v: %.3f objects per event published, delivered and parsed, want none", sys, perEvent)
 		}
 	}
 }
